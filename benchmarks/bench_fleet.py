@@ -94,8 +94,7 @@ def _one_socket_campaign(config, jobs: int, cohort: bool,
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     start = time.perf_counter()
-    transport = SocketTransport(lease_timeout_s=60.0,
-                                heartbeat_s=1.0, idle_retry_s=0.1)
+    transport = SocketTransport(lease_timeout_s=60.0, heartbeat_s=1.0)
     failure = []
 
     def _campaign():

@@ -345,7 +345,8 @@ def _fleet_status_text(status: dict) -> str:
             f"{row.get('bytes_from_worker', 0):,}B up / "
             f"{row.get('bytes_to_worker', 0):,}B down, "
             f"{row.get('reconnects', 0)} reconnect(s), "
-            f"{row.get('lease_timeouts', 0)} lease timeout(s)")
+            f"{row.get('lease_timeouts', 0)} lease timeout(s), "
+            f"{row.get('wait_s', 0.0):.2f}s waiting for work")
     if not workers:
         lines.append("  no workers have connected")
     return "\n".join(lines)

@@ -16,6 +16,11 @@ Failure model (the part worth reading twice):
   queue for the next ``lease_req``.
 * a dropped connection requeues immediately — no need to wait out the
   deadline when the socket already said goodbye.
+* dispatch is event-driven: a ``lease_req`` that finds the queue
+  empty (a model boundary, every unit already leased) is **parked**,
+  and answered the moment work appears — the next model's units, a
+  requeue — or the campaign ends.  The connection keeps reading
+  frames while parked, so heartbeats still refresh it.
 * reassignment is idempotent because completion is **per-device**:
   every ``dev_done`` commits one device's record to the same on-disk
   unit stream the local path appends to, and a requeued lease carries
@@ -70,6 +75,10 @@ from repro.msp430.execcache import DISK_FORMAT, list_store_files, \
 #: a profile
 _MAX_PROFILE = 8 * 1024 * 1024
 
+#: the longest :meth:`SocketTransport.close` waits for connected
+#: workers to hang up after it pushes ``shutdown``
+_CLOSE_GRACE_S = 2.0
+
 #: per-unit stats the coordinator accumulates for the live status view
 _UNIT_STAT_KEYS = ("cohort_replayed", "cohort_executed",
                    "cohort_forks", "cohort_rejoins", "trace_hits",
@@ -98,6 +107,19 @@ class _Lease:
         self.t_submit = t_submit
         self.worker = worker
         self.last_seen = time.monotonic()
+
+
+class _Peer:
+    """One admitted worker connection: its channel, the leases it
+    holds, and — while its ``lease_req`` is parked — when it parked."""
+
+    __slots__ = ("channel", "worker_id", "held", "parked_at")
+
+    def __init__(self, channel: Channel, worker_id: str):
+        self.channel = channel
+        self.worker_id = worker_id
+        self.held: Set[int] = set()
+        self.parked_at: Optional[float] = None
 
 
 class _ModelState:
@@ -143,7 +165,6 @@ class SocketTransport:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_timeout_s: float = 30.0,
                  heartbeat_s: float = 5.0,
-                 idle_retry_s: float = 1.0,
                  secret: Optional[bytes] = None):
         if lease_timeout_s <= 0:
             raise ReproError(
@@ -152,9 +173,6 @@ class SocketTransport:
             raise ReproError(
                 f"heartbeat cadence must be positive (got "
                 f"{heartbeat_s}) — workers sleep between pings")
-        if idle_retry_s < 0:
-            raise ReproError(
-                f"idle retry must be >= 0 (got {idle_retry_s})")
         if secret is None and not _is_loopback(host):
             raise ReproError(
                 f"refusing to listen on non-loopback {host!r} without "
@@ -167,13 +185,12 @@ class SocketTransport:
         self.secret = secret
         self.lease_timeout_s = lease_timeout_s
         self.heartbeat_s = heartbeat_s
-        self.idle_retry_s = idle_retry_s
         self.address: Optional[tuple] = None
         self._campaign: Optional[dict] = None
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._handlers: List[threading.Thread] = []
-        self._channels: List[tuple] = []       # (channel, worker_id)
+        self._peers: List[_Peer] = []
         self._lock = threading.RLock()
         self._state: Optional[_ModelState] = None
         self._lease_counter = 0
@@ -219,6 +236,8 @@ class SocketTransport:
         st = _ModelState(model_key, units, time.time())
         with self._lock:
             self._state = st
+        # workers that asked during the model boundary get work now
+        self._answer_parked()
         try:
             while True:
                 with self._lock:
@@ -262,20 +281,32 @@ class SocketTransport:
 
     def worker_stats(self) -> dict:
         with self._lock:
-            # flush live connections' byte counters into the rows
-            for channel, worker_id in self._channels:
-                self._fold_bytes(channel, worker_id)
-            workers = {worker_id: dict(row) for worker_id, row
-                       in self._workers.items()}
-        return {"workers": workers, "requeues": self._requeues}
+            return {"workers": self._worker_rows(),
+                    "requeues": self._requeues}
 
     # -- live status --------------------------------------------------------
+    def _worker_rows(self) -> Dict[str, dict]:
+        """Copies of the per-worker rows, with live connections' byte
+        counters folded in and waits still parked counted so far
+        (callers hold the lock)."""
+        now = time.monotonic()
+        waiting: Dict[str, float] = {}
+        for peer in self._peers:
+            self._fold_bytes(peer.channel, peer.worker_id)
+            if peer.parked_at is not None:
+                waiting[peer.worker_id] = waiting.get(
+                    peer.worker_id, 0.0) + now - peer.parked_at
+        rows = {}
+        for worker_id, row in self._workers.items():
+            rows[worker_id] = dict(row)
+            rows[worker_id]["wait_s"] = round(
+                row["wait_s"] + waiting.get(worker_id, 0.0), 3)
+        return rows
+
     def _status_snapshot(self) -> dict:
         """The live campaign view served to ``status_req`` observers
         and mirrored into ``status.json``."""
         with self._lock:
-            for channel, worker_id in self._channels:
-                self._fold_bytes(channel, worker_id)
             st = self._state
             campaign = self._campaign
             trace = self._unit_totals
@@ -292,9 +323,8 @@ class SocketTransport:
                 if st is not None else 0,
                 "devices_total": st.total if st is not None else 0,
                 "requeues": self._requeues,
-                "connections": len(self._channels),
-                "workers": {worker_id: dict(row) for worker_id, row
-                            in self._workers.items()},
+                "connections": len(self._peers),
+                "workers": self._worker_rows(),
                 "cohort": dict(trace),
                 "trace_hit_rate": round(
                     trace["trace_hits"] / lookups, 4)
@@ -323,28 +353,44 @@ class SocketTransport:
     def close(self) -> None:
         with self._lock:
             self._shutdown = True
-            channels = list(self._channels)
-        # a push, not a reply: idle workers pick it up on their next
-        # recv and exit 0 instead of discovering a dead port
-        for channel, _worker_id in channels:
-            try:
-                channel.send({"type": "shutdown"})
-            except (WireError, OSError):
-                pass
+            peers = list(self._peers)
+            for peer in peers:
+                self._unpark(peer)
         if self._listener is not None:
+            # shutdown, not just close: it wakes the accept() blocked
+            # on the listener, and later connection attempts are
+            # refused instead of accepted by a lingering socket
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
-        deadline = time.monotonic() + max(2.0, self.idle_retry_s + 1.0)
-        for thread in self._handlers:
+        if self._accept_thread is not None:
+            # returns at once where shutdown wakes accept() (Linux)
+            self._accept_thread.join(timeout=1.0)
+        # a push, not a reply: a parked lease_req gets its answer, and
+        # a worker between frames reads it on its next recv — either
+        # way it exits 0 instead of discovering a dead port
+        for peer in peers:
+            try:
+                peer.channel.send({"type": "shutdown"})
+            except (WireError, OSError):
+                pass
+        # each handler ends when its worker hangs up, which a parked
+        # worker does at once; one still connected after the grace is
+        # mid-unit in an aborted campaign, or wedged, and is cut off
+        deadline = time.monotonic() + _CLOSE_GRACE_S
+        with self._lock:
+            handlers = list(self._handlers)
+        for thread in handlers:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         with self._lock:
-            channels = list(self._channels)
-        for channel, _worker_id in channels:
-            channel.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
+            peers = list(self._peers)
+        for peer in peers:
+            peer.channel.close()
         self._write_status(force=True)
 
     # -- completion-order plumbing ----------------------------------------
@@ -364,12 +410,14 @@ class SocketTransport:
 
     def _expire_leases(self, st: _ModelState) -> None:
         now = time.monotonic()
+        expired = False
         with self._lock:
             for lease_id, lease in list(st.leases.items()):
                 if now - lease.last_seen <= self.lease_timeout_s:
                     continue
                 del st.leases[lease_id]
                 self._requeue(st, lease)
+                expired = True
                 row = self._workers.get(lease.worker)
                 if row is not None:
                     row["lease_timeouts"] += 1
@@ -377,16 +425,105 @@ class SocketTransport:
                     f"{st.model}: lease {lease.lease_id} "
                     f"(unit {lease.first}) on {lease.worker!r} missed "
                     f"its deadline — requeued")
+        if expired:
+            self._answer_parked()
 
     def _requeue(self, st: _ModelState, lease: _Lease) -> None:
         """Return a lease's unfinished devices to the queue (callers
-        hold the lock).  Finished devices stay finished — completion
-        is per-device, which is what makes reassignment idempotent."""
+        hold the lock, and call :meth:`_answer_parked` once they let
+        go of it).  Finished devices stay finished — completion is
+        per-device, which is what makes reassignment idempotent."""
         remaining = [device for device in lease.devices
                      if device not in st.records]
         if remaining:
             st.queue.append((lease.first, remaining, lease.t_submit))
         self._requeues += 1
+
+    # -- parking -------------------------------------------------------------
+    def _take_work(self, peer: _Peer) -> Optional[dict]:
+        """The answer to ``peer``'s ``lease_req``: the next queued unit
+        as a lease, ``shutdown`` once the campaign is closing, or
+        ``None`` while there is neither (callers hold the lock)."""
+        if self._shutdown:
+            self._unpark(peer)
+            return {"type": "shutdown"}
+        st = self._state
+        while st is not None and st.active and st.queue:
+            first, devices, t_submit = st.queue.popleft()
+            devices = [device for device in devices
+                       if device not in st.records]
+            if not devices:
+                continue
+            self._lease_counter += 1
+            lease = _Lease(self._lease_counter, st.model, devices,
+                           first, t_submit, peer.worker_id)
+            st.leases[lease.lease_id] = lease
+            peer.held.add(lease.lease_id)
+            ckpts = {}
+            for device in devices:
+                path = _ckpt_path(Path(self._campaign["out_dir"]),
+                                  st.model, device)
+                try:
+                    ckpts[str(device)] = blob_sha(path.read_bytes())
+                except OSError:
+                    pass                # no checkpoint: fresh start
+            self._unpark(peer)
+            return {"type": "lease", "lease": lease.lease_id,
+                    "model": st.model, "devices": devices,
+                    "first": first, "ckpts": ckpts}
+        return None
+
+    def _unpark(self, peer: _Peer) -> None:
+        """Stop ``peer``'s parked wait and charge it to the worker's
+        ``wait_s`` (callers hold the lock)."""
+        if peer.parked_at is None:
+            return
+        row = self._workers.get(peer.worker_id)
+        if row is not None:
+            row["wait_s"] += time.monotonic() - peer.parked_at
+        peer.parked_at = None
+
+    def _answer_parked(self) -> None:
+        """Hand out queued work to parked ``lease_req``s, longest
+        waiting first, until the queue runs dry."""
+        with self._lock:
+            parked = sorted((peer for peer in self._peers
+                             if peer.parked_at is not None),
+                            key=lambda peer: peer.parked_at)
+            replies = []
+            for peer in parked:
+                reply = self._take_work(peer)
+                if reply is None:
+                    break
+                replies.append((peer, reply))
+        requeued = False
+        for peer, reply in replies:
+            try:
+                peer.channel.send(reply)
+            except (WireError, OSError):
+                # the lease never reached its worker: back on the
+                # queue now, not once its deadline passes
+                if reply["type"] == "lease":
+                    with self._lock:
+                        requeued |= self._return_leases(
+                            peer, [reply["lease"]])
+        if requeued:
+            self._answer_parked()
+
+    def _return_leases(self, peer: _Peer, lease_ids) -> bool:
+        """Requeue those of ``peer``'s leases that are still live;
+        returns whether any was (callers hold the lock, and call
+        :meth:`_answer_parked` once they let go of it)."""
+        st = self._state
+        returned = False
+        for lease_id in list(lease_ids):
+            peer.held.discard(lease_id)
+            lease = st.leases.pop(lease_id, None) \
+                if st is not None else None
+            if lease is not None:
+                self._requeue(st, lease)
+                returned = True
+        return returned
 
     # -- connection handling ----------------------------------------------
     def _accept_loop(self) -> None:
@@ -394,17 +531,21 @@ class SocketTransport:
             try:
                 conn, addr = self._listener.accept()
             except OSError:
-                return                  # listener closed
+                return                  # listener shut down
             thread = threading.Thread(
                 target=self._serve, args=(conn, addr),
                 name=f"fleet-conn-{addr[1]}", daemon=True)
             with self._lock:
+                # every status query and reconnect is a connection:
+                # track the live handlers, not the campaign's history
+                self._handlers = [handler for handler in self._handlers
+                                  if handler.is_alive()]
                 self._handlers.append(thread)
             thread.start()
 
-    def _handshake(self, channel: Channel) -> Optional[str]:
-        """Run the hello/welcome exchange; returns the worker id, or
-        ``None`` after sending a reject."""
+    def _handshake(self, channel: Channel) -> Optional[_Peer]:
+        """Run the hello/welcome exchange; returns the admitted
+        worker, or ``None`` after sending a reject."""
         hello, _ = channel.recv(timeout=10.0)
         if hello.get("type") != "hello":
             raise WireError(
@@ -457,11 +598,11 @@ class SocketTransport:
             "rejoin": self._campaign.get("rejoin", True),
             "profile": self._campaign.get("profile_dir") is not None,
             "heartbeat_s": self.heartbeat_s,
-            "idle_retry_s": self.idle_retry_s,
             "lease_timeout_s": self.lease_timeout_s,
             "stores": self._store_offers,
             "trace_stores": self._trace_offers,
         })
+        peer = _Peer(channel, worker_id)
         with self._lock:
             row = self._workers.get(worker_id)
             if row is None:
@@ -471,44 +612,44 @@ class SocketTransport:
                     "units_run": 0, "devices_done": 0,
                     "bytes_to_worker": 0, "bytes_from_worker": 0,
                     "reconnects": 0, "lease_timeouts": 0,
+                    "wait_s": 0.0,
                 }
             else:
                 row["reconnects"] += 1
-            self._channels.append((channel, worker_id))
+            self._peers.append(peer)
         self._campaign["say"](
             f"worker {worker_id!r} connected from "
             f"{self._workers[worker_id]['host']}")
-        return worker_id
+        return peer
 
     def _serve(self, conn: socket.socket, addr) -> None:
         channel = Channel(conn)
-        worker_id: Optional[str] = None
-        held: Set[int] = set()
+        peer: Optional[_Peer] = None
         try:
-            worker_id = self._handshake(channel)
-            if worker_id is None:
+            peer = self._handshake(channel)
+            if peer is None:
                 return
             recv_timeout = max(self.lease_timeout_s,
                                4 * self.heartbeat_s)
             while True:
                 message, blob = channel.recv(timeout=recv_timeout)
-                self._refresh(held)
+                self._refresh(peer.held)
                 mtype = message["type"]
                 if mtype == "ping":
                     channel.send({"type": "pong"})
                 elif mtype == "lease_req":
-                    if not self._grant(channel, worker_id, held):
+                    if not self._grant(peer):
                         return          # shutdown sent
                 elif mtype == "blob_get":
                     self._serve_blob(channel, message)
                 elif mtype == "ckpt":
                     self._store_checkpoint(message, blob)
                 elif mtype == "dev_done":
-                    self._commit_device(message, worker_id)
+                    self._commit_device(message, peer.worker_id)
                 elif mtype == "result":
-                    self._finish_lease(message, worker_id, held)
+                    self._finish_lease(message, peer)
                 elif mtype == "batch":
-                    self._handle_batch(message, blob, worker_id, held)
+                    self._handle_batch(message, blob, peer)
                 elif mtype == "profile":
                     self._store_profile(message, blob)
                 elif mtype == "status_req":
@@ -519,19 +660,16 @@ class SocketTransport:
         except (WireError, OSError):
             pass                        # fall through to requeue
         finally:
-            with self._lock:
-                st = self._state
-                if st is not None:
-                    for lease_id in held:
-                        lease = st.leases.pop(lease_id, None)
-                        if lease is not None:
-                            self._requeue(st, lease)
-                if worker_id is not None:
-                    self._fold_bytes(channel, worker_id)
-                self._channels = [
-                    (ch, wid) for ch, wid in self._channels
-                    if ch is not channel]
+            requeued = False
+            if peer is not None:
+                with self._lock:
+                    self._unpark(peer)
+                    requeued = self._return_leases(peer, peer.held)
+                    self._fold_bytes(channel, peer.worker_id)
+                    self._peers.remove(peer)
             channel.close()
+            if requeued:
+                self._answer_parked()
 
     def _refresh(self, held: Set[int]) -> None:
         """Any frame from a connection refreshes its leases."""
@@ -558,50 +696,19 @@ class SocketTransport:
         channel.bytes_in = 0
 
     # -- message handlers --------------------------------------------------
-    def _grant(self, channel: Channel, worker_id: str,
-               held: Set[int]) -> bool:
-        """Answer a ``lease_req``: lease, idle, or (on campaign end)
-        shutdown.  Returns False when the connection should close."""
+    def _grant(self, peer: _Peer) -> bool:
+        """Answer a ``lease_req`` with a lease, or with shutdown on
+        campaign end; with neither available yet, park it for
+        :meth:`_answer_parked` or :meth:`close` to answer.  Returns
+        False when the connection should close."""
         with self._lock:
-            if self._shutdown:
-                grant = "shutdown"
-            else:
-                st = self._state
-                grant = None
-                while st is not None and st.active and st.queue:
-                    first, devices, t_submit = st.queue.popleft()
-                    devices = [device for device in devices
-                               if device not in st.records]
-                    if not devices:
-                        continue
-                    self._lease_counter += 1
-                    lease = _Lease(self._lease_counter, st.model,
-                                   devices, first, t_submit, worker_id)
-                    st.leases[lease.lease_id] = lease
-                    held.add(lease.lease_id)
-                    ckpts = {}
-                    for device in devices:
-                        path = _ckpt_path(
-                            Path(self._campaign["out_dir"]),
-                            st.model, device)
-                        try:
-                            ckpts[str(device)] = blob_sha(
-                                path.read_bytes())
-                        except OSError:
-                            pass        # no checkpoint: fresh start
-                    grant = {"type": "lease", "lease": lease.lease_id,
-                             "model": st.model, "devices": devices,
-                             "first": first, "ckpts": ckpts}
-                    break
-        if grant == "shutdown":
-            channel.send({"type": "shutdown"})
-            return False
-        if grant is None:
-            channel.send({"type": "idle",
-                          "retry_s": self.idle_retry_s})
-        else:
-            channel.send(grant)
-        return True
+            reply = self._take_work(peer)
+            if reply is None:
+                if peer.parked_at is None:
+                    peer.parked_at = time.monotonic()
+                return True
+        peer.channel.send(reply)
+        return reply["type"] != "shutdown"
 
     def _serve_blob(self, channel: Channel, message: dict) -> None:
         """Content-addressed blob fetch: the name says what, the sha
@@ -631,7 +738,7 @@ class SocketTransport:
                      compress=bool(message.get("zip")))
 
     def _handle_batch(self, message: dict, blob: Optional[bytes],
-                      worker_id: str, held: Set[int]) -> None:
+                      peer: _Peer) -> None:
         """Unpack a coalesced frame and dispatch its sub-frames in
         order.  Only report-shaped frames may batch — anything that
         expects a reply (lease_req, blob_get, ping) must go direct,
@@ -641,9 +748,9 @@ class SocketTransport:
             if subtype == "ckpt":
                 self._store_checkpoint(sub, piece)
             elif subtype == "dev_done":
-                self._commit_device(sub, worker_id)
+                self._commit_device(sub, peer.worker_id)
             elif subtype == "result":
-                self._finish_lease(sub, worker_id, held)
+                self._finish_lease(sub, peer)
             elif subtype == "profile":
                 self._store_profile(sub, piece)
             else:
@@ -723,18 +830,17 @@ class SocketTransport:
             if row is not None:
                 row["devices_done"] += 1
 
-    def _finish_lease(self, message: dict, worker_id: str,
-                      held: Set[int]) -> None:
+    def _finish_lease(self, message: dict, peer: _Peer) -> None:
         with self._lock:
             st = self._state
             lease_id = message.get("lease")
-            held.discard(lease_id)
+            peer.held.discard(lease_id)
             stats = message.get("stats")
             if st is None or not isinstance(stats, dict) or \
                     message.get("model") != st.model:
                 return
             lease = st.leases.pop(lease_id, None)
-            row = self._workers.get(worker_id)
+            row = self._workers.get(peer.worker_id)
             if row is not None:
                 row["units_run"] += 1
             for key in _UNIT_STAT_KEYS:

@@ -31,9 +31,10 @@ welcome   c -> w      handshake accepted: campaign key, config, cache
                       mode, cohort flag, heartbeat cadence, store offers
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
-lease_req w -> c      give me work
+lease_req w -> c      give me work; answered by ``lease`` or
+                      ``shutdown`` once work or campaign end exists
+                      (parked until then — pings still get pongs)
 lease     c -> w      a work unit: model, device ids, checkpoint shas
-idle      c -> w      no work right now; retry after ``retry_s``
 shutdown  c -> w      campaign complete; exit cleanly
 blob_get  w -> c      fetch a blob by name + expected sha
 blob      c -> w      the blob (raw bytes follow the frame)
@@ -84,7 +85,7 @@ from repro.errors import ReproError
 
 #: bump on any incompatible message/framing change; exchanged (and
 #: required equal) in the hello/welcome handshake
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 
 #: JSON payloads are small (records, leases); anything bigger than
 #: this is a corrupt length field or garbage on the port

@@ -32,12 +32,14 @@ shrinks checkpoint and store transfers.
 
 A heartbeat thread pings on the coordinator's advertised cadence
 (±10% jitter, so a fleet of same-config workers doesn't phase-lock
-into synchronized ping bursts) to keep an idle or long-simulating
-worker's lease alive.  Connection loss triggers reconnect with
-exponential backoff plus jitter; a ``campaign``-kind reject (the
-coordinator moved on to a different campaign) drops the remembered
-key and re-handshakes fresh, while a ``version``-kind reject is
-fatal — no amount of retrying fixes a version skew.
+into synchronized ping bursts) to keep a parked or long-simulating
+worker's connection and lease alive: a ``lease_req`` that arrives
+while nothing is queued is answered only once work (or campaign end)
+exists, so the worker never polls.  Connection loss triggers
+reconnect with exponential backoff plus jitter; a ``campaign``-kind
+reject (the coordinator moved on to a different campaign) drops the
+remembered key and re-handshakes fresh, while a ``version``-kind
+reject is fatal — no amount of retrying fixes a version skew.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ from repro.fleet.telemetry import MODELS_BY_KEY, device_record
 from repro.msp430.execcache import DISK_FORMAT, have_store_file, \
     import_store_file
 
-#: per-frame reply deadline: the coordinator answers lease/blob
-#: requests immediately, so a silent minute means the link is gone
+#: per-frame reply deadline: the coordinator answers blob requests
+#: immediately, so a silent minute means the link is gone (a parked
+#: ``lease_req`` also scales it with the heartbeat; see _work_loop)
 REPLY_TIMEOUT_S = 60.0
 
 #: default coalescing bounds: flush a batch once this many payload
@@ -104,12 +107,16 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
             from None
 
 
-def _recv_reply(channel: Channel, want: Tuple[str, ...]
+def _recv_reply(channel: Channel, want: Tuple[str, ...],
+                timeout: Optional[float] = None
                 ) -> Tuple[dict, Optional[bytes]]:
     """Receive the next frame of an expected type, absorbing heartbeat
-    echoes and honoring an unsolicited shutdown wherever it lands."""
+    echoes and honoring an unsolicited shutdown wherever it lands.
+    ``timeout`` bounds the silence before each frame (default
+    :data:`REPLY_TIMEOUT_S`)."""
     while True:
-        message, blob = channel.recv(timeout=REPLY_TIMEOUT_S)
+        message, blob = channel.recv(
+            timeout=REPLY_TIMEOUT_S if timeout is None else timeout)
         mtype = message["type"]
         if mtype == "pong":
             continue
@@ -458,17 +465,18 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
                config_key: str, cache_mode: str, worker_id: str,
                crash_state: Dict[str, int],
                say: Callable[[str], None]) -> None:
-    idle_retry_s = float(welcome.get("idle_retry_s", 1.0))
     cohort = bool(welcome.get("cohort", False))
     rejoin = bool(welcome.get("rejoin", True))
     profile = bool(welcome.get("profile", False))
+    # the coordinator parks a lease_req until work exists; meanwhile
+    # only pongs arrive, one per heartbeat, so the deadline scales
+    # with the cadence as the coordinator's own recv deadline does
+    lease_wait_s = max(REPLY_TIMEOUT_S,
+                       4 * float(welcome.get("heartbeat_s", 5.0)))
     while True:
         batcher.direct({"type": "lease_req", "worker": worker_id})
-        message, _ = _recv_reply(channel, ("lease", "idle"))
-        if message["type"] == "idle":
-            time.sleep(max(0.0, float(message.get("retry_s",
-                                                  idle_retry_s))))
-            continue
+        message, _ = _recv_reply(channel, ("lease",),
+                                 timeout=lease_wait_s)
         say(f"lease {message['lease']}: model {message['model']}, "
             f"{len(message['devices'])} device(s)")
         _run_lease(batcher, channel, message, config, config_key,

@@ -233,7 +233,9 @@ def worker_summary(workers: Dict[str, dict]) -> dict:
     """Fold the coordinator's per-worker attribution rows into fleet
     totals for ``coordinator.json`` — how much work and wire traffic
     the socket campaign cost, worker count included so reconnect and
-    timeout rates can be read per worker."""
+    timeout rates can be read per worker.  ``wait_s`` is the time
+    workers' lease requests sat parked with no unit to hand out —
+    the campaign's starvation, at model boundaries and at its end."""
     return {
         "workers": len(workers),
         "units_run": sum(w["units_run"] for w in workers.values()),
@@ -246,4 +248,5 @@ def worker_summary(workers: Dict[str, dict]) -> dict:
         "reconnects": sum(w["reconnects"] for w in workers.values()),
         "lease_timeouts": sum(
             w["lease_timeouts"] for w in workers.values()),
+        "wait_s": round(sum(w["wait_s"] for w in workers.values()), 3),
     }

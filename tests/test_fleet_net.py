@@ -26,6 +26,7 @@ import sys
 import threading
 import time
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -247,7 +248,7 @@ class _Coordinator:
         self.out = Path(out)
         self.transport = SocketTransport(
             lease_timeout_s=lease_timeout_s, heartbeat_s=0.5,
-            idle_retry_s=0.1, secret=secret)
+            secret=secret)
         self.error = None
         config = FleetConfig(**{**_CAMPAIGN, **overrides})
         profile_dir = self.out / "profiles" if profile else None
@@ -291,8 +292,9 @@ def _worker_thread(address, worker_id, codes, **kwargs):
     return thread
 
 
-def _raw_hello(address, **overrides):
-    """Open one raw connection, send a hello, return the reply."""
+def _raw_connect(address, **overrides):
+    """Open one raw connection and send a hello; returns the channel
+    and the coordinator's reply."""
     host, port = parse_endpoint(address)
     channel = Channel(socket.create_connection((host, port),
                                                timeout=10))
@@ -303,6 +305,12 @@ def _raw_hello(address, **overrides):
     hello.update(overrides)
     channel.send(hello)
     reply, _ = channel.recv(timeout=10)
+    return channel, reply
+
+
+def _raw_hello(address, **overrides):
+    """Open one raw connection, send a hello, return the reply."""
+    channel, reply = _raw_connect(address, **overrides)
     channel.close()
     return reply
 
@@ -340,10 +348,14 @@ class TestLoopbackCampaign:
         for row in profile["workers"].values():
             assert row["bytes_to_worker"] > 0
             assert row["bytes_from_worker"] > 0
+            assert row["wait_s"] >= 0.0
         totals = profile["worker_totals"]
         assert totals["workers"] == 2
         assert totals["devices_done"] == _CAMPAIGN["devices"]
         assert totals["units_run"] >= 1
+        assert totals["wait_s"] == pytest.approx(
+            sum(row["wait_s"] for row in profile["workers"].values()),
+            abs=0.01)
 
     def test_worker_kill_mid_unit_reassigns_lease(self, tmp_path):
         reference = _serial_reference(tmp_path)
@@ -498,8 +510,6 @@ class TestCoordinatorHardening:
             SocketTransport(lease_timeout_s=0)
         with pytest.raises(ReproError, match="heartbeat"):
             SocketTransport(heartbeat_s=0)
-        with pytest.raises(ReproError, match="idle retry"):
-            SocketTransport(idle_retry_s=-1)
 
     def test_non_loopback_bind_requires_a_secret(self):
         with pytest.raises(ReproError, match="non-loopback"):
@@ -534,6 +544,246 @@ class TestCoordinatorHardening:
                 "name": name, "sha": blob_sha(b"not yours")})
             assert channel.sent == [({"type": "blob_missing",
                                       "name": name}, None)]
+
+
+# -- event-driven dispatch --------------------------------------------------
+
+def _listening(tmp_path) -> SocketTransport:
+    """A coordinator that accepts workers but has queued nothing: the
+    tests below queue units themselves, through ``run_units``."""
+    config = FleetConfig(**_CAMPAIGN)
+    transport = SocketTransport(heartbeat_s=0.5)
+    transport.open_campaign({
+        "config_dict": asdict(config), "config_key": config.key(),
+        "out_dir": str(tmp_path), "cache_mode": "shared",
+        "cohort": False, "rejoin": True, "profile_dir": None,
+        "say": lambda _line: None})
+    return transport
+
+
+def _joined(transport, worker_id="probe") -> Channel:
+    channel, welcome = _raw_connect(
+        "%s:%d" % transport.address, worker=worker_id)
+    assert welcome["type"] == "welcome"
+    return channel
+
+
+def _dispatch(transport, units):
+    """Run ``run_units`` on a thread, as the executor would; the rows
+    it yields collect in the returned list."""
+    rows = []
+    thread = threading.Thread(
+        target=lambda: rows.extend(transport.run_units("mpu", units)),
+        daemon=True)
+    thread.start()
+    return thread, rows
+
+
+def _finish(channel, lease):
+    """Report every leased device done, then the unit."""
+    for device in lease["devices"]:
+        channel.send({"type": "dev_done", "model": lease["model"],
+                      "device": device, "first": lease["first"],
+                      "lease": lease["lease"],
+                      "record": {"device": device}})
+    channel.send({"type": "result", "lease": lease["lease"],
+                  "model": lease["model"],
+                  "stats": {"devices": lease["devices"]}})
+
+
+def _assert_parked(channel):
+    """No reply to a lease_req within 0.3 s, yet the connection is
+    live: a ping still gets its pong."""
+    with pytest.raises(socket.timeout):
+        channel.recv(timeout=0.3)
+    channel.send({"type": "ping"})
+    assert channel.recv(timeout=5)[0]["type"] == "pong"
+
+
+class TestParkedLeases:
+    def test_lease_req_parks_until_units_are_queued(self, tmp_path):
+        transport = _listening(tmp_path)
+        channel = _joined(transport)
+        try:
+            channel.send({"type": "lease_req", "worker": "probe"})
+            _assert_parked(channel)
+            start = time.monotonic()
+            dispatch, rows = _dispatch(transport, [[0, 1]])
+            lease, _ = channel.recv(timeout=5)
+            assert lease["type"] == "lease"
+            assert time.monotonic() - start < 0.5
+            assert lease["devices"] == [0, 1]
+            _finish(channel, lease)
+            dispatch.join(timeout=10)
+            assert not dispatch.is_alive()
+            assert [sorted(row[2]["records"]) for row in rows] == \
+                [[0, 1]]
+            stats = transport.worker_stats()
+            assert stats["requeues"] == 0
+            assert stats["workers"]["probe"]["wait_s"] >= 0.3
+        finally:
+            channel.close()
+            transport.close()
+
+    def test_requeue_wakes_a_parked_worker(self, tmp_path):
+        transport = _listening(tmp_path)
+        holder = _joined(transport, "holder")
+        waiter = _joined(transport, "waiter")
+        try:
+            dispatch, rows = _dispatch(transport, [[0, 1]])
+            holder.send({"type": "lease_req", "worker": "holder"})
+            lease, _ = holder.recv(timeout=5)
+            assert lease["type"] == "lease"
+            waiter.send({"type": "lease_req", "worker": "waiter"})
+            _assert_parked(waiter)
+            # the holder dies mid-unit: its devices go straight to the
+            # parked worker, with no lease deadline to wait out
+            holder.close()
+            start = time.monotonic()
+            relet, _ = waiter.recv(timeout=5)
+            assert relet["type"] == "lease"
+            assert time.monotonic() - start < 0.5
+            assert relet["devices"] == [0, 1]
+            _finish(waiter, relet)
+            dispatch.join(timeout=10)
+            assert not dispatch.is_alive()
+            assert transport.worker_stats()["requeues"] == 1
+        finally:
+            waiter.close()
+            transport.close()
+
+    def test_unreachable_parked_worker_requeues_its_lease_at_once(
+            self, tmp_path):
+        from repro.fleet.net.coordinator import _ModelState, _Peer
+
+        class _Gone:
+            def send(self, message, blob=None, compress=False):
+                raise OSError("connection reset by peer")
+
+        transport = SocketTransport()
+        transport._campaign = {"out_dir": str(tmp_path)}
+        peer = _Peer(_Gone(), "gone")
+        peer.parked_at = time.monotonic()
+        transport._peers.append(peer)
+        transport._state = _ModelState("mpu", [[0, 1]], 0.0)
+        transport._answer_parked()
+        state = transport._state
+        assert [unit[1] for unit in state.queue] == [[0, 1]]
+        assert state.leases == {} and peer.held == set()
+        assert transport._requeues == 1
+
+    def test_close_answers_parked_worker_and_stops_listening(
+            self, tmp_path):
+        transport = _listening(tmp_path)
+        channel = _joined(transport)
+        try:
+            channel.send({"type": "lease_req", "worker": "probe"})
+            _assert_parked(channel)
+            start = time.monotonic()
+            closer = threading.Thread(target=transport.close,
+                                      daemon=True)
+            closer.start()
+            assert channel.recv(timeout=5)[0]["type"] == "shutdown"
+            channel.close()             # the worker exits
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+            assert time.monotonic() - start < 0.5
+        finally:
+            channel.close()
+        with pytest.raises(OSError):
+            socket.create_connection(transport.address,
+                                     timeout=2).close()
+
+    def test_finished_connections_are_not_tracked(self, tmp_path):
+        transport = _listening(tmp_path)
+        address = "%s:%d" % transport.address
+        try:
+            for _ in range(20):
+                assert _raw_hello(address, role="status")["type"] == \
+                    "status"
+            assert len(transport._handlers) <= 5
+        finally:
+            transport.close()
+
+    def test_many_workers_racing_the_queue_lease_each_unit_once(
+            self, tmp_path):
+        # more workers than cores, asking before and while units are
+        # queued, with a tiny switch interval: every device must be
+        # leased exactly once and every worker must get its shutdown
+        transport = _listening(tmp_path)
+        devices = list(range(24))
+        leased = []
+        exits = {}
+        joined = threading.Barrier(9)
+
+        def work(worker_id):
+            channel = _joined(transport, worker_id)
+            try:
+                joined.wait(timeout=10)
+                while True:
+                    channel.send({"type": "lease_req",
+                                  "worker": worker_id})
+                    message, _ = channel.recv(timeout=10)
+                    if message["type"] == "shutdown":
+                        exits[worker_id] = "shutdown"
+                        return
+                    leased.extend(message["devices"])
+                    _finish(channel, message)
+            finally:
+                channel.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=work, args=(f"w{i}",),
+                                    daemon=True) for i in range(8)]
+        try:
+            for worker in workers:
+                worker.start()
+            # the workers' first lease_reqs race the queueing
+            joined.wait(timeout=10)
+            dispatch, rows = _dispatch(
+                transport, [[device] for device in devices])
+            dispatch.join(timeout=30)
+            assert not dispatch.is_alive()
+        finally:
+            transport.close()
+            sys.setswitchinterval(interval)
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert sorted(leased) == devices
+        assert sorted(device for row in rows
+                      for device in row[2]["records"]) == devices
+        assert exits == {f"w{i}": "shutdown" for i in range(8)}
+        assert transport.worker_stats()["requeues"] == 0
+
+    def test_parked_worker_outlives_the_reply_timeout(
+            self, tmp_path, monkeypatch):
+        from repro.fleet.net import worker as worker_module
+        # while parked only pongs arrive, so the lease wait's deadline
+        # must follow the heartbeat cadence, not the reply timeout
+        monkeypatch.setattr(worker_module, "REPLY_TIMEOUT_S", 0.3)
+        run_units = SocketTransport.run_units
+
+        def late_units(transport, model_key, units):
+            time.sleep(1.5)             # the worker parks meanwhile
+            yield from run_units(transport, model_key, units)
+
+        monkeypatch.setattr(SocketTransport, "run_units", late_units)
+        out = tmp_path / "late"
+        coordinator = _Coordinator(out, profile=True)
+        address = coordinator.address()
+        codes = {}
+        worker = _worker_thread(address, "w0", codes)
+        coordinator.join()
+        worker.join(timeout=30)
+        assert codes == {"w0": 0}
+        profile = json.loads(
+            (out / "profiles" / "coordinator.json").read_text())
+        row = profile["workers"]["w0"]
+        assert row["reconnects"] == 0
+        assert row["devices_done"] == _CAMPAIGN["devices"]
+        assert row["wait_s"] > 0.5
 
 
 class TestSharedSecret:
