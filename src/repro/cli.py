@@ -208,8 +208,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             secret=_fleet_secret(args.secret_file))
     summary = run_campaign(config, Path(args.out), jobs=args.jobs,
                            crash_after_checkpoints=args.crash_after,
-                           report=print, cache_mode=args.cache_mode,
-                           profile_dir=profile_dir,
+                           report=print, profile_dir=profile_dir,
                            crash_before_replace=args.crash_before_replace,
                            cohort=args.cohort == "on",
                            crash_after_records=args.crash_after_records,
@@ -236,7 +235,7 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
             f"--batch-ms must be >= 1 (got {args.batch_ms})")
     return run_worker(
         args.connect, worker_id=args.worker_id,
-        cache_mode=args.cache_mode, retry_limit=args.retry_limit,
+        retry_limit=args.retry_limit,
         crash_after_checkpoints=args.crash_after_ckpts,
         report=print, secret=_fleet_secret(args.secret_file),
         batch_bytes=args.batch_bytes, batch_ms=args.batch_ms,
@@ -486,14 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probability a device sideloads the "
                                 "rogue app")
     fleet_run.add_argument(
-        "--cache-mode", default="shared",
-        choices=("shared", "private", "step"),
-        help="execution-cache strategy: 'shared' publishes translated "
-             "blocks process-wide so same-firmware devices skip "
-             "translation, 'private' keeps per-device caches, 'step' "
-             "is the reference interpreter (results are identical "
-             "across modes; only speed differs)")
-    fleet_run.add_argument(
         "--profile", action="store_true",
         help="profile the campaign: cProfile each work unit "
              "(<out>/profiles/<model>-uNNNNN.prof) and write the "
@@ -562,11 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None, metavar="ID",
         help="stable name for coordinator.json attribution "
              "(default: <hostname>-<pid>)")
-    fleet_worker.add_argument(
-        "--cache-mode", default=None,
-        choices=("shared", "private", "step"),
-        help="override the coordinator's execution-cache strategy on "
-             "this worker (results are identical; only speed differs)")
     fleet_worker.add_argument(
         "--retry-limit", type=int, default=10, metavar="N",
         help="consecutive connection failures before giving up")

@@ -1,4 +1,4 @@
-"""Asynchronous, double-buffered, crash-atomic checkpoint writing.
+"""Asynchronous, double-buffered checkpoint flushing.
 
 Fleet workers used to write every checkpoint synchronously: pickle the
 snapshot, write it out, ``fsync``-adjacent latency and all, while the
@@ -12,69 +12,48 @@ scaling regression in ``BENCH_fleet.json``.
   buffer (pickling is CPU work that cannot move off-thread cheaply —
   the snapshot aliases live machine state that keeps mutating), then
   hands the finished buffer off and simulates on;
-* the **writer thread** flushes the previous buffer: write the bytes
-  to a per-process temp file, then :func:`os.replace` it into place.
+* the **writer thread** flushes the previous buffer through the unit
+  sink's ``checkpoint`` — a crash-atomic file write for the local
+  pool (:class:`~repro.fleet.executor.FileSink`), a ``ckpt`` frame
+  for the socket worker (:class:`~repro.fleet.net.worker.WireSink`).
 
 The hand-off queue holds exactly one buffer, which is what makes this
 *double* buffering: at any moment one buffer is being filled and at
-most one is being flushed.  When the simulation outruns the disk,
+most one is being flushed.  When the simulation outruns the sink,
 ``submit`` blocks until the in-flight flush lands — that blocked time
 is recorded as ``stall_s`` and surfaces in the coordinator's profile,
 so "checkpoint-bound" shows up as a number instead of a mystery.
-
-Crash atomicity: the rename is the commit point.  A worker killed
-before the rename leaves a complete previous checkpoint plus a stale
-``.tmp`` file (ignored on resume); killed after, the new checkpoint is
-complete.  There is no window in which the checkpoint path holds a
-torn file.  The ``crash_after_writes`` / ``crash_before_replace``
-knobs let tests die (``os._exit``) at exactly those two points.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Optional
 
 
 class AsyncCheckpointWriter:
     """Background writer with a one-deep hand-off queue.
 
-    The flush destination is pluggable: by default ``submit``'s first
-    argument is a :class:`~pathlib.Path` and the flush is the
-    tmp-write + ``os.replace`` sequence below, but a ``sink`` callable
-    replaces that whole step — the network worker passes a sink that
-    sends the payload as a checkpoint frame over its socket, so wire
-    shipping gets the same double-buffered overlap (and the same
-    ``stall_s``/``flushes``/``bytes_written`` accounting) as local
-    disk writes.  With a sink, ``submit``'s first argument is an
-    opaque key the sink interprets.
-
-    ``crash_after_writes=N``  — ``os._exit(3)`` right after the Nth
-    rename commits (a worker dying between checkpoints).
-    ``crash_before_replace=N`` — ``os._exit(3)`` after the Nth temp
-    file is fully written but *before* its rename (a worker dying
-    mid-checkpoint-write; resume must fall back to write N-1).
-    Both knobs apply to the default file sink only.
+    ``flush(key, payload)`` is the one flush path: the writer thread
+    calls it for every submitted buffer, so a file sink and a wire
+    sink get the same double-buffered overlap and the same
+    ``stall_s``/``flushes``/``bytes_written`` accounting.  ``key`` is
+    opaque here — the unit runner passes the device id.  A flush that
+    raises surfaces on the simulating thread's next call.
     """
 
-    def __init__(self, crash_after_writes: int = 0,
-                 crash_before_replace: int = 0,
-                 sink: Optional[Callable[[object, bytes], None]] = None):
+    def __init__(self, flush: Callable[[object, bytes], None]):
         self._queue: "queue.Queue[Optional[tuple]]" = \
             queue.Queue(maxsize=1)
         self._thread: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
-        self._sink = sink
-        self._crash_after = crash_after_writes
-        self._crash_before_replace = crash_before_replace
-        #: completed flushes (renames that committed)
+        self._flush = flush
+        #: completed flushes
         self.flushes = 0
         #: seconds the simulating thread spent blocked on a full
-        #: hand-off queue (the disk falling behind the simulation)
+        #: hand-off queue (the sink falling behind the simulation)
         self.stall_s = 0.0
         #: payload bytes flushed
         self.bytes_written = 0
@@ -82,16 +61,12 @@ class AsyncCheckpointWriter:
     # -- simulating-thread side ------------------------------------------
     def submit(self, key, payload: bytes) -> None:
         """Queue one serialized checkpoint for flushing; blocks only
-        while a previous flush is still in flight.  ``key`` is the
-        destination :class:`~pathlib.Path` (default sink) or whatever
-        the custom ``sink`` expects."""
+        while a previous flush is still in flight."""
         self._raise_pending()
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._run, name="ckpt-writer", daemon=True)
             self._thread.start()
-        if self._sink is None:
-            key = Path(key)
         start = time.perf_counter()
         self._queue.put((key, payload))
         self.stall_s += time.perf_counter() - start
@@ -131,24 +106,9 @@ class AsyncCheckpointWriter:
             key, payload = item
             try:
                 self._flush(key, payload)
+                self.flushes += 1
+                self.bytes_written += len(payload)
             except BaseException as error:   # surfaced on next call
                 self._error = error
             finally:
                 self._queue.task_done()
-
-    def _flush(self, key, payload: bytes) -> None:
-        if self._sink is not None:
-            self._sink(key, payload)
-            self.flushes += 1
-            self.bytes_written += len(payload)
-            return
-        path: Path = key
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(payload)
-        if 0 < self._crash_before_replace <= self.flushes + 1:
-            os._exit(3)       # die mid-write: temp exists, no rename
-        os.replace(tmp, path)
-        self.flushes += 1
-        self.bytes_written += len(payload)
-        if 0 < self._crash_after <= self.flushes:
-            os._exit(3)       # die between checkpoints

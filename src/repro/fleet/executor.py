@@ -13,12 +13,14 @@ coordinator/worker architecture:
   another's tail), and the coordinator folds telemetry incrementally
   as unit results arrive (:class:`~repro.fleet.telemetry.SummaryFold`)
   instead of in one post-hoc merge;
-* each **worker** runs its unit's devices one by one, writing delta
-  checkpoints through a double-buffered async writer thread
-  (:class:`~repro.fleet.ckptio.AsyncCheckpointWriter`): the worker
-  serializes the next snapshot while the previous one flushes, and
-  the rename-into-place commit means a kill mid-write always resumes
-  from the last *complete* checkpoint;
+* each **worker** runs its unit through the one unit runner,
+  :func:`_run_unit`, whatever the transport: it simulates the devices,
+  serializing the next delta checkpoint while a double-buffered
+  writer thread (:class:`~repro.fleet.ckptio.AsyncCheckpointWriter`)
+  flushes the previous one into a **sink** — :class:`FileSink`, whose
+  rename-into-place commit means a kill mid-write always resumes from
+  the last *complete* checkpoint, or the socket worker's ``WireSink``
+  — and reports one :class:`UnitStats` record;
 * all persistent state is **per-device** — one checkpoint file per
   in-progress device, one record line per completed device — so a
   resume never depends on how work was chunked: kill a ``--jobs 4``
@@ -29,14 +31,15 @@ coordinator/worker architecture:
 Determinism contract (unchanged): every per-device record is a pure
 function of ``(fleet_seed, device_id, model)``, and the summary fold
 sorts by device id — so the final ``summary.json`` is byte-identical
-for any ``--jobs``, any unit layout, any execution-cache mode, and
-any interrupt/resume history.
+for any ``--jobs``, any unit layout, any transport, and any
+interrupt/resume history.
 
 The output directory is stamped with a config key (campaign identity:
 seed, devices, hours, models, checkpoint cadence); a rerun with
 different parameters against the same directory fails loudly instead
-of mixing campaigns.  ``--jobs``, the cache mode, and profiling are
-execution details and free to differ between run and resume.
+of mixing campaigns.  ``--jobs``, ``--cohort``, the transport, and
+profiling are execution details and free to differ between run and
+resume.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -247,109 +251,180 @@ def scan_completed_records(out_dir: Path,
     return records
 
 
+@dataclass
+class UnitStats:
+    """One work unit's measurements, whichever sink it ran against:
+    the runner builds it, the wire carries ``asdict()``, and the
+    coordinator reads any transport's copy back with
+    :meth:`from_wire`.  Profile and status totals sum
+    :meth:`counters`."""
+
+    devices: List[int] = field(default_factory=list)
+    t_start: float = 0.0
+    t_end: float = 0.0
+    worker: Optional[str] = None       # the socket worker, if any
+    ckpt_flushes: int = 0
+    ckpt_stall_s: float = 0.0
+    ckpt_bytes: int = 0
+    cohort_replayed: int = 0
+    cohort_executed: int = 0
+    cohort_forks: int = 0
+    cohort_rejoins: int = 0
+    trace_hits: int = 0
+    trace_misses: int = 0
+    trace_published: int = 0
+
+    def counters(self) -> Dict[str, float]:
+        """The summable fields: everything after ``worker``."""
+        return {item.name: getattr(self, item.name)
+                for item in fields(self)[4:]}
+
+    def add(self, other: "UnitStats") -> None:
+        for name, value in other.counters().items():
+            total = getattr(self, name) + value
+            setattr(self, name, round(total, 6)
+                    if isinstance(total, float) else total)
+
+    @classmethod
+    def from_wire(cls, data) -> "UnitStats":
+        """Keep the known fields of ``data`` that have the field's
+        type and zero the rest: a peer's malformed stats must not
+        abort the campaign."""
+        data = data if isinstance(data, dict) else {}
+        kept = {}
+        for item in fields(cls):
+            value = data.get(item.name)
+            if item.name == "devices":
+                good = isinstance(value, list) and \
+                    all(type(device) is int for device in value)
+            elif item.name == "worker":
+                good = isinstance(value, str)
+            elif isinstance(item.default, float):
+                good = type(value) in (int, float)
+            else:
+                good = type(value) is int
+            if good:
+                kept[item.name] = value
+        return cls(**kept)
+
+
+def profiled(call: Callable[[], object]) -> Tuple[object, bytes]:
+    """``call()`` under cProfile: its result, and the dump as the
+    bytes ``Profile.dump_stats`` would write."""
+    import cProfile
+    import marshal
+    profile = cProfile.Profile()
+    result = profile.runcall(call)
+    profile.create_stats()
+    return result, marshal.dumps(profile.stats)
+
+
+class FileSink:
+    """The local pool's unit sink: the campaign's shard files.  A
+    checkpoint is a temp write renamed into place (its path never
+    holds a torn file); a commit appends the record to the unit
+    stream, then drops the checkpoint.  The ``crash_*`` test hooks
+    ``os._exit`` after the Nth rename, before the Nth rename, and
+    between the Nth record and its checkpoint's unlink."""
+
+    def __init__(self, out_dir: Path, model_key: str,
+                 first_device: int, crash_after_checkpoints: int = 0,
+                 crash_before_replace: int = 0,
+                 crash_after_records: int = 0):
+        self._out = Path(out_dir)
+        self._model_key = model_key
+        self._stream_path = _unit_stream_path(self._out, model_key,
+                                              first_device)
+        self._crash_after_checkpoints = crash_after_checkpoints
+        self._crash_before_replace = crash_before_replace
+        self._crash_after_records = crash_after_records
+        self._checkpoints = self._records = 0
+        _shards_dir(self._out).mkdir(parents=True, exist_ok=True)
+
+    def load_resume(self, device_id: int) -> Optional[bytes]:
+        path = _ckpt_path(self._out, self._model_key, device_id)
+        return path.read_bytes() if path.exists() else None
+
+    def checkpoint(self, device_id: int, payload: bytes) -> None:
+        path = _ckpt_path(self._out, self._model_key, device_id)
+        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+        tmp.write_bytes(payload)
+        if 0 < self._crash_before_replace <= self._checkpoints + 1:
+            os._exit(3)       # die mid-write: temp exists, no rename
+        os.replace(tmp, path)
+        self._checkpoints += 1
+        if 0 < self._crash_after_checkpoints <= self._checkpoints:
+            os._exit(3)       # die between checkpoints
+
+    def commit(self, device_id: int, record: dict) -> None:
+        # append: a resumed unit adds only its still-pending devices
+        with self._stream_path.open("a") as stream:
+            stream.write(record_line(record))
+        self._records += 1
+        if 0 < self._crash_after_records <= self._records:
+            os._exit(3)      # die with the checkpoint still on disk
+        _unlink_quiet(_ckpt_path(self._out, self._model_key, device_id))
+
+    def finish(self, stats: UnitStats) -> None:
+        pass                 # run_unit returns the stats itself
+
+
 def run_unit(config_dict: dict, model_key: str,
-             device_ids: List[int], out_dir: str,
-             crash_after_checkpoints: int = 0,
-             crash_before_replace: int = 0,
-             cache_mode: str = "shared",
-             profile_dir: Optional[str] = None,
-             cohort: bool = False,
-             crash_after_records: int = 0,
+             device_ids: List[int], sink: FileSink,
+             profile_dir: Optional[str] = None, cohort: bool = False,
              rejoin: bool = True) -> dict:
-    """Worker entry point: run (or resume) one work unit.
-
-    Returns ``{"records": {device_id: record}, "stats": {...}}`` —
-    the stats feed the coordinator's profile (checkpoint flush stalls,
-    lockstep replay counts, trace-tier hit rates, wall time) so
-    "checkpoint-bound" and "queue-bound" show up as numbers.
-    ``crash_after_checkpoints`` / ``crash_before_replace`` /
-    ``crash_after_records`` are crash-injection hooks (``os._exit``
-    after the Nth committed checkpoint, after the Nth checkpoint temp
-    write but before its rename, or after the Nth record line was
-    flushed but before its checkpoint was unlinked) for the
-    kill-and-resume tests.  ``cache_mode``, ``cohort`` and ``rejoin``
-    pick execution strategies; like ``--jobs`` they never change
-    results.
-    """
-    if profile_dir is not None:
-        import cProfile
-        prof_path = (Path(profile_dir)
-                     / f"{model_key}-u{device_ids[0]:05d}.prof")
-        prof_path.parent.mkdir(parents=True, exist_ok=True)
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            return _run_unit(config_dict, model_key, device_ids,
-                             out_dir, crash_after_checkpoints,
-                             crash_before_replace, cache_mode,
-                             cohort, crash_after_records, rejoin)
-        finally:
-            profile.disable()
-            profile.dump_stats(str(prof_path))
-    return _run_unit(config_dict, model_key, device_ids, out_dir,
-                     crash_after_checkpoints, crash_before_replace,
-                     cache_mode, cohort, crash_after_records, rejoin)
-
-
-def _run_unit(config_dict: dict, model_key: str,
-              device_ids: List[int], out_dir: str,
-              crash_after_checkpoints: int,
-              crash_before_replace: int, cache_mode: str,
-              cohort: bool, crash_after_records: int,
-              rejoin: bool = True) -> dict:
-    t_start = time.time()
+    """Pool entry point: run (or resume) one unit into ``sink``.
+    Returns ``{"records": {device_id: record}, "stats":
+    asdict(UnitStats)}``; with ``profile_dir`` the unit's cProfile dump
+    lands there.  ``cohort`` and ``rejoin`` pick execution strategies;
+    like ``--jobs`` they never change results."""
     config = FleetConfig(**{**config_dict,
                             "models": tuple(config_dict["models"])})
+    run = partial(_run_unit, config, model_key, device_ids, sink,
+                  cohort, rejoin)
+    if profile_dir is None:
+        records, stats = run()
+    else:
+        (records, stats), dump = profiled(run)
+        _atomic_write(Path(profile_dir)
+                      / f"{model_key}-u{device_ids[0]:05d}.prof", dump)
+    return {"records": records, "stats": asdict(stats)}
+
+
+def _run_unit(config: FleetConfig, model_key: str,
+              device_ids: List[int], sink, cohort: bool,
+              rejoin: bool) -> Tuple[Dict[int, dict], UnitStats]:
+    """The one unit runner, for pool and socket workers alike: run the
+    unit's devices, driving ``sink`` through ``load_resume(device)``
+    (checkpoint bytes or ``None``), ``checkpoint(device, payload)``
+    (on the writer thread), ``commit(device, record)`` and
+    ``finish(stats)``; returns the records and the stats."""
+    t_start = time.time()
     config_key = config.key()
     model = MODELS_BY_KEY[model_key]
-    out = Path(out_dir)
-    _shards_dir(out).mkdir(parents=True, exist_ok=True)
-    stream_path = _unit_stream_path(out, model_key, device_ids[0])
-
-    records: Dict[int, dict] = {}
-    records_written = 0
+    specs = [device_spec(config.seed, device_id, config.rogue_fraction,
+                         config.homogeneous) for device_id in device_ids]
     cohort_stats = CohortStats()
-    writer = AsyncCheckpointWriter(
-        crash_after_writes=crash_after_checkpoints,
-        crash_before_replace=crash_before_replace)
+    records: Dict[int, dict] = {}
 
     def load_resume(device_id: int) -> Optional[dict]:
-        ckpt_path = _ckpt_path(out, model_key, device_id)
-        if ckpt_path.exists():
-            return parse_checkpoint(ckpt_path.read_bytes(),
-                                    config_key, device_id)
-        return None
+        blob = sink.load_resume(device_id)
+        return None if blob is None else \
+            parse_checkpoint(blob, config_key, device_id)
 
     def submit_checkpoint(device_id: int, sim_ms: int,
                           snapshot: dict) -> None:
         # serialize here (this thread), flush over there (the
         # writer thread) — the double-buffer hand-off
-        writer.submit(_ckpt_path(out, model_key, device_id),
+        writer.submit(device_id,
                       checkpoint_bytes(config_key, device_id,
                                        snapshot))
 
-    def commit_record(stream, device_id: int) -> None:
-        # commit order matters: drain pending checkpoint flushes,
-        # record the completion, then drop the checkpoint — a kill
-        # between any two steps leaves a resumable state (the
-        # record-before-unlink window leaves a stale checkpoint the
-        # coordinator's resume scan drops)
-        nonlocal records_written
-        stream.write(record_line(records[device_id]))
-        stream.flush()
-        records_written += 1
-        if 0 < crash_after_records <= records_written:
-            os._exit(3)      # die with the checkpoint still on disk
-        _unlink_quiet(_ckpt_path(out, model_key, device_id))
-
-    # append mode: a resumed unit adds only devices that were still
-    # pending; the coordinator deduplicates by device id on scan
-    with stream_path.open("a") as stream, writer:
+    # commit order matters: drain pending checkpoint flushes, then
+    # commit the record — a kill between any two steps leaves a
+    # resumable state, and frames reach the coordinator in order
+    with AsyncCheckpointWriter(sink.checkpoint) as writer:
         if cohort:
-            specs = [device_spec(config.seed, device_id,
-                                 config.rogue_fraction,
-                                 config.homogeneous)
-                     for device_id in device_ids]
             resumes = {device_id: resume for device_id in device_ids
                        if (resume := load_resume(device_id))
                        is not None}
@@ -358,8 +433,7 @@ def _run_unit(config_dict: dict, model_key: str,
                 specs, model, sim_ms=config.sim_ms,
                 checkpoint_every_ms=config.checkpoint_ms,
                 on_checkpoint=submit_checkpoint,
-                resumes=resumes, cache_mode=cache_mode,
-                stats=cohort_stats, rejoin=rejoin,
+                resumes=resumes, stats=cohort_stats, rejoin=rejoin,
                 tier=trace_tier())
             writer.drain()
             # records commit only once the whole cohort finished (the
@@ -368,41 +442,31 @@ def _run_unit(config_dict: dict, model_key: str,
             for device_id in device_ids:
                 records[device_id] = device_record(runs[device_id],
                                                    model_key)
-                commit_record(stream, device_id)
+                sink.commit(device_id, records[device_id])
         else:
-            for device_id in device_ids:
-                spec = device_spec(config.seed, device_id,
-                                   config.rogue_fraction,
-                                   config.homogeneous)
+            for device_id, spec in zip(device_ids, specs):
                 run = simulate_device(
                     spec, model, sim_ms=config.sim_ms,
                     checkpoint_every_ms=config.checkpoint_ms,
-                    on_checkpoint=lambda sim_ms, snapshot,
-                    _device=device_id: submit_checkpoint(
-                        _device, sim_ms, snapshot),
-                    resume=load_resume(device_id),
-                    cache_mode=cache_mode)
+                    on_checkpoint=partial(submit_checkpoint, device_id),
+                    resume=load_resume(device_id))
                 records[device_id] = device_record(run, model_key)
                 writer.drain()
-                commit_record(stream, device_id)
-    return {
-        "records": records,
-        "stats": {
-            "devices": list(device_ids),
-            "t_start": t_start,
-            "t_end": time.time(),
-            "ckpt_flushes": writer.flushes,
-            "ckpt_stall_s": round(writer.stall_s, 6),
-            "ckpt_bytes": writer.bytes_written,
-            "cohort_replayed": cohort_stats.replayed,
-            "cohort_executed": cohort_stats.executed,
-            "cohort_forks": cohort_stats.forks,
-            "cohort_rejoins": cohort_stats.rejoins,
-            "trace_hits": cohort_stats.trace_hits,
-            "trace_misses": cohort_stats.trace_misses,
-            "trace_published": cohort_stats.trace_published,
-        },
-    }
+                sink.commit(device_id, records[device_id])
+    stats = UnitStats(
+        devices=list(device_ids), t_start=t_start, t_end=time.time(),
+        ckpt_flushes=writer.flushes,
+        ckpt_stall_s=round(writer.stall_s, 6),
+        ckpt_bytes=writer.bytes_written,
+        cohort_replayed=cohort_stats.replayed,
+        cohort_executed=cohort_stats.executed,
+        cohort_forks=cohort_stats.forks,
+        cohort_rejoins=cohort_stats.rejoins,
+        trace_hits=cohort_stats.trace_hits,
+        trace_misses=cohort_stats.trace_misses,
+        trace_published=cohort_stats.trace_published)
+    sink.finish(stats)
+    return records, stats
 
 
 # -- transports -------------------------------------------------------------
@@ -420,7 +484,7 @@ def _run_unit(config_dict: dict, model_key: str,
 
 class LocalTransport:
     """In-process pool transport: units run via :mod:`repro.pool`
-    workers on this host, writing checkpoint/record files directly."""
+    workers on this host, each into its own :class:`FileSink`."""
 
     kind = "local"
 
@@ -428,14 +492,13 @@ class LocalTransport:
                  crash_before_replace: int = 0,
                  crash_after_records: int = 0):
         self.jobs = jobs
-        self._crash_after = crash_after_checkpoints
-        self._crash_before_replace = crash_before_replace
-        self._crash_after_records = crash_after_records
+        self._crash = (crash_after_checkpoints, crash_before_replace,
+                       crash_after_records)
         self._campaign: Optional[dict] = None
 
     def open_campaign(self, campaign: dict) -> None:
         """``campaign`` carries the shared context: ``config_dict``,
-        ``config_key``, ``out_dir``, ``cache_mode``, ``cohort``,
+        ``config_key``, ``out_dir``, ``cohort``, ``rejoin``,
         ``profile_dir`` and the ``say`` reporter."""
         self._campaign = campaign
 
@@ -445,13 +508,12 @@ class LocalTransport:
             submitted = {}
             for unit in units:
                 t_submit = time.time()
+                sink = FileSink(Path(campaign["out_dir"]), model_key,
+                                unit[0], *self._crash)
                 future = pool.submit(
                     run_unit, campaign["config_dict"], model_key,
-                    unit, campaign["out_dir"], self._crash_after,
-                    self._crash_before_replace,
-                    campaign["cache_mode"], campaign["profile_dir"],
-                    campaign["cohort"], self._crash_after_records,
-                    campaign.get("rejoin", True))
+                    unit, sink, campaign["profile_dir"],
+                    campaign["cohort"], campaign.get("rejoin", True))
                 submitted[future] = (unit, t_submit)
             # stream the fold: consume results the moment any worker
             # finishes a unit, in completion order
@@ -469,7 +531,6 @@ class LocalTransport:
 def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
                  crash_after_checkpoints: int = 0,
                  report: Optional[Callable[[str], None]] = None,
-                 cache_mode: str = "shared",
                  profile_dir: Optional[Path] = None,
                  crash_before_replace: int = 0,
                  cohort: bool = False,
@@ -477,7 +538,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
                  transport=None, rejoin: bool = True) -> dict:
     """Run (or resume) a whole campaign; returns the summary dict.
 
-    ``jobs``, ``cache_mode``, ``cohort``, ``rejoin``, the transport
+    ``jobs``, ``cohort``, ``rejoin``, the transport
     and the profiling/crash knobs are execution details — they never
     change the results and are free to differ between the original
     run and a resume.  ``transport`` defaults to an in-process
@@ -543,7 +604,6 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
         "config_dict": config_dict,
         "config_key": config.key(),
         "out_dir": str(out_dir),
-        "cache_mode": cache_mode,
         "cohort": cohort,
         "rejoin": rejoin,
         "profile_dir": str(profile_dir)
@@ -632,6 +692,7 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
             + (", cohort lockstep" if cohort else ""))
 
         unit_rows: List[dict] = []
+        totals = UnitStats()
         try:
             # stream the fold: consume results the moment any worker
             # (pool process or socket peer) finishes a unit, in
@@ -641,28 +702,16 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
                 t_fold = time.time()
                 for record in result["records"].values():
                     fold.add(model_key, record)
-                stats = result["stats"]
+                stats = UnitStats.from_wire(result["stats"])
+                totals.add(stats)
                 unit_rows.append({
-                    "devices": stats["devices"],
+                    "devices": stats.devices,
                     "queue_wait_s": round(
-                        max(0.0, stats["t_start"] - t_submit), 6),
-                    "run_s": round(
-                        stats["t_end"] - stats["t_start"], 6),
+                        max(0.0, stats.t_start - t_submit), 6),
+                    "run_s": round(stats.t_end - stats.t_start, 6),
                     "fold_s": round(time.time() - t_fold, 6),
-                    "ckpt_flushes": stats["ckpt_flushes"],
-                    "ckpt_stall_s": stats["ckpt_stall_s"],
-                    "ckpt_bytes": stats["ckpt_bytes"],
-                    "worker": stats.get("worker"),
-                    "cohort_replayed": stats.get(
-                        "cohort_replayed", 0),
-                    "cohort_executed": stats.get(
-                        "cohort_executed", 0),
-                    "cohort_forks": stats.get("cohort_forks", 0),
-                    "cohort_rejoins": stats.get("cohort_rejoins", 0),
-                    "trace_hits": stats.get("trace_hits", 0),
-                    "trace_misses": stats.get("trace_misses", 0),
-                    "trace_published": stats.get(
-                        "trace_published", 0),
+                    "worker": stats.worker,
+                    **stats.counters(),
                 })
                 say(f"{model_key}: "
                     f"{fold.count(model_key)}/{config.devices} "
@@ -684,7 +733,7 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
         # model — the unit streams and any checkpoints are garbage
         _cleanup_model_shards(out_dir, model_key)
         if coordinator_profile is not None:
-            unit_rows.sort(key=lambda row: row["devices"][0])
+            unit_rows.sort(key=lambda row: row["devices"][:1])
             coordinator_profile["models"][model_key] = {
                 "resumed": bool(done),
                 "devices_resumed": len(done),
@@ -693,22 +742,5 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
                 "units": unit_rows,
                 "queue_wait_s": round(sum(
                     row["queue_wait_s"] for row in unit_rows), 6),
-                "ckpt_stall_s": round(sum(
-                    row["ckpt_stall_s"] for row in unit_rows), 6),
-                "ckpt_bytes": sum(
-                    row["ckpt_bytes"] for row in unit_rows),
-                "cohort_replayed": sum(
-                    row["cohort_replayed"] for row in unit_rows),
-                "cohort_executed": sum(
-                    row["cohort_executed"] for row in unit_rows),
-                "cohort_forks": sum(
-                    row["cohort_forks"] for row in unit_rows),
-                "cohort_rejoins": sum(
-                    row["cohort_rejoins"] for row in unit_rows),
-                "trace_hits": sum(
-                    row["trace_hits"] for row in unit_rows),
-                "trace_misses": sum(
-                    row["trace_misses"] for row in unit_rows),
-                "trace_published": sum(
-                    row["trace_published"] for row in unit_rows),
+                **totals.counters(),
             }

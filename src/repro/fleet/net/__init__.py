@@ -8,9 +8,9 @@ speaks a length-prefixed JSONL protocol, and any number of
 ``repro fleet worker --connect host:port`` processes (on this host or
 any other) lease work units, fetch per-device checkpoints and warm
 translation-cache frames over a content-addressed blob channel, run
-them with the exact same :func:`~repro.fleet.device.simulate_device`
-/ :func:`~repro.fleet.device.simulate_cohort` paths a local worker
-uses, and stream results back.
+them through the one unit runner a local worker uses
+(:func:`~repro.fleet.executor._run_unit`, over a wire sink instead of
+files), and stream results back.
 
 Robustness is the design center, not an afterthought:
 

@@ -57,17 +57,18 @@ import socket
 import threading
 import time
 from collections import deque
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.errors import ReproError
 from repro.fleet import tracetier
-from repro.fleet.executor import _atomic_write, _ckpt_path, \
-    _shards_dir, _unit_stream_path, _unlink_quiet
+from repro.fleet.executor import FileSink, UnitStats, _atomic_write, \
+    _ckpt_path, _shards_dir
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
     auth_mac, blob_sha, unpack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
-from repro.fleet.telemetry import MODELS_BY_KEY, record_line
+from repro.fleet.telemetry import MODELS_BY_KEY
 from repro.msp430.execcache import DISK_FORMAT, list_store_files, \
     read_store_file
 
@@ -78,11 +79,6 @@ _MAX_PROFILE = 8 * 1024 * 1024
 #: the longest :meth:`SocketTransport.close` waits for connected
 #: workers to hang up after it pushes ``shutdown``
 _CLOSE_GRACE_S = 2.0
-
-#: per-unit stats the coordinator accumulates for the live status view
-_UNIT_STAT_KEYS = ("cohort_replayed", "cohort_executed",
-                   "cohort_forks", "cohort_rejoins", "trace_hits",
-                   "trace_misses", "trace_published")
 
 
 def _is_loopback(host: str) -> bool:
@@ -133,23 +129,15 @@ class _ModelState:
         #: "submitted" the moment dispatch starts, like the local pool
         self.queue: deque = deque(
             (unit[0], list(unit), t_submit) for unit in units)
-        self.total = sum(len(unit) for unit in units)
+        #: the devices this model dispatches; frames about others drop
+        self.planned: Set[int] = {device for unit in units
+                                  for device in unit}
+        self.total = len(self.planned)
         self.records: Dict[int, dict] = {}
         self.yielded: Set[int] = set()
         self.leases: Dict[int, _Lease] = {}
         self.results: "queue.Queue[tuple]" = queue.Queue()
         self.active = True
-
-
-def _zero_stats(devices: List[int], now: float) -> dict:
-    """Profile stats for a synthetic completion row — devices whose
-    records arrived via ``dev_done`` but whose unit's ``result`` frame
-    never did (the worker died after committing them)."""
-    return {"devices": list(devices), "t_start": now, "t_end": now,
-            "ckpt_flushes": 0, "ckpt_stall_s": 0.0, "ckpt_bytes": 0,
-            "cohort_replayed": 0, "cohort_executed": 0,
-            "cohort_forks": 0, "cohort_rejoins": 0, "trace_hits": 0,
-            "trace_misses": 0, "trace_published": 0, "worker": None}
 
 
 class SocketTransport:
@@ -204,8 +192,8 @@ class SocketTransport:
         self._trace_offers: List[dict] = []
         self._status_path: Optional[Path] = None
         self._status_at = 0.0
-        self._unit_totals: Dict[str, int] = {
-            key: 0 for key in _UNIT_STAT_KEYS}
+        #: every ``result`` frame's counters, for the live status view
+        self._unit_totals = UnitStats()
 
     # -- executor-facing transport API -----------------------------------
     def open_campaign(self, campaign: dict) -> None:
@@ -274,10 +262,12 @@ class SocketTransport:
                         if device not in st.yielded}
             st.yielded.update(leftover)
         if leftover:
+            # records that arrived via dev_done whose unit's result
+            # frame never did (the worker died after committing them)
             devices = sorted(leftover)
-            now = time.time()
-            yield devices, now, {"records": leftover,
-                                 "stats": _zero_stats(devices, now)}
+            yield devices, time.time(), {
+                "records": leftover,
+                "stats": asdict(UnitStats(devices=devices))}
 
     def worker_stats(self) -> dict:
         with self._lock:
@@ -309,8 +299,8 @@ class SocketTransport:
         with self._lock:
             st = self._state
             campaign = self._campaign
-            trace = self._unit_totals
-            lookups = trace["trace_hits"] + trace["trace_misses"]
+            totals = self._unit_totals
+            lookups = totals.trace_hits + totals.trace_misses
             return {
                 "type": "status",
                 "campaign": campaign["config_key"]
@@ -325,9 +315,10 @@ class SocketTransport:
                 "requeues": self._requeues,
                 "connections": len(self._peers),
                 "workers": self._worker_rows(),
-                "cohort": dict(trace),
-                "trace_hit_rate": round(
-                    trace["trace_hits"] / lookups, 4)
+                "cohort": {name: value for name, value
+                           in totals.counters().items()
+                           if not name.startswith("ckpt_")},
+                "trace_hit_rate": round(totals.trace_hits / lookups, 4)
                 if lookups else None,
             }
 
@@ -593,7 +584,6 @@ class SocketTransport:
             "type": "welcome",
             "campaign": config_key,
             "config": self._campaign["config_dict"],
-            "cache_mode": self._campaign["cache_mode"],
             "cohort": self._campaign["cohort"],
             "rejoin": self._campaign.get("rejoin", True),
             "profile": self._campaign.get("profile_dir") is not None,
@@ -778,6 +768,18 @@ class SocketTransport:
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, blob)
 
+    def _pending_device(self, message: dict) -> Optional[int]:
+        """The frame's device if the model in flight planned it and has
+        no record for it yet, else ``None`` (callers hold the lock)."""
+        st = self._state
+        device = message.get("device")
+        if st is None or not st.active or \
+                message.get("model") != st.model or \
+                not isinstance(device, int) or \
+                device not in st.planned or device in st.records:
+            return None
+        return device
+
     def _store_checkpoint(self, message: dict,
                           blob: Optional[bytes]) -> None:
         """Validate and land one device checkpoint — same file, same
@@ -785,13 +787,9 @@ class SocketTransport:
         if blob is None:
             return
         with self._lock:
-            st = self._state
-            if st is None or not st.active or \
-                    message.get("model") != st.model:
-                return                  # stale frame for a done model
-            device = message.get("device")
-            if not isinstance(device, int) or device in st.records:
-                return                  # the record supersedes it
+            device = self._pending_device(message)
+            if device is None:
+                return
             try:
                 parse_checkpoint(blob, self._campaign["config_key"],
                                  device)
@@ -799,59 +797,60 @@ class SocketTransport:
                 return                  # fail closed: never land it
             out_dir = Path(self._campaign["out_dir"])
             _shards_dir(out_dir).mkdir(parents=True, exist_ok=True)
-            _atomic_write(_ckpt_path(out_dir, st.model, device), blob)
+            _atomic_write(_ckpt_path(out_dir, self._state.model,
+                                     device), blob)
 
     def _commit_device(self, message: dict, worker_id: str) -> None:
-        """One device finished: append its record to the unit stream
-        (the durable per-device commit), drop its checkpoint, and
-        count it toward model completion."""
+        """One device finished: commit its record through the local
+        pool's :class:`~repro.fleet.executor.FileSink` (append to the
+        unit stream, drop the checkpoint) and count it toward model
+        completion — only a planned device, under its own record."""
         with self._lock:
-            st = self._state
-            if st is None or not st.active or \
-                    message.get("model") != st.model:
-                return
-            device = message.get("device")
+            device = self._pending_device(message)
             record = message.get("record")
             first = message.get("first")
-            if not isinstance(device, int) or \
-                    not isinstance(record, dict) or \
+            if device is None or not isinstance(record, dict) or \
+                    record.get("device") != device or \
                     not isinstance(first, int):
                 return
-            if device in st.records:
-                return                  # duplicate from a stale lease
-            out_dir = Path(self._campaign["out_dir"])
-            _shards_dir(out_dir).mkdir(parents=True, exist_ok=True)
-            stream_path = _unit_stream_path(out_dir, st.model, first)
-            with stream_path.open("a") as stream:
-                stream.write(record_line(record))
+            st = self._state
+            FileSink(Path(self._campaign["out_dir"]), st.model,
+                     first).commit(device, record)
             st.records[device] = record
-            _unlink_quiet(_ckpt_path(out_dir, st.model, device))
             row = self._workers.get(worker_id)
             if row is not None:
                 row["devices_done"] += 1
 
     def _finish_lease(self, message: dict, peer: _Peer) -> None:
+        """A unit's ``result``: retire the lease — only one this
+        connection holds — and requeue any of its devices that still
+        have no committed record, so a worker that skipped a device
+        cannot strand it."""
         with self._lock:
             st = self._state
             lease_id = message.get("lease")
+            held = lease_id in peer.held
             peer.held.discard(lease_id)
-            stats = message.get("stats")
-            if st is None or not isinstance(stats, dict) or \
-                    message.get("model") != st.model:
+            if st is None or message.get("model") != st.model:
                 return
-            lease = st.leases.pop(lease_id, None)
+            stats = UnitStats.from_wire(message.get("stats"))
+            lease = st.leases.pop(lease_id, None) if held else None
             row = self._workers.get(peer.worker_id)
             if row is not None:
                 row["units_run"] += 1
-            for key in _UNIT_STAT_KEYS:
-                value = stats.get(key)
-                if isinstance(value, int):
-                    self._unit_totals[key] += value
-            if lease is not None:
-                st.results.put((lease.devices, lease.t_submit, stats))
-            else:
-                # the lease expired and was reassigned, but the unit
-                # did finish here — records were already committed
+            self._unit_totals.add(stats)
+            if lease is None:
+                # not a lease this connection holds (it expired and
+                # was reassigned): records were already committed
                 # per-device; the row only feeds the profile
-                st.results.put((list(stats.get("devices", [])),
-                                time.time(), stats))
+                st.results.put((stats.devices, time.time(),
+                                asdict(stats)))
+                return
+            requeued = any(device not in st.records
+                           for device in lease.devices)
+            if requeued:
+                self._requeue(st, lease)
+            st.results.put((lease.devices, lease.t_submit,
+                            asdict(stats)))
+        if requeued:
+            self._answer_parked()

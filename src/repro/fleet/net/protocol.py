@@ -27,8 +27,8 @@ hello     w -> c      handshake: proto + STATE_VERSION + DISK_FORMAT +
 challenge c -> w      a secret is configured: prove you hold it —
                       reply with ``auth`` over the fresh nonce
 auth      w -> c      HMAC-SHA256(secret, nonce) for the challenge
-welcome   c -> w      handshake accepted: campaign key, config, cache
-                      mode, cohort flag, heartbeat cadence, store offers
+welcome   c -> w      handshake accepted: campaign key, config, cohort,
+                      rejoin and profile flags, heartbeat, store offers
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
 lease_req w -> c      give me work; answered by ``lease`` or
@@ -42,7 +42,8 @@ blob_missing c -> w   no such blob / content changed — run without it
 ckpt      w -> c      one device checkpoint (blob follows); also
                       refreshes the lease deadline
 dev_done  w -> c      one device's record — the per-device commit
-result    w -> c      unit finished: the worker's stats
+result    w -> c      unit finished: ``asdict`` of its ``UnitStats``
+                      (read back field by field, malformed fields zeroed)
 profile   w -> c      one unit's cProfile dump (blob follows) when the
                       campaign runs with ``--profile``
 batch     w -> c      several coalesced frames in one: ``frames`` holds

@@ -5,19 +5,18 @@ A worker is a loop around one connection: handshake (protocol,
 coordinator is configured with a shared secret — an HMAC
 challenge/response proving this worker holds it too), import any warm
 ``.sbx`` translation stores the coordinator offers, then lease units
-until the coordinator says shutdown.  Each lease runs through the
-exact same :func:`~repro.fleet.device.simulate_device` /
-:func:`~repro.fleet.device.simulate_cohort` code a local pool worker
-uses — the only difference is where the bytes go:
+until the coordinator says shutdown.  Each lease runs through the one
+unit runner a local pool worker uses,
+:func:`~repro.fleet.executor._run_unit`; only the sink differs, a
+:class:`WireSink` in place of the pool's ``FileSink``:
 
-* checkpoints are serialized on the simulating thread and shipped by
-  the :class:`~repro.fleet.ckptio.AsyncCheckpointWriter`'s writer
-  thread through a socket **sink**, keeping the local path's
+* checkpoints are serialized on the simulating thread and shipped as
+  ``ckpt`` frames by the writer thread, keeping the local path's
   double-buffered overlap (and its stall accounting) on the wire;
 * each finished device is committed with a ``dev_done`` frame — the
   durable per-device commit that makes lease reassignment idempotent;
-* the unit ends with a ``result`` frame carrying the same stats dict
-  :func:`~repro.fleet.executor.run_unit` returns.
+* the unit ends with a ``result`` frame carrying ``asdict`` of the
+  :class:`~repro.fleet.executor.UnitStats` the local pool returns.
 
 Report frames (``ckpt``/``dev_done``/``result``/``profile``) flow
 through a :class:`FrameBatcher`: they buffer until ``--batch-bytes``
@@ -47,26 +46,30 @@ from __future__ import annotations
 import os
 import random
 import socket
-import tempfile
 import threading
 import time
-from pathlib import Path
+from dataclasses import asdict
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.fleet import tracetier
-from repro.fleet.ckptio import AsyncCheckpointWriter
-from repro.fleet.cohort import CohortStats
-from repro.fleet.device import simulate_cohort, simulate_device
-from repro.fleet.executor import FleetConfig
+from repro.fleet.executor import FleetConfig, UnitStats, _run_unit, \
+    profiled
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
     auth_mac, blob_sha, pack_batch
-from repro.fleet.population import device_spec
-from repro.fleet.snapshot import STATE_VERSION, checkpoint_bytes, \
-    parse_checkpoint
-from repro.fleet.telemetry import MODELS_BY_KEY, device_record
+from repro.fleet.snapshot import STATE_VERSION
 from repro.msp430.execcache import DISK_FORMAT, have_store_file, \
     import_store_file
+
+# unused here — the runner calls executor's copies — but
+# perfbench/tracer.py patches these names in this module as well
+from repro.fleet.cohort import CohortStats  # noqa: F401
+from repro.fleet.device import simulate_cohort, \
+    simulate_device  # noqa: F401
+from repro.fleet.snapshot import checkpoint_bytes, \
+    parse_checkpoint  # noqa: F401
+from repro.fleet.telemetry import device_record  # noqa: F401
 
 #: per-frame reply deadline: the coordinator answers blob requests
 #: immediately, so a silent minute means the link is gone (a parked
@@ -287,149 +290,73 @@ def _import_stores(batcher: FrameBatcher, channel: Channel,
                 f"({records} records)")
 
 
-def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
-               config: FleetConfig, config_key: str, cache_mode: str,
-               cohort: bool, rejoin: bool, profile: bool,
-               worker_id: str, crash_state: Dict[str, int]) -> None:
-    """Run one leased unit, mirroring the local ``run_unit`` entry
-    point: wire sinks in place of files, and — when the campaign
-    profiles — a per-unit cProfile dump shipped home as a ``profile``
-    frame so ``--profile`` output is transport-agnostic."""
-    if not profile:
-        _simulate_lease(batcher, channel, lease, config, config_key,
-                        cache_mode, cohort, rejoin, worker_id,
-                        crash_state)
-        return
-    import cProfile
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        _simulate_lease(batcher, channel, lease, config, config_key,
-                        cache_mode, cohort, rejoin, worker_id,
-                        crash_state)
-    finally:
-        prof.disable()
-    handle, prof_path = tempfile.mkstemp(suffix=".prof")
-    os.close(handle)
-    try:
-        prof.dump_stats(prof_path)
-        dump = Path(prof_path).read_bytes()
-    finally:
-        os.unlink(prof_path)
-    batcher.add({"type": "profile", "model": lease["model"],
-                 "first": lease["first"], "lease": lease["lease"]},
-                blob=dump)
+class WireSink:
+    """The socket worker's unit sink for one lease: resume state comes
+    over the sha-verified blob channel (a missing or changed blob
+    means a fresh, byte-identical start), and checkpoints, records and
+    stats leave as ``ckpt``/``dev_done``/``result`` frames through the
+    batcher, in production order.  ``crash_state`` is
+    ``--crash-after-ckpts``, counted over the worker's life."""
 
+    def __init__(self, batcher: FrameBatcher, channel: Channel,
+                 lease: dict, worker_id: str,
+                 crash_state: Dict[str, int]):
+        self._batcher = batcher
+        self._channel = channel
+        self._lease = lease
+        self._worker_id = worker_id
+        self._crash_state = crash_state
 
-def _simulate_lease(batcher: FrameBatcher, channel: Channel,
-                    lease: dict, config: FleetConfig,
-                    config_key: str, cache_mode: str, cohort: bool,
-                    rejoin: bool, worker_id: str,
-                    crash_state: Dict[str, int]) -> None:
-    """The local ``_run_unit`` loop over wire sinks."""
-    t_start = time.time()
-    model_key = lease["model"]
-    lease_id = lease["lease"]
-    first = lease["first"]
-    device_ids = [int(device) for device in lease["devices"]]
-    model = MODELS_BY_KEY[model_key]
-    cohort_stats = CohortStats()
-    records: Dict[int, dict] = {}
+    def _frame(self, kind: str, **extra) -> dict:
+        return {"type": kind, "model": self._lease["model"],
+                "lease": self._lease["lease"], **extra}
 
-    resumes: Dict[int, dict] = {}
-    for device_text, sha in dict(lease.get("ckpts", {})).items():
-        device = int(device_text)
-        blob = _fetch_blob(batcher, channel,
-                           f"ckpt:{model_key}:{device}", str(sha))
-        if blob is None:
-            continue                   # fresh start is byte-identical
-        resumes[device] = parse_checkpoint(blob, config_key, device)
+    def load_resume(self, device_id: int) -> Optional[bytes]:
+        sha = self._lease.get("ckpts", {}).get(str(device_id))
+        return None if sha is None else _fetch_blob(
+            self._batcher, self._channel,
+            f"ckpt:{self._lease['model']}:{device_id}", str(sha))
 
-    def sink(device_id, payload: bytes) -> None:
-        batcher.add({"type": "ckpt", "model": model_key,
-                     "device": device_id, "lease": lease_id},
-                    blob=payload)
-        crash_state["sent"] += 1
-        if 0 < crash_state["limit"] <= crash_state["sent"]:
+    def checkpoint(self, device_id: int, payload: bytes) -> None:
+        self._batcher.add(self._frame("ckpt", device=device_id),
+                          blob=payload)
+        crash = self._crash_state
+        crash["sent"] += 1
+        if 0 < crash["limit"] <= crash["sent"]:
             try:
-                batcher.flush()        # land what was reported
+                self._batcher.flush()  # land what was reported
             except (WireError, OSError):
                 pass
             os._exit(3)                # a worker dying mid-unit
 
-    writer = AsyncCheckpointWriter(sink=sink)
+    def commit(self, device_id: int, record: dict) -> None:
+        self._batcher.add(self._frame(
+            "dev_done", device=device_id, first=self._lease["first"],
+            record=record))
 
-    def submit_checkpoint(device_id: int, sim_ms: int,
-                          snapshot: dict) -> None:
-        writer.submit(device_id,
-                      checkpoint_bytes(config_key, device_id,
-                                       snapshot))
+    def finish(self, stats: UnitStats) -> None:
+        stats.worker = self._worker_id
+        self._batcher.add(self._frame("result", stats=asdict(stats)))
 
-    def commit_record(device_id: int) -> None:
-        # same commit order as the local path: drain the in-flight
-        # checkpoint sends, then the record — the batcher preserves
-        # production order, so the coordinator still sees each ckpt
-        # before the dev_done that retires it
-        batcher.add({"type": "dev_done", "model": model_key,
-                     "device": device_id, "first": first,
-                     "lease": lease_id,
-                     "record": records[device_id]})
 
-    with writer:
-        if cohort:
-            specs = [device_spec(config.seed, device_id,
-                                 config.rogue_fraction,
-                                 config.homogeneous)
-                     for device_id in device_ids]
-            runs = simulate_cohort(
-                specs, model, sim_ms=config.sim_ms,
-                checkpoint_every_ms=config.checkpoint_ms,
-                on_checkpoint=submit_checkpoint,
-                resumes={device: resumes[device]
-                         for device in device_ids
-                         if device in resumes},
-                cache_mode=cache_mode, stats=cohort_stats,
-                rejoin=rejoin, tier=tracetier.trace_tier())
-            writer.drain()
-            for device_id in device_ids:
-                records[device_id] = device_record(runs[device_id],
-                                                   model_key)
-                commit_record(device_id)
-        else:
-            for device_id in device_ids:
-                spec = device_spec(config.seed, device_id,
-                                   config.rogue_fraction,
-                                   config.homogeneous)
-                run = simulate_device(
-                    spec, model, sim_ms=config.sim_ms,
-                    checkpoint_every_ms=config.checkpoint_ms,
-                    on_checkpoint=lambda sim_ms, snapshot,
-                    _device=device_id: submit_checkpoint(
-                        _device, sim_ms, snapshot),
-                    resume=resumes.get(device_id),
-                    cache_mode=cache_mode)
-                records[device_id] = device_record(run, model_key)
-                writer.drain()
-                commit_record(device_id)
-
-    batcher.add({"type": "result", "lease": lease_id,
-                 "model": model_key,
-                 "stats": {
-                     "devices": list(device_ids),
-                     "t_start": t_start,
-                     "t_end": time.time(),
-                     "ckpt_flushes": writer.flushes,
-                     "ckpt_stall_s": round(writer.stall_s, 6),
-                     "ckpt_bytes": writer.bytes_written,
-                     "cohort_replayed": cohort_stats.replayed,
-                     "cohort_executed": cohort_stats.executed,
-                     "cohort_forks": cohort_stats.forks,
-                     "cohort_rejoins": cohort_stats.rejoins,
-                     "trace_hits": cohort_stats.trace_hits,
-                     "trace_misses": cohort_stats.trace_misses,
-                     "trace_published": cohort_stats.trace_published,
-                     "worker": worker_id,
-                 }})
+def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
+               config: FleetConfig, cohort: bool, rejoin: bool,
+               profile: bool, worker_id: str,
+               crash_state: Dict[str, int]) -> None:
+    """Run one leased unit through the shared runner over a
+    :class:`WireSink`; when the campaign profiles, the unit's cProfile
+    dump goes home as a ``profile`` frame."""
+    sink = WireSink(batcher, channel, lease, worker_id, crash_state)
+    run = partial(_run_unit, config, lease["model"],
+                  [int(device) for device in lease["devices"]], sink,
+                  cohort, rejoin)
+    if not profile:
+        run()
+        return
+    _, dump = profiled(run)
+    batcher.add({"type": "profile", "model": lease["model"],
+                 "first": lease["first"], "lease": lease["lease"]},
+                blob=dump)
 
 
 def _handshake(channel: Channel, campaign_key: Optional[str],
@@ -461,8 +388,7 @@ def _handshake(channel: Channel, campaign_key: Optional[str],
 
 
 def _work_loop(batcher: FrameBatcher, channel: Channel,
-               welcome: dict, config: FleetConfig,
-               config_key: str, cache_mode: str, worker_id: str,
+               welcome: dict, config: FleetConfig, worker_id: str,
                crash_state: Dict[str, int],
                say: Callable[[str], None]) -> None:
     cohort = bool(welcome.get("cohort", False))
@@ -479,13 +405,11 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
                                  timeout=lease_wait_s)
         say(f"lease {message['lease']}: model {message['model']}, "
             f"{len(message['devices'])} device(s)")
-        _run_lease(batcher, channel, message, config, config_key,
-                   cache_mode, cohort, rejoin, profile, worker_id,
-                   crash_state)
+        _run_lease(batcher, channel, message, config, cohort, rejoin,
+                   profile, worker_id, crash_state)
 
 
 def run_worker(connect: str, worker_id: Optional[str] = None,
-               cache_mode: Optional[str] = None,
                retry_limit: int = 10,
                crash_after_checkpoints: int = 0,
                report: Optional[Callable[[str], None]] = None,
@@ -541,8 +465,6 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
                 say("campaign key does not match the advertised "
                     "config — version skew between hosts")
                 return 2
-            mode = cache_mode if cache_mode is not None \
-                else str(welcome.get("cache_mode", "shared"))
             _import_stores(batcher, channel,
                            list(welcome.get("stores", [])), say)
             _import_stores(batcher, channel,
@@ -560,9 +482,8 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
             heartbeat.start()
             say(f"joined campaign {campaign_key} at {host}:{port} "
                 f"as {worker_id!r}")
-            _work_loop(batcher, channel, welcome, config,
-                       campaign_key, mode, worker_id, crash_state,
-                       say)
+            _work_loop(batcher, channel, welcome, config, worker_id,
+                       crash_state, say)
         except _Shutdown:
             say("campaign complete — shutting down")
             return 0

@@ -2,9 +2,10 @@
 
 The fleet-scale cache story makes three promises, each pinned here:
 
-* **Mode transparency** — a campaign's telemetry is byte-identical
-  whether devices share one process-wide translation store, keep
-  private caches, or run the one-instruction reference interpreter.
+* **Mode transparency** — every device's telemetry record and
+  checkpoint bytes are identical whether devices share one
+  process-wide translation store, keep private caches, or run the
+  one-instruction reference interpreter.
 * **Divergence isolation** — a device that rewrites its own code
   recompiles privately; a clean sibling attached to the same store
   keeps executing the original translation, unaffected.
@@ -23,10 +24,11 @@ from repro.aft.models import IsolationModel
 from repro.errors import ReproError
 from repro.fleet.device import CACHE_MODES, make_device, \
     simulate_device
-from repro.fleet.executor import FleetConfig, run_campaign
+from repro.fleet.executor import FleetConfig
 from repro.fleet.population import device_spec
 from repro.fleet.snapshot import DELTA_PAGE, apply_delta, \
-    memory_delta, restore_device, snapshot_device
+    checkpoint_bytes, memory_delta, restore_device, snapshot_device
+from repro.fleet.telemetry import MODELS_BY_KEY, device_record
 from repro.msp430 import execcache
 from repro.msp430.cpu import Cpu
 from repro.msp430.encoding import encode_bytes
@@ -45,24 +47,39 @@ _CAMPAIGN = dict(devices=3, hours=0.002, models=("mpu", "none"),
 CODE = 0x4400
 
 
-def _campaign_blobs(tmp_path, name, cache_mode):
+def _device_outputs(cache_mode):
+    """Every device × model of the campaign through ``simulate_device``
+    under one cache mode: each device's record and the bytes of every
+    checkpoint it took, keyed by ``(model, device)``."""
     config = FleetConfig(**_CAMPAIGN)
-    out = tmp_path / name
-    run_campaign(config, out, jobs=1, cache_mode=cache_mode)
-    return ((out / "summary.json").read_bytes(),
-            *((out / f"devices-{key}.jsonl").read_bytes()
-              for key in _CAMPAIGN["models"]))
+    outputs = {}
+    for model_key in config.models:
+        for device_id in range(config.devices):
+            spec = device_spec(config.seed, device_id,
+                               config.rogue_fraction)
+            checkpoints = []
+            run = simulate_device(
+                spec, MODELS_BY_KEY[model_key], sim_ms=config.sim_ms,
+                checkpoint_every_ms=config.checkpoint_ms,
+                on_checkpoint=lambda _ms, snapshot: checkpoints.append(
+                    checkpoint_bytes(config.key(), device_id, snapshot)),
+                cache_mode=cache_mode)
+            outputs[model_key, device_id] = (
+                device_record(run, model_key), checkpoints)
+    return outputs
 
 
 class TestCacheModeTransparency:
-    def test_summary_identical_across_cache_modes(self, tmp_path):
-        """summary.json and every per-device record are byte-identical
-        for shared / private / step execution — caching is purely a
-        speed knob."""
+    def test_summary_identical_across_cache_modes(self):
+        """Every per-device record — the summary is a fold of them —
+        and every checkpoint's bytes are identical for shared / private
+        / step execution: caching is purely a speed knob."""
         clear_registry()
-        blobs = {mode: _campaign_blobs(tmp_path, mode, mode)
-                 for mode in CACHE_MODES}
-        assert blobs["shared"] == blobs["private"] == blobs["step"]
+        outputs = {mode: _device_outputs(mode) for mode in CACHE_MODES}
+        assert outputs["shared"] == outputs["private"] == \
+            outputs["step"]
+        assert all(checkpoints for _record, checkpoints
+                   in outputs["shared"].values())
         # not vacuous: the shared run really did cross-device sharing
         pulls = sum(store.block_pulls + store.page_pulls
                     for store in execcache._REGISTRY.values())

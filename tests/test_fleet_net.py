@@ -276,8 +276,8 @@ class _Coordinator:
             time.sleep(0.02)
         return path.read_text().strip()
 
-    def join(self):
-        self.thread.join(timeout=120)
+    def join(self, timeout=120):
+        self.thread.join(timeout=timeout)
         assert not self.thread.is_alive(), "coordinator hung"
         if self.error is not None:
             raise self.error
@@ -555,8 +555,8 @@ def _listening(tmp_path) -> SocketTransport:
     transport = SocketTransport(heartbeat_s=0.5)
     transport.open_campaign({
         "config_dict": asdict(config), "config_key": config.key(),
-        "out_dir": str(tmp_path), "cache_mode": "shared",
-        "cohort": False, "rejoin": True, "profile_dir": None,
+        "out_dir": str(tmp_path), "cohort": False, "rejoin": True,
+        "profile_dir": None,
         "say": lambda _line: None})
     return transport
 
@@ -784,6 +784,157 @@ class TestParkedLeases:
         assert row["reconnects"] == 0
         assert row["devices_done"] == _CAMPAIGN["devices"]
         assert row["wait_s"] > 0.5
+
+
+# -- what a worker's frames may claim ---------------------------------------
+
+#: eight devices over one worker: four two-device units, [0, 1] first
+_EIGHT = dict(devices=8)
+
+
+@pytest.fixture(scope="module")
+def eight_reference(tmp_path_factory):
+    """The serial run of the eight-device campaign: its output dir and
+    its records by device id, for peers that report real results."""
+    out = tmp_path_factory.mktemp("eight") / "reference"
+    run_campaign(FleetConfig(**{**_CAMPAIGN, **_EIGHT}), out, jobs=1)
+    records = [json.loads(line) for line
+               in (out / "devices-mpu.jsonl").read_text().splitlines()]
+    return out, {record["device"]: record for record in records}
+
+
+def _well_formed_stats(lease):
+    """Stats with the timing and checkpoint fields a coordinator folds
+    filled in honestly."""
+    return {"devices": lease["devices"], "t_start": time.time(),
+            "t_end": time.time(), "ckpt_flushes": 0,
+            "ckpt_stall_s": 0.0, "ckpt_bytes": 0}
+
+
+def _scripted_campaign(tmp_path, reference, script):
+    """An eight-device socket campaign served to one raw peer that
+    leases until shutdown and reports each lease through
+    ``script(channel, lease, index)``; the coordinator must finish
+    within a bounded join and match the serial bytes."""
+    reference_out, _records = reference
+    out = tmp_path / "scripted"
+    coordinator = _Coordinator(out, jobs=1, **_EIGHT)
+    channel, welcome = _raw_connect(coordinator.address(),
+                                    worker="raw")
+    assert welcome["type"] == "welcome"
+
+    def work():
+        try:
+            for index in range(32):
+                channel.send({"type": "lease_req", "worker": "raw"})
+                lease, _ = channel.recv(timeout=10)
+                if lease["type"] != "lease":
+                    return
+                script(channel, lease, index)
+        except (WireError, OSError):
+            pass                        # the coordinator hung up
+        finally:
+            channel.close()
+
+    peer = threading.Thread(target=work, daemon=True)
+    peer.start()
+    coordinator.join(timeout=30)
+    peer.join(timeout=10)
+    for name in ("summary.json", "devices-mpu.jsonl"):
+        assert (out / name).read_bytes() == \
+            (reference_out / name).read_bytes()
+
+
+def _report(channel, lease, records, devices=None, stats=None):
+    for device in lease["devices"] if devices is None else devices:
+        channel.send({"type": "dev_done", "model": lease["model"],
+                      "device": device, "first": lease["first"],
+                      "lease": lease["lease"],
+                      "record": records[device]})
+    channel.send({"type": "result", "lease": lease["lease"],
+                  "model": lease["model"],
+                  "stats": _well_formed_stats(lease)
+                  if stats is None else stats})
+
+
+class TestWorkerFrames:
+    def test_malformed_result_stats_do_not_abort(
+            self, tmp_path, eight_reference):
+        _out, records = eight_reference
+
+        def script(channel, lease, _index):
+            _report(channel, lease, records,
+                    stats={"devices": lease["devices"],
+                           "t_start": "soon", "ckpt_flushes": [1]})
+
+        _scripted_campaign(tmp_path, eight_reference, script)
+
+    def test_result_requeues_devices_it_did_not_commit(
+            self, tmp_path, eight_reference):
+        _out, records = eight_reference
+
+        def script(channel, lease, index):
+            # the first lease is [0, 1]: commit 0, skip 1, finish
+            _report(channel, lease, records,
+                    devices=lease["devices"][:1] if index == 0
+                    else None)
+
+        _scripted_campaign(tmp_path, eight_reference, script)
+
+    def test_unplanned_or_mislabelled_devices_are_dropped(
+            self, tmp_path, eight_reference):
+        _out, records = eight_reference
+
+        def script(channel, lease, index):
+            if index == 0:
+                for device in range(100, 108):
+                    channel.send({
+                        "type": "dev_done", "model": lease["model"],
+                        "device": device, "first": lease["first"],
+                        "lease": lease["lease"],
+                        "record": {"device": device}})
+                # a planned device under another device's record
+                channel.send({
+                    "type": "dev_done", "model": lease["model"],
+                    "device": lease["devices"][0],
+                    "first": lease["first"], "lease": lease["lease"],
+                    "record": records[5]})
+            _report(channel, lease, records)
+
+        _scripted_campaign(tmp_path, eight_reference, script)
+
+
+class TestSinksCountAlike:
+    def test_file_and_wire_sinks_report_the_same_counters(
+            self, tmp_path, monkeypatch):
+        """One cohort campaign through the local pool (FileSink) and
+        over loopback (WireSink): the runner is shared, so checkpoint
+        and lockstep counters must agree.  The trace tier is off so
+        the second run cannot replay the first one's traces."""
+        from repro.fleet import tracetier
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+        tracetier.clear_tier()
+        local = tmp_path / "local"
+        run_campaign(FleetConfig(**_CAMPAIGN, homogeneous=True), local,
+                     jobs=1, cohort=True, profile_dir=local / "profiles")
+        wire = tmp_path / "wire"
+        coordinator = _Coordinator(wire, jobs=1, profile=True,
+                                   cohort=True, homogeneous=True)
+        codes = {}
+        worker = _worker_thread(coordinator.address(), "w0", codes)
+        coordinator.join()
+        worker.join(timeout=30)
+        assert codes == {"w0": 0}
+        local_model, wire_model = (json.loads(
+            (out / "profiles" / "coordinator.json").read_text()
+        )["models"]["mpu"] for out in (local, wire))
+        for key in ("ckpt_flushes", "ckpt_bytes", "cohort_executed",
+                    "cohort_replayed", "cohort_forks"):
+            assert local_model[key] == wire_model[key], key
+        assert local_model["ckpt_flushes"] > 0
+        assert local_model["cohort_replayed"] > 0
+        assert (local / "summary.json").read_bytes() == \
+            (wire / "summary.json").read_bytes()
 
 
 class TestSharedSecret:
