@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro import faults
 from repro.aft import AftPipeline, AppSource, IsolationModel
 from repro.asm import intelhex
 from repro.errors import ReproError
@@ -207,11 +208,8 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             heartbeat_s=args.heartbeat_seconds,
             secret=_fleet_secret(args.secret_file))
     summary = run_campaign(config, Path(args.out), jobs=args.jobs,
-                           crash_after_checkpoints=args.crash_after,
                            report=print, profile_dir=profile_dir,
-                           crash_before_replace=args.crash_before_replace,
                            cohort=args.cohort == "on",
-                           crash_after_records=args.crash_after_records,
                            transport=transport,
                            rejoin=args.rejoin == "on")
     print(summary_text(summary))
@@ -226,20 +224,10 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 def cmd_fleet_worker(args: argparse.Namespace) -> int:
     from repro.fleet.net.worker import run_worker
-    if args.batch_bytes < 0:
-        raise ReproError(
-            f"--batch-bytes must be >= 0 (got {args.batch_bytes}; "
-            "0 disables coalescing)")
-    if args.batch_ms < 1:
-        raise ReproError(
-            f"--batch-ms must be >= 1 (got {args.batch_ms})")
     return run_worker(
         args.connect, worker_id=args.worker_id,
         retry_limit=args.retry_limit,
-        crash_after_checkpoints=args.crash_after_ckpts,
-        report=print, secret=_fleet_secret(args.secret_file),
-        batch_bytes=args.batch_bytes, batch_ms=args.batch_ms,
-        compress=args.compress == "on")
+        report=print, secret=_fleet_secret(args.secret_file))
 
 
 def cmd_fleet_status(args: argparse.Namespace) -> int:
@@ -531,15 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the REPRO_FLEET_SECRET environment "
              "variable); required for a non-loopback --listen — "
              "workers must present the same secret to join")
-    fleet_run.add_argument(
-        "--crash-after", type=int, default=0, metavar="C",
-        help=argparse.SUPPRESS)   # test hook: die after C checkpoints
-    fleet_run.add_argument(
-        "--crash-before-replace", type=int, default=0, metavar="C",
-        help=argparse.SUPPRESS)   # test hook: die mid-checkpoint-write
-    fleet_run.add_argument(
-        "--crash-after-records", type=int, default=0, metavar="C",
-        help=argparse.SUPPRESS)   # test hook: die before ckpt unlink
     fleet_run.set_defaults(func=cmd_fleet_run)
 
     fleet_worker = fleet_sub.add_parser(
@@ -561,23 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file holding the fleet's shared handshake secret "
              "(default: the REPRO_FLEET_SECRET environment "
              "variable), for coordinators that require one")
-    fleet_worker.add_argument(
-        "--batch-bytes", type=int, default=65536, metavar="B",
-        help="coalesce report frames (ckpt/dev_done/result) into one "
-             "batch frame once B payload bytes buffer (0 disables "
-             "batching; results are identical either way)")
-    fleet_worker.add_argument(
-        "--batch-ms", type=int, default=50, metavar="MS",
-        help="ship a partial batch once its oldest frame has waited "
-             "this long")
-    fleet_worker.add_argument(
-        "--compress", default="on", choices=("on", "off"),
-        help="zlib-deflate blob transfers (checkpoints, cache "
-             "stores) on the wire; transparent and verified on "
-             "receipt — results are identical on or off")
-    fleet_worker.add_argument(
-        "--crash-after-ckpts", type=int, default=0, metavar="C",
-        help=argparse.SUPPRESS)   # test hook: die after C ckpt frames
     fleet_worker.set_defaults(func=cmd_fleet_worker)
 
     fleet_status = fleet_sub.add_parser(
@@ -628,6 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        faults.check()
         return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

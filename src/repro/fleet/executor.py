@@ -18,9 +18,10 @@ coordinator/worker architecture:
   serializing the next delta checkpoint while a double-buffered
   writer thread (:class:`~repro.fleet.ckptio.AsyncCheckpointWriter`)
   flushes the previous one into a **sink** — :class:`FileSink`, whose
-  rename-into-place commit means a kill mid-write always resumes from
-  the last *complete* checkpoint, or the socket worker's ``WireSink``
-  — and reports one :class:`UnitStats` record;
+  rename-into-place commit (:func:`land_checkpoint`) means a kill
+  mid-write always resumes from the last *complete* checkpoint, or
+  the socket worker's ``WireSink`` — and reports one
+  :class:`UnitStats` record;
 * all persistent state is **per-device** — one checkpoint file per
   in-progress device, one record line per completed device — so a
   resume never depends on how work was chunked: kill a ``--jobs 4``
@@ -32,7 +33,9 @@ Determinism contract (unchanged): every per-device record is a pure
 function of ``(fleet_seed, device_id, model)``, and the summary fold
 sorts by device id — so the final ``summary.json`` is byte-identical
 for any ``--jobs``, any unit layout, any transport, and any
-interrupt/resume history.
+interrupt/resume history.  Each commit point calls
+:func:`repro.faults.hit`, so ``REPRO_FAULT=site:N`` can kill any
+process of a campaign there and a test can resume it.
 
 The output directory is stamped with a config key (campaign identity:
 seed, devices, hours, models, checkpoint cadence); a rerun with
@@ -53,6 +56,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import faults
 from repro.aft.models import IsolationModel
 from repro.errors import ReproError
 from repro.fleet.ckptio import AsyncCheckpointWriter
@@ -188,6 +192,20 @@ def _unit_stream_path(out_dir: Path, model_key: str,
     return _shards_dir(out_dir) / f"{model_key}-u{first_device:05d}.jsonl"
 
 
+def land_checkpoint(out_dir: Path, model_key: str, device_id: int,
+                    payload: bytes) -> None:
+    """Commit one device checkpoint: a temp write renamed into
+    place, so the checkpoint path never holds a torn file.  The local
+    pool's :class:`FileSink` and the socket coordinator both land
+    checkpoints here."""
+    path = _ckpt_path(out_dir, model_key, device_id)
+    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+    tmp.write_bytes(payload)
+    faults.hit("ckpt.before_replace")
+    os.replace(tmp, path)
+    faults.hit("ckpt.after_replace")
+
+
 def _unlink_quiet(path: Path) -> None:
     try:
         path.unlink()
@@ -198,15 +216,16 @@ def _unlink_quiet(path: Path) -> None:
 def _sweep_stale_tmp(out_dir: Path) -> int:
     """Delete ``*.tmp<pid>`` litter a killed writer left behind.
 
-    Both atomic-write paths (the checkpoint writer and the
-    coordinator's merge/summary writes) stage through a per-process
-    temp file and rename it into place; a kill between write and
+    Every atomic write (checkpoints, the coordinator's merge, summary
+    and status writes, profile dumps) stages through a per-process
+    temp file and renames it into place; a kill between write and
     rename strands the temp forever — no later process reuses the
     name (it embeds the dead pid).  Nothing ever reads a ``.tmp``
     file, so sweeping at campaign start (when no writer is active) is
     always safe."""
     count = 0
-    for directory in (Path(out_dir), _shards_dir(out_dir)):
+    for directory in (Path(out_dir), _shards_dir(out_dir),
+                      Path(out_dir) / "profiles"):
         if not directory.is_dir():
             continue
         for path in directory.glob("*.tmp*"):
@@ -321,24 +340,16 @@ def profiled(call: Callable[[], object]) -> Tuple[object, bytes]:
 
 class FileSink:
     """The local pool's unit sink: the campaign's shard files.  A
-    checkpoint is a temp write renamed into place (its path never
-    holds a torn file); a commit appends the record to the unit
-    stream, then drops the checkpoint.  The ``crash_*`` test hooks
-    ``os._exit`` after the Nth rename, before the Nth rename, and
-    between the Nth record and its checkpoint's unlink."""
+    checkpoint lands through :func:`land_checkpoint`; a commit
+    appends the record to the unit stream, then drops the
+    checkpoint."""
 
     def __init__(self, out_dir: Path, model_key: str,
-                 first_device: int, crash_after_checkpoints: int = 0,
-                 crash_before_replace: int = 0,
-                 crash_after_records: int = 0):
+                 first_device: int):
         self._out = Path(out_dir)
         self._model_key = model_key
         self._stream_path = _unit_stream_path(self._out, model_key,
                                               first_device)
-        self._crash_after_checkpoints = crash_after_checkpoints
-        self._crash_before_replace = crash_before_replace
-        self._crash_after_records = crash_after_records
-        self._checkpoints = self._records = 0
         _shards_dir(self._out).mkdir(parents=True, exist_ok=True)
 
     def load_resume(self, device_id: int) -> Optional[bytes]:
@@ -346,23 +357,13 @@ class FileSink:
         return path.read_bytes() if path.exists() else None
 
     def checkpoint(self, device_id: int, payload: bytes) -> None:
-        path = _ckpt_path(self._out, self._model_key, device_id)
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(payload)
-        if 0 < self._crash_before_replace <= self._checkpoints + 1:
-            os._exit(3)       # die mid-write: temp exists, no rename
-        os.replace(tmp, path)
-        self._checkpoints += 1
-        if 0 < self._crash_after_checkpoints <= self._checkpoints:
-            os._exit(3)       # die between checkpoints
+        land_checkpoint(self._out, self._model_key, device_id, payload)
 
     def commit(self, device_id: int, record: dict) -> None:
         # append: a resumed unit adds only its still-pending devices
         with self._stream_path.open("a") as stream:
             stream.write(record_line(record))
-        self._records += 1
-        if 0 < self._crash_after_records <= self._records:
-            os._exit(3)      # die with the checkpoint still on disk
+        faults.hit("record.after_append")
         _unlink_quiet(_ckpt_path(self._out, self._model_key, device_id))
 
     def finish(self, stats: UnitStats) -> None:
@@ -488,12 +489,8 @@ class LocalTransport:
 
     kind = "local"
 
-    def __init__(self, jobs: int = 1, crash_after_checkpoints: int = 0,
-                 crash_before_replace: int = 0,
-                 crash_after_records: int = 0):
+    def __init__(self, jobs: int = 1):
         self.jobs = jobs
-        self._crash = (crash_after_checkpoints, crash_before_replace,
-                       crash_after_records)
         self._campaign: Optional[dict] = None
 
     def open_campaign(self, campaign: dict) -> None:
@@ -509,7 +506,7 @@ class LocalTransport:
             for unit in units:
                 t_submit = time.time()
                 sink = FileSink(Path(campaign["out_dir"]), model_key,
-                                unit[0], *self._crash)
+                                unit[0])
                 future = pool.submit(
                     run_unit, campaign["config_dict"], model_key,
                     unit, sink, campaign["profile_dir"],
@@ -529,20 +526,17 @@ class LocalTransport:
 
 
 def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
-                 crash_after_checkpoints: int = 0,
                  report: Optional[Callable[[str], None]] = None,
                  profile_dir: Optional[Path] = None,
-                 crash_before_replace: int = 0,
                  cohort: bool = False,
-                 crash_after_records: int = 0,
                  transport=None, rejoin: bool = True) -> dict:
     """Run (or resume) a whole campaign; returns the summary dict.
 
-    ``jobs``, ``cohort``, ``rejoin``, the transport
-    and the profiling/crash knobs are execution details — they never
-    change the results and are free to differ between the original
-    run and a resume.  ``transport`` defaults to an in-process
-    :class:`LocalTransport` pool of ``jobs`` workers; pass a
+    ``jobs``, ``cohort``, ``rejoin``, the transport and profiling are
+    execution details — they never change the results and are free
+    to differ between the original run and a resume.  ``transport``
+    defaults to an in-process :class:`LocalTransport` pool of
+    ``jobs`` workers; pass a
     :class:`repro.fleet.net.coordinator.SocketTransport` to serve the
     same unit queue to remote ``repro fleet worker`` processes (the
     ``--listen`` path).  ``jobs`` still sizes the work units either
@@ -596,10 +590,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
                                "rejoin": rejoin, "models": {}}
 
     if transport is None:
-        transport = LocalTransport(
-            jobs, crash_after_checkpoints=crash_after_checkpoints,
-            crash_before_replace=crash_before_replace,
-            crash_after_records=crash_after_records)
+        transport = LocalTransport(jobs)
     transport.open_campaign({
         "config_dict": config_dict,
         "config_key": config.key(),
@@ -628,6 +619,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
          "models": list(config.models), "seed": config.seed,
          "rogue_fraction": config.rogue_fraction,
          "homogeneous": config.homogeneous})
+    faults.hit("summary.before_replace")
     _atomic_write(out_dir / "summary.json",
                   (json.dumps(summary, indent=2, sort_keys=True)
                    + "\n").encode())
@@ -729,6 +721,7 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
         _atomic_write(merged_path,
                       "".join(record_line(r) for r in records)
                       .encode())
+        faults.hit("merge.after_replace")
         # the merged file is now the single source of truth for this
         # model — the unit streams and any checkpoints are garbage
         _cleanup_model_shards(out_dir, model_key)

@@ -61,10 +61,11 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
+from repro import faults
 from repro.errors import ReproError
 from repro.fleet import tracetier
 from repro.fleet.executor import FileSink, UnitStats, _atomic_write, \
-    _ckpt_path, _shards_dir
+    _ckpt_path, _shards_dir, land_checkpoint
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
     auth_mac, blob_sha, unpack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
@@ -339,7 +340,8 @@ class SocketTransport:
                           (json.dumps(status, indent=2, sort_keys=True)
                            + "\n").encode())
         except OSError:
-            pass                        # the view is best-effort
+            return                      # the view is best-effort
+        faults.hit("status.after_replace")
 
     def close(self) -> None:
         with self._lock:
@@ -724,8 +726,7 @@ class SocketTransport:
         if data is None or blob_sha(data) != want_sha:
             channel.send({"type": "blob_missing", "name": name})
             return
-        channel.send({"type": "blob", "name": name}, blob=data,
-                     compress=bool(message.get("zip")))
+        channel.send({"type": "blob", "name": name}, blob=data)
 
     def _handle_batch(self, message: dict, blob: Optional[bytes],
                       peer: _Peer) -> None:
@@ -782,8 +783,9 @@ class SocketTransport:
 
     def _store_checkpoint(self, message: dict,
                           blob: Optional[bytes]) -> None:
-        """Validate and land one device checkpoint — same file, same
-        atomic rename as a local worker's write."""
+        """Validate and land one device checkpoint through the local
+        pool's :func:`~repro.fleet.executor.land_checkpoint` — same
+        file, same atomic rename."""
         if blob is None:
             return
         with self._lock:
@@ -797,8 +799,7 @@ class SocketTransport:
                 return                  # fail closed: never land it
             out_dir = Path(self._campaign["out_dir"])
             _shards_dir(out_dir).mkdir(parents=True, exist_ok=True)
-            _atomic_write(_ckpt_path(out_dir, self._state.model,
-                                     device), blob)
+            land_checkpoint(out_dir, self._state.model, device, blob)
 
     def _commit_device(self, message: dict, worker_id: str) -> None:
         """One device finished: commit its record through the local

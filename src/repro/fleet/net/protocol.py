@@ -37,7 +37,8 @@ lease_req w -> c      give me work; answered by ``lease`` or
 lease     c -> w      a work unit: model, device ids, checkpoint shas
 shutdown  c -> w      campaign complete; exit cleanly
 blob_get  w -> c      fetch a blob by name + expected sha
-blob      c -> w      the blob (raw bytes follow the frame)
+blob      c -> w      the blob (bytes follow the frame, deflated when
+                      that shrinks them)
 blob_missing c -> w   no such blob / content changed — run without it
 ckpt      w -> c      one device checkpoint (blob follows); also
                       refreshes the lease deadline
@@ -58,13 +59,12 @@ Two orthogonal wire-level optimizations ride on the same framing —
 both negotiated by nothing more than the protocol version, both
 fail-closed, and both invisible in the bytes a campaign writes:
 
-* **blob compression** — a sender may pass ``compress=True``; the
-  blob travels zlib-deflated (only when that actually shrinks it)
-  with ``blob_enc="zlib"`` plus the raw length and digest, and the
-  receiver inflates under a hard cap and verifies the *raw* digest,
-  so a bomb or a tampered stream drops the connection, never a bad
-  blob into the pipeline.
-* **frame batching** — a worker may coalesce several report frames
+* **blob compression** — every blob of at least 512 bytes travels
+  zlib-deflated when that shrinks it, with ``blob_enc="zlib"`` plus
+  the raw length and digest, and the receiver inflates under a hard
+  cap and verifies the *raw* digest, so a bomb or a tampered stream
+  drops the connection, never a bad blob into the pipeline.
+* **frame batching** — a worker coalesces several report frames
   (``ckpt``/``dev_done``) into one ``batch`` whose sub-messages
   address slices of a single concatenated blob;
   :func:`unpack_batch` re-verifies every slice digest, so a batch
@@ -139,19 +139,17 @@ class Channel:
         except OSError:
             pass                      # AF_UNIX socketpair in tests
 
-    def send(self, message: dict, blob: Optional[bytes] = None,
-             compress: bool = False) -> None:
+    def send(self, message: dict, blob: Optional[bytes] = None) -> None:
         """Send one frame (plus its blob, when given) atomically with
         respect to other senders on this channel.
 
-        ``compress=True`` deflates the blob when that shrinks it; the
-        frame then carries the raw length and digest alongside the
-        wire-form ones, and :meth:`recv` inflates and re-verifies
-        transparently — callers on either side only ever see raw
-        bytes."""
+        The blob is deflated when that shrinks it; the frame then
+        carries the raw length and digest alongside the wire-form
+        ones, and :meth:`recv` inflates and re-verifies transparently
+        — callers on either side only ever see raw bytes."""
         if blob is not None:
             message = dict(message)
-            if compress and len(blob) >= _COMPRESS_MIN:
+            if len(blob) >= _COMPRESS_MIN:
                 packed = zlib.compress(blob, 6)
                 if len(packed) < len(blob):
                     message["blob_enc"] = "zlib"
@@ -271,8 +269,8 @@ def pack_batch(frames: List[Tuple[dict, Optional[bytes]]]
     Sub-messages with a blob gain ``blob_len``/``blob_sha`` addressing
     their slice of the single concatenated blob; sub-messages without
     one travel untouched.  The result goes out through a normal
-    :meth:`Channel.send` (optionally compressed — the slice digests
-    address raw bytes, so outer compression is transparent)."""
+    :meth:`Channel.send` (compressed — the slice digests address raw
+    bytes, so outer compression is transparent)."""
     subs = []
     blobs = []
     for message, blob in frames:

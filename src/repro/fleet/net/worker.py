@@ -19,15 +19,13 @@ unit runner a local pool worker uses,
   :class:`~repro.fleet.executor.UnitStats` the local pool returns.
 
 Report frames (``ckpt``/``dev_done``/``result``/``profile``) flow
-through a :class:`FrameBatcher`: they buffer until ``--batch-bytes``
-accumulate or the oldest waits ``--batch-ms``, then ship as one
-``batch`` frame — tiny dev_done frames stop paying a syscall and a
-TCP round each.  Anything that expects a reply (lease_req, blob_get)
-flushes the buffer first, so the coordinator always observes frames
-in the order the worker produced them.  ``--batch-bytes 0`` disables
-coalescing entirely (byte-for-byte the PR 9 wire behavior), and
-``--compress off`` disables the zlib blob framing that otherwise
-shrinks checkpoint and store transfers.
+through a :class:`FrameBatcher`: they buffer until
+:data:`BATCH_BYTES` accumulate or the oldest waits :data:`BATCH_MS`,
+then ship as one ``batch`` frame — tiny dev_done frames stop paying a
+syscall and a TCP round each.  Anything that expects a reply
+(lease_req, blob_get) flushes the buffer first, so the coordinator
+always observes frames in the order the worker produced them.  Blobs
+travel zlib-deflated in both directions whenever that shrinks them.
 
 A heartbeat thread pings on the coordinator's advertised cadence
 (±10% jitter, so a fleet of same-config workers doesn't phase-lock
@@ -50,8 +48,9 @@ import threading
 import time
 from dataclasses import asdict
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro import faults
 from repro.errors import ReproError
 from repro.fleet import tracetier
 from repro.fleet.executor import FleetConfig, UnitStats, _run_unit, \
@@ -76,10 +75,10 @@ from repro.fleet.telemetry import device_record  # noqa: F401
 #: ``lease_req`` also scales it with the heartbeat; see _work_loop)
 REPLY_TIMEOUT_S = 60.0
 
-#: default coalescing bounds: flush a batch once this many payload
-#: bytes accumulate, or once its oldest frame has waited this long
-DEFAULT_BATCH_BYTES = 65536
-DEFAULT_BATCH_MS = 50
+#: coalescing bounds: flush a batch once this many payload bytes
+#: accumulate, or once its oldest frame has waited this long
+BATCH_BYTES = 65536
+BATCH_MS = 50
 
 
 class _Shutdown(Exception):
@@ -139,23 +138,18 @@ class FrameBatcher:
     thread watches the clock).  ``direct`` flushes then sends — the
     path for anything expecting a reply, so frame order on the wire
     matches production order.  A single buffered frame ships as
-    itself, not wrapped; ``max_bytes <= 0`` disables coalescing so
-    every ``add`` degenerates to a plain send.  ``compress`` turns on
-    the zlib blob framing for everything this batcher ships.
+    itself, not wrapped.
     """
 
     #: rough JSON envelope per sub-message, counted toward max_bytes
     #: so a flood of blobless dev_done frames still flushes
     FRAME_OVERHEAD = 256
 
-    def __init__(self, channel: Channel,
-                 max_bytes: int = DEFAULT_BATCH_BYTES,
-                 max_ms: int = DEFAULT_BATCH_MS,
-                 compress: bool = True):
+    def __init__(self, channel: Channel, max_bytes: int = BATCH_BYTES,
+                 max_ms: int = BATCH_MS):
         self.channel = channel
         self.max_bytes = max_bytes
         self.max_ms = max_ms
-        self.compress = compress
         self.batches_sent = 0
         self._pending: List[tuple] = []
         self._pending_bytes = 0
@@ -163,23 +157,12 @@ class FrameBatcher:
         self._lock = threading.Lock()
         self._ship_lock = threading.Lock()
         self._stop = threading.Event()
-        self._pump: Optional[threading.Thread] = None
-        if self.enabled:
-            self._pump = threading.Thread(
-                target=self._pump_loop, name="fleet-batch",
-                daemon=True)
-            self._pump.start()
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_bytes > 0
+        self._pump = threading.Thread(
+            target=self._pump_loop, name="fleet-batch", daemon=True)
+        self._pump.start()
 
     def add(self, message: dict,
             blob: Optional[bytes] = None) -> None:
-        if not self.enabled:
-            self.channel.send(message, blob=blob,
-                              compress=self.compress)
-            return
         with self._lock:
             if not self._pending:
                 self._oldest = time.monotonic()
@@ -204,19 +187,17 @@ class FrameBatcher:
             else:
                 message, blob = pack_batch(pending)
                 self.batches_sent += 1
-            self.channel.send(message, blob=blob,
-                              compress=self.compress)
+            self.channel.send(message, blob=blob)
 
     def direct(self, message: dict,
                blob: Optional[bytes] = None) -> None:
         """Flush, then send — for frames that expect a reply."""
         self.flush()
-        self.channel.send(message, blob=blob, compress=self.compress)
+        self.channel.send(message, blob=blob)
 
     def close(self) -> None:
         self._stop.set()
-        if self._pump is not None:
-            self._pump.join(timeout=1.0)
+        self._pump.join(timeout=1.0)
         try:
             self.flush()
         except (WireError, OSError):
@@ -239,13 +220,10 @@ def _fetch_blob(batcher: FrameBatcher, channel: Channel, name: str,
                 want_sha: str) -> Optional[bytes]:
     """Content-addressed fetch: ``None`` unless the coordinator
     returns exactly the bytes whose sha we asked for (fail closed —
-    a changed or vanished blob means run without it).  ``zip`` asks
-    the coordinator to deflate the transfer; the channel inflates
-    transparently, so the digest below is always over raw bytes."""
-    request = {"type": "blob_get", "name": name, "sha": want_sha}
-    if batcher.compress:
-        request["zip"] = True
-    batcher.direct(request)
+    a changed or vanished blob means run without it).  The coordinator
+    deflates the transfer and the channel inflates it transparently,
+    so the digest below is always over raw bytes."""
+    batcher.direct({"type": "blob_get", "name": name, "sha": want_sha})
     message, blob = _recv_reply(channel, ("blob", "blob_missing"))
     if message["type"] == "blob_missing" or blob is None:
         return None
@@ -295,17 +273,14 @@ class WireSink:
     over the sha-verified blob channel (a missing or changed blob
     means a fresh, byte-identical start), and checkpoints, records and
     stats leave as ``ckpt``/``dev_done``/``result`` frames through the
-    batcher, in production order.  ``crash_state`` is
-    ``--crash-after-ckpts``, counted over the worker's life."""
+    batcher, in production order."""
 
     def __init__(self, batcher: FrameBatcher, channel: Channel,
-                 lease: dict, worker_id: str,
-                 crash_state: Dict[str, int]):
+                 lease: dict, worker_id: str):
         self._batcher = batcher
         self._channel = channel
         self._lease = lease
         self._worker_id = worker_id
-        self._crash_state = crash_state
 
     def _frame(self, kind: str, **extra) -> dict:
         return {"type": kind, "model": self._lease["model"],
@@ -320,14 +295,8 @@ class WireSink:
     def checkpoint(self, device_id: int, payload: bytes) -> None:
         self._batcher.add(self._frame("ckpt", device=device_id),
                           blob=payload)
-        crash = self._crash_state
-        crash["sent"] += 1
-        if 0 < crash["limit"] <= crash["sent"]:
-            try:
-                self._batcher.flush()  # land what was reported
-            except (WireError, OSError):
-                pass
-            os._exit(3)                # a worker dying mid-unit
+        # a worker killed here has landed every frame it reported
+        faults.hit("wire.after_ckpt", before_exit=self._batcher.close)
 
     def commit(self, device_id: int, record: dict) -> None:
         self._batcher.add(self._frame(
@@ -341,12 +310,11 @@ class WireSink:
 
 def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
                config: FleetConfig, cohort: bool, rejoin: bool,
-               profile: bool, worker_id: str,
-               crash_state: Dict[str, int]) -> None:
+               profile: bool, worker_id: str) -> None:
     """Run one leased unit through the shared runner over a
     :class:`WireSink`; when the campaign profiles, the unit's cProfile
     dump goes home as a ``profile`` frame."""
-    sink = WireSink(batcher, channel, lease, worker_id, crash_state)
+    sink = WireSink(batcher, channel, lease, worker_id)
     run = partial(_run_unit, config, lease["model"],
                   [int(device) for device in lease["devices"]], sink,
                   cohort, rejoin)
@@ -389,7 +357,6 @@ def _handshake(channel: Channel, campaign_key: Optional[str],
 
 def _work_loop(batcher: FrameBatcher, channel: Channel,
                welcome: dict, config: FleetConfig, worker_id: str,
-               crash_state: Dict[str, int],
                say: Callable[[str], None]) -> None:
     cohort = bool(welcome.get("cohort", False))
     rejoin = bool(welcome.get("rejoin", True))
@@ -406,30 +373,20 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
         say(f"lease {message['lease']}: model {message['model']}, "
             f"{len(message['devices'])} device(s)")
         _run_lease(batcher, channel, message, config, cohort, rejoin,
-                   profile, worker_id, crash_state)
+                   profile, worker_id)
 
 
 def run_worker(connect: str, worker_id: Optional[str] = None,
                retry_limit: int = 10,
-               crash_after_checkpoints: int = 0,
                report: Optional[Callable[[str], None]] = None,
-               secret: Optional[bytes] = None,
-               batch_bytes: int = DEFAULT_BATCH_BYTES,
-               batch_ms: int = DEFAULT_BATCH_MS,
-               compress: bool = True) -> int:
+               secret: Optional[bytes] = None) -> int:
     """Worker main loop; returns a process exit code (0 campaign
-    complete, 1 coordinator unreachable, 2 version/campaign skew).
-
-    ``batch_bytes``/``batch_ms`` bound the report-frame coalescing
-    (``batch_bytes=0`` disables it); ``compress`` toggles zlib blob
-    framing.  Like every other execution knob, neither changes a
-    single byte of campaign output."""
+    complete, 1 coordinator unreachable, 2 version/campaign skew)."""
     say = report if report is not None else (lambda _line: None)
     host, port = parse_endpoint(connect)
     if worker_id is None:
         worker_id = f"{socket.gethostname()}-{os.getpid()}"
     campaign_key: Optional[str] = None
-    crash_state = {"sent": 0, "limit": crash_after_checkpoints}
     failures = 0
     backoff = 0.5
     while True:
@@ -448,8 +405,7 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
             backoff = min(backoff * 2, 30.0)
             continue
         channel = Channel(sock)
-        batcher = FrameBatcher(channel, max_bytes=batch_bytes,
-                               max_ms=batch_ms, compress=compress)
+        batcher = FrameBatcher(channel)
         stop = threading.Event()
         heartbeat: Optional[threading.Thread] = None
         try:
@@ -483,7 +439,7 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
             say(f"joined campaign {campaign_key} at {host}:{port} "
                 f"as {worker_id!r}")
             _work_loop(batcher, channel, welcome, config, worker_id,
-                       crash_state, say)
+                       say)
         except _Shutdown:
             say("campaign complete — shutting down")
             return 0

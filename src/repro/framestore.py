@@ -37,6 +37,7 @@ import struct
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import faults
 from repro.safeload import safe_loads
 
 #: every frame family uses the same header: payload length (u32le) +
@@ -393,6 +394,7 @@ class AppendStore:
                 fh.write(self.layout.fmt.frame(payload))
         except OSError:
             return False
+        faults.hit("store.after_append")
         # (the next refresh re-reads our own frame and dedups it via
         # the family's content index — offset tracking stays simple
         # and conservative)

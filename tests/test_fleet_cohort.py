@@ -67,7 +67,8 @@ class TestCohortCampaign:
         assert model["cohort_executed"] > 0
         assert model["cohort_forks"] == 0
 
-    def test_cohort_kill_and_resume_is_byte_identical(self, tmp_path):
+    def test_cohort_kill_and_resume_is_byte_identical(self, tmp_path,
+                                                      monkeypatch):
         import pytest
         from repro.errors import ReproError
         reference, _ = _campaign(tmp_path, "creference",
@@ -75,9 +76,10 @@ class TestCohortCampaign:
                                  homogeneous=True)
         config = FleetConfig(**{**_CAMPAIGN, "homogeneous": True})
         out = tmp_path / "ccrashed"
+        monkeypatch.setenv("REPRO_FAULT", "ckpt.after_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
-            run_campaign(config, out, jobs=2, cohort=True,
-                         crash_after_checkpoints=2)
+            run_campaign(config, out, jobs=2, cohort=True)
+        monkeypatch.delenv("REPRO_FAULT")
         run_campaign(config, out, jobs=2, cohort=True)
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()

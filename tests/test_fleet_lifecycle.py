@@ -2,11 +2,12 @@
 
 Every worker commit follows the same order — flush checkpoints, append
 the record line, unlink the checkpoint — so each kill point leaves a
-characteristic residue.  These tests inject a crash at each point,
-assert the exact residue, and pin that the resume (a) converges on the
-byte-identical summary and (b) leaves ``shards/`` empty: no stale
-checkpoints (a record always outranks one), no ``*.tmp`` litter, no
-unit streams once the merge committed.
+characteristic residue.  These tests kill the pool's workers at each
+point (``REPRO_FAULT``, which fires only in the forked pool children,
+never in pytest), assert the exact residue, and pin that the resume
+(a) converges on the byte-identical summary and (b) leaves
+``shards/`` empty: no stale checkpoints (a record always outranks
+one), no ``*.tmp`` litter, no unit streams once the merge committed.
 """
 
 import json
@@ -26,11 +27,13 @@ def _reference(tmp_path):
     return (out / "summary.json").read_bytes()
 
 
-def _crashed(tmp_path, name, **crash):
+def _crashed(tmp_path, monkeypatch, name, fault):
     config = FleetConfig(**_CAMPAIGN)
     out = tmp_path / name
+    monkeypatch.setenv("REPRO_FAULT", fault)
     with pytest.raises(ReproError, match="re-run the same"):
-        run_campaign(config, out, jobs=2, **crash)
+        run_campaign(config, out, jobs=2)
+    monkeypatch.delenv("REPRO_FAULT")
     return config, out
 
 
@@ -73,38 +76,39 @@ class TestConfigValidation:
 
 
 class TestKillPointMatrix:
-    def test_kill_mid_checkpoint_write(self, tmp_path):
+    def test_kill_mid_checkpoint_write(self, tmp_path, monkeypatch):
         # died between the temp write and its rename: a .ckpt.tmp<pid>
         # is stranded (nothing will ever reuse the name)
         reference = _reference(tmp_path)
-        config, out = _crashed(tmp_path, "midwrite",
-                               crash_before_replace=2)
+        config, out = _crashed(tmp_path, monkeypatch, "midwrite",
+                               "ckpt.before_replace:2")
         assert list((out / "shards").glob("*.ckpt.tmp*"))
 
         run_campaign(config, out, jobs=2)
         assert (out / "summary.json").read_bytes() == reference
         _assert_clean(out)
 
-    def test_kill_after_checkpoint_commit(self, tmp_path):
+    def test_kill_after_checkpoint_commit(self, tmp_path, monkeypatch):
         # died right after renaming a checkpoint into place: the
         # device is mid-flight with a complete .ckpt and no record
         reference = _reference(tmp_path)
-        config, out = _crashed(tmp_path, "committed",
-                               crash_after_checkpoints=2)
+        config, out = _crashed(tmp_path, monkeypatch, "committed",
+                               "ckpt.after_replace:2")
         assert list((out / "shards").glob("*.ckpt"))
 
         run_campaign(config, out, jobs=2)
         assert (out / "summary.json").read_bytes() == reference
         _assert_clean(out)
 
-    def test_kill_after_record_before_unlink(self, tmp_path):
+    def test_kill_after_record_before_unlink(self, tmp_path,
+                                             monkeypatch):
         # died between flushing a device's record line and unlinking
         # its checkpoint: the device is complete, yet its .ckpt
         # survives — the stale-checkpoint leak.  The record must win
         # on resume and the orphan must be gone afterwards.
         reference = _reference(tmp_path)
-        config, out = _crashed(tmp_path, "leak",
-                               crash_after_records=1)
+        config, out = _crashed(tmp_path, monkeypatch, "leak",
+                               "record.after_append:1")
         shards = out / "shards"
         recorded = set()
         for stream in shards.glob("*-u*.jsonl"):
@@ -112,7 +116,7 @@ class TestKillPointMatrix:
                 recorded.add(json.loads(line)["device"])
         leaked = {int(path.stem.rsplit("dev", 1)[1])
                   for path in shards.glob("*-dev*.ckpt")}
-        assert recorded, "crash hook fired after a record commit"
+        assert recorded, "fault fired after a record commit"
         assert recorded & leaked, \
             "completed device should have left its checkpoint behind"
 
@@ -122,13 +126,18 @@ class TestKillPointMatrix:
 
 
 class TestOutDirHygiene:
-    def test_stale_tmp_files_swept_on_resume(self, tmp_path):
-        config, out = _crashed(tmp_path, "litter",
-                               crash_after_checkpoints=2)
+    def test_stale_tmp_files_swept_on_resume(self, tmp_path,
+                                             monkeypatch):
+        config, out = _crashed(tmp_path, monkeypatch, "litter",
+                               "ckpt.after_replace:2")
         # plant litter the sweep must remove: a coordinator-level
-        # atomic write and a checkpoint write, both from a dead pid
+        # atomic write, a checkpoint write and a profile write, all
+        # from a dead pid
         (out / "summary.json.tmp99999").write_text("torn")
         (out / "shards" / "mpu-dev00000.ckpt.tmp99999").write_text(
+            "torn")
+        (out / "profiles").mkdir()
+        (out / "profiles" / "coordinator.json.tmp99999").write_text(
             "torn")
 
         lines = []

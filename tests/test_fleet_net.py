@@ -365,12 +365,12 @@ class TestLoopbackCampaign:
         address = coordinator.address()
         # first worker dies (os._exit) after shipping two checkpoint
         # frames — mid-unit, with a lease held
+        env = _subprocess_env(tmp_path)
+        env["REPRO_FAULT"] = "wire.after_ckpt:2"
         crash = subprocess.run(
             [sys.executable, "-m", "repro.cli", "fleet", "worker",
-             "--connect", address, "--worker-id", "crashy",
-             "--crash-after-ckpts", "2"],
-            env=_subprocess_env(tmp_path), capture_output=True,
-            timeout=120)
+             "--connect", address, "--worker-id", "crashy"],
+            env=env, capture_output=True, timeout=120)
         assert crash.returncode == 3
         codes = {}
         healthy = _worker_thread(address, "healthy", codes)
@@ -500,7 +500,7 @@ class _RecordingChannel:
     def __init__(self):
         self.sent = []
 
-    def send(self, message, blob=None, compress=False):
+    def send(self, message, blob=None):
         self.sent.append((message, blob))
 
 
@@ -657,7 +657,7 @@ class TestParkedLeases:
         from repro.fleet.net.coordinator import _ModelState, _Peer
 
         class _Gone:
-            def send(self, message, blob=None, compress=False):
+            def send(self, message, blob=None):
                 raise OSError("connection reset by peer")
 
         transport = SocketTransport()
@@ -1005,8 +1005,7 @@ class TestCompression:
     def test_large_blob_deflates_and_inflates_transparently(self):
         tx, rx = _pair()
         blob = b"amulet checkpoint page " * 500
-        tx.send({"type": "blob", "name": "x"}, blob=blob,
-                compress=True)
+        tx.send({"type": "blob", "name": "x"}, blob=blob)
         message, out = rx.recv(timeout=5)
         assert out == blob
         assert message["blob_enc"] == "zlib"
@@ -1015,12 +1014,12 @@ class TestCompression:
 
     def test_small_and_incompressible_blobs_ship_raw(self):
         tx, rx = _pair()
-        tx.send({"type": "blob"}, blob=b"tiny", compress=True)
+        tx.send({"type": "blob"}, blob=b"tiny")
         message, out = rx.recv(timeout=5)
         assert out == b"tiny"
         assert "blob_enc" not in message
         noise = os.urandom(4096)        # deflate only grows this
-        tx.send({"type": "blob"}, blob=noise, compress=True)
+        tx.send({"type": "blob"}, blob=noise)
         message, out = rx.recv(timeout=5)
         assert out == noise
         assert "blob_enc" not in message
@@ -1095,7 +1094,7 @@ class TestBatching:
         message, blob = pack_batch(frames)
         assert message["type"] == "batch"
         tx, rx = _pair()
-        tx.send(message, blob=blob, compress=True)
+        tx.send(message, blob=blob)
         received, received_blob = rx.recv(timeout=5)
         out = unpack_batch(received, received_blob)
         assert [(sub["type"], piece) for sub, piece in out] == \
@@ -1135,8 +1134,7 @@ class TestBatching:
 
     def test_batcher_single_frame_ships_unwrapped_on_age(self):
         tx, rx = _pair()
-        batcher = FrameBatcher(tx, max_bytes=1 << 20, max_ms=30,
-                               compress=False)
+        batcher = FrameBatcher(tx, max_bytes=1 << 20, max_ms=30)
         try:
             batcher.add({"type": "dev_done", "device": 1})
             message, _ = rx.recv(timeout=5)
@@ -1147,8 +1145,7 @@ class TestBatching:
 
     def test_batcher_coalesces_on_size(self):
         tx, rx = _pair()
-        batcher = FrameBatcher(tx, max_bytes=3 * 256, max_ms=60_000,
-                               compress=False)
+        batcher = FrameBatcher(tx, max_bytes=3 * 256, max_ms=60_000)
         try:
             for device in range(3):
                 batcher.add({"type": "dev_done", "device": device})
@@ -1162,8 +1159,7 @@ class TestBatching:
 
     def test_direct_flushes_buffered_frames_first(self):
         tx, rx = _pair()
-        batcher = FrameBatcher(tx, max_bytes=1 << 20, max_ms=60_000,
-                               compress=False)
+        batcher = FrameBatcher(tx, max_bytes=1 << 20, max_ms=60_000)
         try:
             batcher.add({"type": "ckpt", "device": 0}, blob=b"ck")
             batcher.direct({"type": "lease_req"})
@@ -1171,18 +1167,6 @@ class TestBatching:
             second, _ = rx.recv(timeout=5)
             assert (first["type"], first_blob) == ("ckpt", b"ck")
             assert second["type"] == "lease_req"
-        finally:
-            batcher.close()
-
-    def test_disabled_batcher_sends_immediately(self):
-        tx, rx = _pair()
-        batcher = FrameBatcher(tx, max_bytes=0, compress=False)
-        try:
-            assert not batcher.enabled
-            batcher.add({"type": "dev_done", "device": 5})
-            message, _ = rx.recv(timeout=5)
-            assert message["type"] == "dev_done"
-            assert batcher.batches_sent == 0
         finally:
             batcher.close()
 
@@ -1199,7 +1183,7 @@ class TestHeartbeatJitter:
                 return len(waits) >= 50
 
         class _Null:
-            def send(self, message, blob=None, compress=False):
+            def send(self, message, blob=None):
                 pass
 
         _heartbeat(_Null(), 10.0, _Stop())
@@ -1212,26 +1196,6 @@ class TestHeartbeatJitter:
 # -- batching / trace tier / status over loopback ---------------------------
 
 class TestBatchedCampaign:
-    def test_batch_knobs_do_not_change_bytes(self, tmp_path):
-        reference = _serial_reference(tmp_path)
-        for name, kwargs in (
-                ("unbatched", dict(batch_bytes=0, compress=False)),
-                ("tiny-batches", dict(batch_bytes=512, batch_ms=5))):
-            out = tmp_path / name
-            coordinator = _Coordinator(out)
-            address = coordinator.address()
-            codes = {}
-            workers = [_worker_thread(address, f"w{i}", codes,
-                                      **kwargs) for i in range(2)]
-            coordinator.join()
-            for worker in workers:
-                worker.join(timeout=30)
-            assert codes == {"w0": 0, "w1": 0}
-            assert (out / "summary.json").read_bytes() == \
-                (reference / "summary.json").read_bytes()
-            assert (out / "devices-mpu.jsonl").read_bytes() == \
-                (reference / "devices-mpu.jsonl").read_bytes()
-
     def test_remote_profile_dumps_land_in_profile_dir(self, tmp_path):
         import pstats
         out = tmp_path / "prof"

@@ -51,23 +51,26 @@ class TestShardInvariance:
 
 
 class TestCrashResume:
-    def test_kill_and_resume_is_byte_identical(self, tmp_path):
+    def test_kill_and_resume_is_byte_identical(self, tmp_path,
+                                               monkeypatch):
         reference, _ = _run(tmp_path, "reference", 1)
 
         config = FleetConfig(**_CAMPAIGN)
         out = tmp_path / "crashed"
-        # every worker process dies (os._exit) after two committed
-        # checkpoint writes — mid-device, mid-campaign
+        # a worker process dies (os._exit) after its second committed
+        # checkpoint write — mid-device, mid-campaign
+        monkeypatch.setenv("REPRO_FAULT", "ckpt.after_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
-            run_campaign(config, out, jobs=2,
-                         crash_after_checkpoints=2)
+            run_campaign(config, out, jobs=2)
+        monkeypatch.delenv("REPRO_FAULT")
         assert (out / "shards").exists()         # checkpoints survive
 
         run_campaign(config, out, jobs=2)        # same command again
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()
 
-    def test_kill_mid_checkpoint_write_falls_back(self, tmp_path):
+    def test_kill_mid_checkpoint_write_falls_back(self, tmp_path,
+                                                  monkeypatch):
         # worker dies after fully writing the Nth checkpoint's temp
         # file but BEFORE renaming it into place: the checkpoint path
         # must still hold the previous complete checkpoint (or not
@@ -77,12 +80,14 @@ class TestCrashResume:
 
         config = FleetConfig(**_CAMPAIGN)
         out = tmp_path / "torn"
+        monkeypatch.setenv("REPRO_FAULT", "ckpt.before_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
-            run_campaign(config, out, jobs=2, crash_before_replace=2)
+            run_campaign(config, out, jobs=2)
+        monkeypatch.delenv("REPRO_FAULT")
 
         shards = out / "shards"
         tmp_leftovers = list(shards.glob("*.ckpt.tmp*"))
-        assert tmp_leftovers, "crash hook should leave a temp file"
+        assert tmp_leftovers, "the fault should leave a temp file"
         import pickle
         for ckpt in shards.glob("*.ckpt"):
             # every committed checkpoint is complete and loadable
@@ -93,7 +98,7 @@ class TestCrashResume:
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()
 
-    def test_resume_under_different_jobs(self, tmp_path):
+    def test_resume_under_different_jobs(self, tmp_path, monkeypatch):
         # kill a jobs=2 run, resume it serially via a worker process
         # count the original run never saw — per-device state makes
         # the unit layout irrelevant
@@ -101,9 +106,10 @@ class TestCrashResume:
 
         config = FleetConfig(**_CAMPAIGN)
         out = tmp_path / "rejobs"
+        monkeypatch.setenv("REPRO_FAULT", "ckpt.after_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
-            run_campaign(config, out, jobs=2,
-                         crash_after_checkpoints=2)
+            run_campaign(config, out, jobs=2)
+        monkeypatch.delenv("REPRO_FAULT")
         run_campaign(config, out, jobs=3)
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()

@@ -318,14 +318,17 @@ class TestCampaignByteIdentity:
         assert _model_profile(disabled)["trace_hits"] == 0
         assert _model_profile(disabled)["trace_misses"] == 0
 
-    def test_warm_tier_survives_kill_and_resume(self, tmp_path):
+    def test_warm_tier_survives_kill_and_resume(self, tmp_path,
+                                                monkeypatch):
         from repro.errors import ReproError
         reference, _ = _campaign(tmp_path, "reference")
         tracetier.clear_tier()
         out = tmp_path / "crashed"
+        monkeypatch.setenv("REPRO_FAULT", "ckpt.after_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
             run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=2,
-                         cohort=True, crash_after_checkpoints=2)
+                         cohort=True)
+        monkeypatch.delenv("REPRO_FAULT")
         tracetier.clear_tier()
         run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=2,
                      cohort=True)
