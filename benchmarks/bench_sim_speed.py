@@ -13,8 +13,8 @@ Tracks the simulator's raw speed across PRs.  Two workloads:
   memory-heavy).
 
 ``--step-only`` forces :attr:`Cpu.block_mode` off, measuring the
-per-instruction interpreter alone — record one run with it and one
-without for a before/after pair under identical harness conditions.
+per-opcode ``Cpu._op_*`` handlers (the oracle step-only mode runs for
+every instruction), not the table's thunks.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_sim_speed.py``)
 to append a record to ``BENCH_sim.json`` at the repo root, or via
@@ -158,8 +158,8 @@ def main() -> int:
                         help="windows per workload; best is kept")
     parser.add_argument("--step-only", action="store_true",
                         help="disable superblocks (Cpu.block_mode "
-                             "= False): measure the pure "
-                             "per-instruction interpreter")
+                             "= False): measure the per-opcode "
+                             "_op_* handlers")
     args = parser.parse_args()
     entry = record(args.label, args.seconds, args.repeats,
                    args.step_only)

@@ -248,7 +248,6 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
             auth_mac
         from repro.fleet.net.worker import parse_endpoint
         from repro.fleet.snapshot import STATE_VERSION
-        from repro.msp430.execcache import DISK_FORMAT
         host, port = parse_endpoint(target)
         secret = _fleet_secret(args.secret_file)
         channel = Channel(
@@ -256,7 +255,6 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
         try:
             channel.send({"type": "hello", "proto": PROTO_VERSION,
                           "state_version": STATE_VERSION,
-                          "disk_format": DISK_FORMAT,
                           "campaign": None, "role": "status",
                           "worker": "status-observer",
                           "host": socketlib.gethostname()})

@@ -38,8 +38,8 @@ DEFAULT_CHECKPOINT_MS = 10 * 60 * 1000      # 10 simulated minutes
 #:              content-addressed store, so sibling devices running the
 #:              same firmware skip translation entirely (default)
 #: ``private``  per-device block cache, no cross-device sharing
-#: ``step``     no block translation at all — the one-instruction-at-a-
-#:              time reference interpreter (differential-testing oracle)
+#: ``step``     no block translation at all — every instruction runs
+#:              its ``Cpu._op_*`` handler (differential-testing oracle)
 CACHE_MODES = ("shared", "private", "step")
 
 

@@ -7,7 +7,7 @@ the missing transport: the coordinator listens on a TCP socket and
 speaks a length-prefixed JSONL protocol, and any number of
 ``repro fleet worker --connect host:port`` processes (on this host or
 any other) lease work units, fetch per-device checkpoints and warm
-translation-cache frames over a content-addressed blob channel, run
+trace-tier stores over a content-addressed blob channel, run
 them through the one unit runner a local worker uses
 (:func:`~repro.fleet.executor._run_unit`, over a wire sink instead of
 files), and stream results back.
@@ -20,11 +20,12 @@ Robustness is the design center, not an afterthought:
   and every record is a pure function of ``(seed, device_id, model)``;
 * workers reconnect with exponential backoff plus jitter, and a
   reconnecting worker re-handshakes (campaign key, ``STATE_VERSION``,
-  ``DISK_FORMAT``, protocol version) so a stale worker can never feed
-  results into the wrong campaign;
-* every blob (checkpoint, ``.sbx`` translation store) is requested by
+  protocol version) so a stale worker can never feed results into the
+  wrong campaign;
+* every blob (checkpoint, ``.tbx`` trace store) is requested by
   content hash and verified on receipt — fail-closed, exactly like
-  the execution cache's disk-tier ingestion;
+  the disk tiers' ingestion — and nothing executable is ever shipped:
+  ``.sbx`` translation stores stay on the host that compiled them;
 * all persistent state stays on the coordinator's disk in the exact
   same files the local path writes, so a campaign run over sockets is
   byte-identical to a local one and kill-and-resume semantics carry

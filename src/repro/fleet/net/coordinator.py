@@ -39,8 +39,10 @@ checkpoint frames are deserialized with the restricted
 :func:`~repro.fleet.snapshot.parse_checkpoint`, which also checks the
 campaign key + device stamp) before touching disk, blob names are
 validated against the model registry before becoming paths, and blobs
-served to workers (checkpoint payloads, ``.sbx`` translation stores)
-go out content-addressed so the other end can verify them.  On top of
+served to workers (checkpoint payloads, ``.tbx`` trace stores, which
+hold only primitive values) go out content-addressed so the other end
+can verify them.  Nothing executable is served: ``.sbx`` translation
+stores hold generated bytecode, so they never leave this host.  On top of
 that, a shared ``secret`` turns the handshake into HMAC
 challenge/response — required for any non-loopback bind, because
 checkpoint *content* and ``dev_done`` records still shape campaign
@@ -70,8 +72,6 @@ from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
     auth_mac, blob_sha, unpack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
 from repro.fleet.telemetry import MODELS_BY_KEY
-from repro.msp430.execcache import DISK_FORMAT, list_store_files, \
-    read_store_file
 
 #: a cProfile dump for one unit is tens of KB; anything bigger is not
 #: a profile
@@ -186,10 +186,7 @@ class SocketTransport:
         self._workers: Dict[str, dict] = {}
         self._requeues = 0
         self._shutdown = False
-        #: hashed once per campaign at open, not once per handshake —
-        #: re-offering a 40+ MB exec cache to every reconnect was a
-        #: measurable per-worker startup tax
-        self._store_offers: List[dict] = []
+        #: hashed once per campaign at open, not once per handshake
         self._trace_offers: List[dict] = []
         self._status_path: Optional[Path] = None
         self._status_at = 0.0
@@ -199,7 +196,6 @@ class SocketTransport:
     # -- executor-facing transport API -----------------------------------
     def open_campaign(self, campaign: dict) -> None:
         self._campaign = campaign
-        self._store_offers = list_store_files()
         # trace segments only replay inside cohort lockstep, so a
         # cohort-off campaign would hash and ship .tbx stores that no
         # worker can use
@@ -543,15 +539,14 @@ class SocketTransport:
         if hello.get("type") != "hello":
             raise WireError(
                 f"expected hello, got {hello.get('type')!r}")
-        versions = (hello.get("proto"), hello.get("state_version"),
-                    hello.get("disk_format"))
-        if versions != (PROTO_VERSION, STATE_VERSION, DISK_FORMAT):
+        versions = (hello.get("proto"), hello.get("state_version"))
+        if versions != (PROTO_VERSION, STATE_VERSION):
             channel.send({
                 "type": "reject", "kind": "version",
                 "reason": (
-                    f"version mismatch: worker (proto, state, disk) "
+                    f"version mismatch: worker (proto, state) "
                     f"= {versions}, coordinator = "
-                    f"{(PROTO_VERSION, STATE_VERSION, DISK_FORMAT)}")})
+                    f"{(PROTO_VERSION, STATE_VERSION)}")})
             return None
         config_key = self._campaign["config_key"]
         if hello.get("campaign") not in (None, config_key):
@@ -591,7 +586,6 @@ class SocketTransport:
             "profile": self._campaign.get("profile_dir") is not None,
             "heartbeat_s": self.heartbeat_s,
             "lease_timeout_s": self.lease_timeout_s,
-            "stores": self._store_offers,
             "trace_stores": self._trace_offers,
         })
         peer = _Peer(channel, worker_id)
@@ -719,8 +713,6 @@ class SocketTransport:
                     data = path.read_bytes()
             except (ValueError, OSError):
                 data = None
-        elif name.startswith("sbx:"):
-            data = read_store_file(name[len("sbx:"):])
         elif name.startswith("tbx:"):
             data = tracetier.read_store_file(name[len("tbx:"):])
         if data is None or blob_sha(data) != want_sha:

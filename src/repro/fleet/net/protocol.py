@@ -4,8 +4,8 @@ Every message on a coordinator/worker connection is one **frame**: a
 4-byte big-endian length followed by exactly that many bytes of
 canonical JSON (sorted keys, no whitespace — one JSON line).  A frame
 whose message carries ``blob_len`` is immediately followed by that
-many raw bytes (checkpoint payloads, ``.sbx`` translation frames —
-things JSON would bloat by a third in base64), and the message's
+many raw bytes (checkpoint payloads, ``.tbx`` trace stores — things
+JSON would bloat by a third in base64), and the message's
 ``blob_sha`` must be the blob's sha-256: the receiver verifies it and
 rejects the frame on mismatch, so the blob channel is
 content-addressed and fail-closed end to end.
@@ -22,13 +22,15 @@ Message vocabulary (the ``type`` field):
 ========  ==========  ===================================================
 type      direction   meaning
 ========  ==========  ===================================================
-hello     w -> c      handshake: proto + STATE_VERSION + DISK_FORMAT +
-                      campaign key (None on first contact) + worker id
+hello     w -> c      handshake: proto + STATE_VERSION + campaign key
+                      (None on first contact) + worker id
 challenge c -> w      a secret is configured: prove you hold it —
                       reply with ``auth`` over the fresh nonce
 auth      w -> c      HMAC-SHA256(secret, nonce) for the challenge
 welcome   c -> w      handshake accepted: campaign key, config, cohort,
-                      rejoin and profile flags, heartbeat, store offers
+                      rejoin and profile flags, heartbeat, ``.tbx``
+                      trace-store offers (nothing executable: no
+                      ``.sbx`` translation store is ever offered)
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
 lease_req w -> c      give me work; answered by ``lease`` or
@@ -36,7 +38,8 @@ lease_req w -> c      give me work; answered by ``lease`` or
                       (parked until then — pings still get pongs)
 lease     c -> w      a work unit: model, device ids, checkpoint shas
 shutdown  c -> w      campaign complete; exit cleanly
-blob_get  w -> c      fetch a blob by name + expected sha
+blob_get  w -> c      fetch a ``ckpt:`` or ``tbx:`` blob by name +
+                      expected sha
 blob      c -> w      the blob (bytes follow the frame, deflated when
                       that shrinks them)
 blob_missing c -> w   no such blob / content changed — run without it
@@ -85,15 +88,16 @@ from typing import List, Optional, Tuple
 from repro.errors import ReproError
 
 #: bump on any incompatible message/framing change; exchanged (and
-#: required equal) in the hello/welcome handshake
-PROTO_VERSION = 4
+#: required equal) in the hello/welcome handshake.  5: ``.sbx``
+#: translation stores no longer ship, and ``DISK_FORMAT`` left hello
+PROTO_VERSION = 5
 
 #: JSON payloads are small (records, leases); anything bigger than
 #: this is a corrupt length field or garbage on the port
 MAX_FRAME = 4 * 1024 * 1024
 
-#: blobs carry checkpoints (a few KB) and whole ``.sbx`` stores
-#: (bounded by the exec-cache LRU budget, default 64 MB)
+#: blobs carry checkpoints (a few KB) and whole ``.tbx`` stores
+#: (bounded by the trace-tier LRU budget)
 MAX_BLOB = 256 * 1024 * 1024
 
 #: blobs smaller than this are not worth a deflate round-trip

@@ -1,14 +1,15 @@
 """The remote fleet worker: ``repro fleet worker --connect host:port``.
 
 A worker is a loop around one connection: handshake (protocol,
-``STATE_VERSION``, ``DISK_FORMAT``, campaign key, and — when the
-coordinator is configured with a shared secret — an HMAC
-challenge/response proving this worker holds it too), import any warm
-``.sbx`` translation stores the coordinator offers, then lease units
-until the coordinator says shutdown.  Each lease runs through the one
-unit runner a local pool worker uses,
-:func:`~repro.fleet.executor._run_unit`; only the sink differs, a
-:class:`WireSink` in place of the pool's ``FileSink``:
+``STATE_VERSION``, campaign key, and — when the coordinator is
+configured with a shared secret — an HMAC challenge/response proving
+this worker holds it too), import any warm ``.tbx`` trace stores the
+coordinator offers, then lease units until the coordinator says
+shutdown.  Nothing executable crosses the wire: ``.sbx`` translation
+stores hold generated bytecode, so a worker always translates
+locally.  Each lease runs through the one unit runner a local pool
+worker uses, :func:`~repro.fleet.executor._run_unit`; only the sink
+differs, a :class:`WireSink` in place of the pool's ``FileSink``:
 
 * checkpoints are serialized on the simulating thread and shipped as
   ``ckpt`` frames by the writer thread, keeping the local path's
@@ -58,8 +59,6 @@ from repro.fleet.executor import FleetConfig, UnitStats, _run_unit, \
 from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
     auth_mac, blob_sha, pack_batch
 from repro.fleet.snapshot import STATE_VERSION
-from repro.msp430.execcache import DISK_FORMAT, have_store_file, \
-    import_store_file
 
 # unused here — the runner calls executor's copies — but
 # perfbench/tracer.py patches these names in this module as well
@@ -244,28 +243,23 @@ def _heartbeat(channel: Channel, interval: float,
 
 
 def _import_stores(batcher: FrameBatcher, channel: Channel,
-                   offers: List[dict], say: Callable[[str], None],
-                   prefix: str = "sbx",
-                   have: Callable[[str], bool] = have_store_file,
-                   install: Callable[[str, bytes], int]
-                   = import_store_file,
-                   label: str = "translation") -> None:
-    """Warm this host's cache tiers from the coordinator's store
-    offers (``.sbx`` translation stores, ``.tbx`` trace stores);
-    every store is fetched by content hash and re-validated
-    frame-by-frame on import."""
+                   offers: List[dict], say: Callable[[str], None]
+                   ) -> None:
+    """Warm this host's trace tier from the coordinator's ``.tbx``
+    store offers; every store is fetched by content hash and
+    re-validated frame-by-frame on import."""
     for offer in offers:
         name = str(offer.get("name", ""))
         sha = offer.get("sha")
-        if not name or not isinstance(sha, str) or have(name):
+        if not name or not isinstance(sha, str) or \
+                tracetier.have_store_file(name):
             continue
-        blob = _fetch_blob(batcher, channel, f"{prefix}:{name}", sha)
+        blob = _fetch_blob(batcher, channel, f"tbx:{name}", sha)
         if blob is None:
             continue
-        records = install(name, blob)
+        records = tracetier.import_store_file(name, blob)
         if records:
-            say(f"imported {label} store {name} "
-                f"({records} records)")
+            say(f"imported trace store {name} ({records} records)")
 
 
 class WireSink:
@@ -332,7 +326,6 @@ def _handshake(channel: Channel, campaign_key: Optional[str],
                secret: Optional[bytes] = None) -> dict:
     channel.send({"type": "hello", "proto": PROTO_VERSION,
                   "state_version": STATE_VERSION,
-                  "disk_format": DISK_FORMAT,
                   "campaign": campaign_key,
                   "worker": worker_id,
                   "host": socket.gethostname()})
@@ -422,13 +415,7 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
                     "config — version skew between hosts")
                 return 2
             _import_stores(batcher, channel,
-                           list(welcome.get("stores", [])), say)
-            _import_stores(batcher, channel,
-                           list(welcome.get("trace_stores", [])),
-                           say, prefix="tbx",
-                           have=tracetier.have_store_file,
-                           install=tracetier.import_store_file,
-                           label="trace")
+                           list(welcome.get("trace_stores", [])), say)
             heartbeat = threading.Thread(
                 target=_heartbeat,
                 args=(channel,

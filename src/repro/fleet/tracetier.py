@@ -9,8 +9,9 @@ compiled blocks: one append-only, self-checking store file per
 firmware image (``.cache/trace/<identity>.tbx``), records
 content-addressed by ``(base_sha, segment window, pre-state digest)``,
 published once and adopted by every later reader — including remote
-fleet workers, via the same sha-verified blob channel that ships
-``.sbx`` stores.
+fleet workers, via the sha-verified blob channel (which never carries
+``.sbx`` stores: those hold bytecode; trace records hold only
+primitive values).
 
 Trust model — identical to the exec tier's, one layer up:
 

@@ -16,10 +16,13 @@ The safety model is identical for every family:
 * **Framing is self-checking.**  A torn tail from a killed writer, a
   corrupted length field, bit-rot in a payload — all are detected by
   the magic/length/digest walk and skipped, never acted on.
-* **Ingestion never executes.**  Payloads are deserialized with the
-  restricted :func:`repro.safeload.safe_loads`; a payload referencing
-  any global raises before anything is called, so a hostile store
-  file degrades to "fewer warm frames", never to code execution.
+* **Deserialization never executes.**  Payloads are deserialized
+  with the restricted :func:`repro.safeload.safe_loads`; a payload
+  referencing any global raises before anything is called, so a
+  corrupt frame degrades to "fewer warm frames".  (A ``.sbx``
+  record's ``fn`` is generated bytecode that *revival* runs, so
+  ``.sbx`` stores are trusted local state, like ``__pycache__``, and
+  never cross the fleet wire; only ``.tbx`` stores are exported.)
 * **Frame digests prove framing, not provenance.**  An attacker
   controls magic, length, and digest of frames it writes; every
   family therefore re-validates record *content* on ingest (shape

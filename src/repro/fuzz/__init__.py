@@ -1,13 +1,14 @@
 """Differential fuzzing and fault injection.
 
 Two engines pin the simulator's exactness-critical fast paths (the
-permission bitmap, instruction thunks, and superblock compiler from
-PR 1/2) and the paper's containment claim:
+permission bitmap, and the instruction-semantics table behind the
+thunks and the superblock compiler) and the paper's containment claim:
 
 * the **differential engine** (:mod:`repro.fuzz.generator`,
   :mod:`repro.fuzz.harness`) generates seeded random MSP430 programs
-  and executes each one twice — superblock mode vs. forced ``step()``
-  mode — asserting bit-identical architectural state at every
+  and executes each one twice — superblock mode vs. step-only mode,
+  which runs the ``Cpu._op_*`` handlers — asserting bit-identical
+  architectural state at every
   checkpoint; divergences are shrunk (:mod:`repro.fuzz.shrink`) to a
   minimal replayable ``.s`` case under ``tests/fuzz_corpus/``;
 * the **attack engine** (:mod:`repro.fuzz.attacks`) compiles a library

@@ -207,8 +207,8 @@ class _Generator:
             base = (address - offset) & 0xFFFF
             return [f"    MOV #0x{base:04X}, {pointer}",
                     f"    MOV{suffix} {value}, {offset}({pointer})"]
-        # read-modify-write: ADD into memory (the specialized
-        # _spec_add_to_mem thunk)
+        # read-modify-write: ADD into memory (the table's word
+        # ADD-to-memory templates)
         return [f"    MOV #0x{address:04X}, {pointer}",
                 f"    ADD {value}, 0({pointer})"]
 

@@ -1,10 +1,11 @@
-"""Lockstep differential execution: superblock mode vs. ``step()``.
+"""Lockstep differential execution: the template table vs. ``_op_*``.
 
 A :class:`FuzzProgram` is assembled, linked at its code base and loaded
 into two identical machines — one with the superblock engine enabled
-(the production configuration), one forced through the exact
-per-instruction interpreter (``block_mode = False``).  Both run in
-lockstep chunks; at every chunk boundary (a *divergence checkpoint*)
+(the production configuration: template thunks and generated block
+code), one in step-only mode (``block_mode = False``), which runs the
+per-opcode ``Cpu._op_*`` handlers for every instruction, the
+independent reference.  Both run in lockstep chunks; at every chunk boundary (a *divergence checkpoint*)
 the full architectural state is compared bit for bit:
 
 * all sixteen registers,
@@ -15,8 +16,8 @@ the full architectural state is compared bit for bit:
 * and, when a run ends, the fault record (kind, PC, address, detail)
   or budget-exhaustion report.
 
-Any difference is a simulator bug by definition — PR 1/2's fast paths
-promise bit-identical architectural behaviour.
+Any difference is a simulator bug by definition: the fast paths
+promise bit-identical architectural behaviour to the handlers.
 """
 
 from __future__ import annotations

@@ -66,8 +66,9 @@ class AmuletMachine:
         self.firmware = firmware
         self.cpu = Cpu()
         # step_only disables superblock dispatch — every instruction
-        # goes through Cpu.step(); results are bit-identical, only
-        # slower (benchmarks and differential tests use this).
+        # goes through Cpu.step() and its _op_* handler, the oracle
+        # the template table is checked against; results are
+        # bit-identical, only slower (differential tests use this).
         self.cpu.block_mode = not step_only
         self.timer = CycleTimer(self.cpu)
         self.timer.attach()

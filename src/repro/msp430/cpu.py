@@ -22,14 +22,15 @@ firmware reloads stay correct.
 Superblocks
 -----------
 
-On top of the per-instruction thunks, :meth:`Cpu.run` compiles
-straight-line runs of already-decoded thunks into *superblocks*: one
-Python-level dispatch per block instead of one ``step()`` round trip
-per instruction.  A block starts at a hot PC and extends until the
-first
+Each instruction's fast-path semantics is one source template in
+the table at the end of this module: ``step()`` calls the template
+compiled as a thunk, and :meth:`Cpu.run` pastes the templates of
+straight-line runs into *superblocks*: one Python-level dispatch per
+block instead of one ``step()`` round trip per instruction.  A block
+starts at a hot PC and extends until the first
 
 * jump (included as the block's final instruction), call, return, or
-  any other instruction without a specialized thunk,
+  any other instruction without a template,
 * instruction whose absolute operand hits a memory-mapped I/O port —
   kernel gates (service/done/fault ports), MPU registers, the cycle
   timer — so gate crossings and MPU reprogramming always run through
@@ -48,9 +49,10 @@ service faults observe bit-identical state to ``step()``.
 observability: a ``trace_hook`` (debugger), a memory observer
 (watchpoints, profilers), a pending fault, or a cycle/instruction
 budget within one block of expiring all fall back to ``step()``, as
-does setting :attr:`Cpu.block_mode` to ``False`` (the forced step-only
-mode the differential tests compare against).  Invalidation rides the
-icache write hook — a store into a block's PC range (including
+does setting :attr:`Cpu.block_mode` to ``False``: that step-only
+mode runs the per-opcode ``_op_*`` handlers for every instruction,
+the independent oracle the differential tests compare the table
+against.  Invalidation rides the icache write hook — a store into a block's PC range (including
 block-straddling writes) kills the block — and MPU reconfiguration is
 handled by revalidating each block's execute permission against the
 bus's memoized permission bitmap: same bitmap object, no work; new
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import enum
 import marshal
+import string
 import types
 from typing import Callable, Dict, Optional, Tuple
 
@@ -121,23 +124,29 @@ _MAX_BLOCK_INSNS = 64
 #: zero page-mask template (bulk invalidation resets the code mask)
 _ZERO_MASK = bytes(1024)
 
+#: a block step's kind: register-only (its PC and counter updates can
+#: be batched), exact (reads memory, reads or writes the PC), or a
+#: store (exact, plus the post-store check suite)
+_REG, _EXACT, _STORE = 0, 1, 2
+
 
 class _Block:
-    """One compiled superblock: a trace of decoded thunks fused into a
-    single ``compile()``-generated function ``fn``.
+    """One compiled superblock: a trace of decoded instructions fused
+    into a single ``compile()``-generated function ``fn``.
 
-    ``steps`` holds ``(pc, next_pc, thunk, cycles, may_store, jump)``
-    per instruction (kept for invalidation tests and diagnostics).
+    ``steps`` holds ``(pc, next_pc, thunk, cycles, kind, jump, lines)``
+    per instruction: ``kind`` is ``_REG``/``_EXACT``/``_STORE`` and
+    ``lines`` the instruction's instantiated template.
     ``jump`` is ``None`` for straight-line steps and for a final jump
-    executed via its thunk; mid-trace conditional jumps carry either
+    (its template sets the PC); mid-trace conditional jumps carry either
     ``("exit", cond, target)`` — compiled to an inline early return —
     or ``("skip", cond, n, cycles, count, target)`` — a forward jump
     re-joining the trace, compiled to a structured ``if`` around the
     ``n`` skipped steps.  Three flavors of ``fn``:
 
-    * **pure** — register-only thunks (plus inline jumps and an
-      optional final jump): ``fn(cpu, r, m)`` sets the PC once, calls
-      the thunks back to back, and adds the cycle/instruction totals
+    * **pure** — register-only steps (plus inline jumps and an
+      optional final jump): ``fn(cpu, r, m)`` sets the PC once, runs
+      the steps back to back, and adds the cycle/instruction totals
       in one batch (skip/exit paths adjust the batch with compile-time
       prefix constants).
     * **loop** — a pure block whose final jump targets its own start:
@@ -226,14 +235,14 @@ class _Block:
 def _codegen(blk: _Block):
     """Fuse a block's steps into one compiled Python function.
 
-    The generated code inlines every PC value and cycle count as a
-    constant and binds the thunks as globals, so executing a block
-    costs one Python call plus the thunk bodies — the per-instruction
-    interpreter loop (tuple unpacking, index bookkeeping, budget and
-    halt polling) is gone.
+    The generated code pastes every step's table template with the
+    instruction's constants, PC values and cycle counts as literals,
+    so executing a block costs one Python call — the per-instruction
+    interpreter loop (thunk calls, tuple unpacking, index bookkeeping,
+    budget and halt polling) is gone.
 
-    Conditional jumps inside the trace are emitted *inline* (their
-    flag test compiled into the function, no thunk call):
+    Conditional jumps inside the trace are emitted as their bare flag
+    test:
 
     * an **exit** jump returns with exact cycle/instruction prefix
       bookkeeping and the taken-target PC when taken, and falls
@@ -244,10 +253,8 @@ def _codegen(blk: _Block):
       accumulators so batched bookkeeping stays exact on both paths.
 
     Jumps that *close* a block (an unconditional JMP, or the loop
-    back-edge) still execute via their thunk, which performs the PC
-    update relative to the preset ``r[0]``.
+    back-edge) paste their template, which sets the target PC.
     """
-    ns = {}
     steps = blk.steps
     has_diamond = any(s[5] is not None and s[5][0] == "skip"
                       for s in steps)
@@ -279,7 +286,7 @@ def _codegen(blk: _Block):
             cyc_n = f"{blk.cycles} * n + "
             cnt_n = f"{blk.count} * n + "
         else:
-            # Register-only straight line: no thunk can fault, halt,
+            # Register-only straight line: no step can fault, halt,
             # or observe PC/counters, so set the PC once and batch
             # the bookkeeping after the fact.
             emit("def _fn(c, r, m):")
@@ -294,12 +301,8 @@ def _codegen(blk: _Block):
         for i, s in enumerate(steps):
             info = s[5]
             if info is None:
-                if s[6] is not None:
-                    for ln in s[6]:
-                        emit(f"{ind}{ln}")
-                else:
-                    ns[f"_t{i}"] = s[2]
-                    emit(f"{ind}_t{i}(r, m)")
+                for ln in s[6]:
+                    emit(f"{ind}{ln}")
             elif info[0] == "skip":
                 _, cond, nskip, skc, sks, _target = info
                 emit(f"{ind}if {cond}:")
@@ -330,21 +333,22 @@ def _codegen(blk: _Block):
             emit(f"    c.instructions += {blk.count}{skn}")
     else:
         # Memory-touching block: exact architectural state around
-        # every thunk.  A store may halt the machine (DONE port), post
-        # a fault (FAULT port / service handler), invalidate cached
-        # code — possibly this very block (self-modifying code) —
-        # stale the permission bitmap (MPU register), or attach an
-        # observer — each check mirrors what ``step()`` + ``run()``
-        # would do at that boundary.  Invalidation is detected through
-        # the *executing CPU's* ``_code_version`` (sampled on entry)
-        # rather than a flag on the block, so one device invalidating
-        # a block shared through the execution cache never perturbs a
-        # sibling device mid-flight.
+        # every step that can observe it.  A store may halt the
+        # machine (DONE port), post a fault (FAULT port / service
+        # handler), invalidate cached code — possibly this very block
+        # (self-modifying code) — stale the permission bitmap (MPU
+        # register), or attach an observer — each check mirrors what
+        # ``step()`` + ``run()`` would do at that boundary.
+        # Invalidation is detected through the *executing CPU's*
+        # ``_code_version`` (sampled on entry) rather than a flag on
+        # the block, so one device invalidating a block shared
+        # through the execution cache never perturbs a sibling device
+        # mid-flight.
         emit("def _fn(c, r, m):")
         emit("    _v = c._code_version")
         ind = "    "
         arm = 0
-        # Consecutive register-only inline steps can neither fault,
+        # Consecutive register-only steps can neither fault,
         # halt, nor read the deferred PC, so their PC updates are
         # unobservable and their cycle/instruction bookkeeping batches
         # into one pending sum, flushed before the next step that can
@@ -359,8 +363,7 @@ def _codegen(blk: _Block):
                 emit(f"{ind}c.instructions += {pend_n}")
                 pend_c = pend_n = 0
 
-        for i, s in enumerate(steps):
-            pc_i, next_pc, thunk, cyc_i, may_store, info, inline = s
+        for _, next_pc, _, cyc_i, kind, info, inline in steps:
             if info is not None and info[0] == "skip":
                 _, cond, nskip, _skc, _sks, target = info
                 flush()
@@ -381,9 +384,7 @@ def _codegen(blk: _Block):
                 emit(f"{ind}if {info[1]}:")
                 emit(f"{ind}    r[0] = {info[2]}")
                 emit(f"{ind}    return")
-            elif (inline is not None and not may_store
-                    and not any("m." in ln or "r[0]" in ln
-                                for ln in inline)):
+            elif kind == _REG:
                 for ln in inline:
                     emit(f"{ind}{ln}")
                 pend_c += cyc_i
@@ -391,15 +392,11 @@ def _codegen(blk: _Block):
             else:
                 flush()
                 emit(f"{ind}r[0] = {next_pc}")
-                if inline is not None:
-                    for ln in inline:
-                        emit(f"{ind}{ln}")
-                else:
-                    ns[f"_t{i}"] = thunk
-                    emit(f"{ind}_t{i}(r, m)")
+                for ln in inline:
+                    emit(f"{ind}{ln}")
                 emit(f"{ind}c.cycles += {cyc_i}")
                 emit(f"{ind}c.instructions += 1")
-                if may_store:
+                if kind == _STORE:
                     # a truthy return tells ``run`` a boundary event
                     # fired; a clean fall-through (None) provably left
                     # every post-dispatch guard unchanged, because
@@ -422,6 +419,7 @@ def _codegen(blk: _Block):
             emit(f"{ind}r[0] = {blk.end_pc}")
             flush()
     src = "\n".join(lines) + "\n"
+    ns: dict = {}
     exec(compile(src, f"<superblock@0x{blk.start:04X}>", "exec"), ns)
     return ns["_fn"]
 
@@ -429,10 +427,11 @@ def _codegen(blk: _Block):
 def _interp_block(c, blk: _Block, r, m) -> None:
     """Tier-0 executor: walk a block's steps one thunk at a time.
 
-    Architecturally identical to the codegen'd function — same thunks,
-    same per-instruction bookkeeping, same store-boundary checks — so
-    a block's first dispatches can run without paying ``compile()``;
-    ``run`` tiers the block up to generated code once it proves hot.
+    Architecturally identical to the codegen'd function — the thunks
+    are its templates, with the same per-instruction bookkeeping and
+    the same store-boundary checks — so a block's first dispatches can
+    run without paying ``compile()``; ``run`` tiers the block up to
+    generated code once it proves hot.
     Jumps execute via their thunks: a taken jump moves ``r[0]`` off
     the recorded fallthrough, which steers the walk (skip the diamond
     arm / return early) exactly like the inline conditions in
@@ -456,7 +455,7 @@ def _interp_block(c, blk: _Block, r, m) -> None:
                     i += info[2] + 1      # hop over the skipped arm
                     continue
                 return                    # early exit
-        elif s[4]:                        # store boundary: exact checks
+        elif s[4] == _STORE:              # store boundary: exact checks
             if c.halted:
                 return
             f = c._pending_fault
@@ -471,15 +470,16 @@ def _interp_block(c, blk: _Block, r, m) -> None:
 
 # -- persistent block records (the execcache disk tier's payload) ----------
 #
-# A compiled block is mostly *derived* state: the thunks re-specialize
-# deterministically from the code bytes, and the codegen'd function is
-# a closure-free code object.  So a disk record carries only the code
-# bytes, the per-step metadata (everything in a step tuple except the
-# thunk), and the marshaled generated code — revival re-decodes the
-# thunks from the recorded bytes and rebinds them as the function's
-# globals.  Revival is fail-closed: any inconsistency (decode error,
-# cycle-count mismatch, marshal rot) rejects the record and the block
-# is simply re-translated, exactly as a cache miss would be.
+# A compiled block is mostly *derived* state: thunks and template
+# lines re-instantiate deterministically from the code bytes, and the
+# codegen'd function is a closure-free code object that needs no
+# globals.  So a disk record carries only the code bytes, the per-step
+# metadata (everything in a step tuple except the thunk and the lines),
+# and the marshaled generated code — revival re-decodes each step from
+# the recorded bytes.  Revival is fail-closed: any inconsistency
+# (decode error, cycle-count mismatch, a shape the table lacks,
+# marshal rot) rejects the record and the block is simply
+# re-translated, exactly as a cache miss would be.
 
 def _block_record(blk: _Block) -> Optional[dict]:
     """Serialize a codegen'd block for the execcache disk tier."""
@@ -496,16 +496,15 @@ def _block_record(blk: _Block) -> Optional[dict]:
         "pure": blk.pure,
         "loop": blk.loop,
         "code": blk.code,
-        "steps": [(s[0], s[1], s[3], s[4], s[5], s[6])
-                  for s in blk.steps],
+        "steps": [(s[0], s[1], s[3], s[4], s[5]) for s in blk.steps],
         "fn": fn_code,
     }
 
 
 def _block_from_record(record: dict) -> Optional[_Block]:
     """Revive a disk record into a live block, or None if the record
-    is inconsistent in any way (corrupt, stale semantics, unthunkable
-    shape) — the caller then translates from scratch."""
+    is inconsistent in any way (corrupt, stale semantics, a shape
+    without a template) — the caller then translates from scratch."""
     try:
         code = record["code"]
         start = record["pc"]
@@ -520,21 +519,16 @@ def _block_from_record(record: dict) -> Optional[_Block]:
             return _c[i] | (_c[i + 1] << 8)
 
         steps = []
-        for pc, next_pc, cyc_i, may_store, info, inline \
-                in record["steps"]:
+        for pc, next_pc, cyc_i, kind, info in record["steps"]:
             insn, size = decode(fetch, pc)
             if cyc.instruction_cycles(insn) != cyc_i:
                 return None
-            thunk = _specialize(insn)
-            if thunk is None:
-                return None
-            steps.append((pc, next_pc, thunk, cyc_i, may_store,
-                          info, inline))
+            template, consts = _form(insn, pc)
+            steps.append((pc, next_pc, template.thunk(consts), cyc_i,
+                          kind, info, template.source(consts)))
         if steps[-1][1] != record["end_pc"]:
             return None
-        ns = {f"_t{i}": s[2] for i, s in enumerate(steps)}
-        fn = types.FunctionType(marshal.loads(record["fn"]), ns,
-                                "_fn")
+        fn = types.FunctionType(marshal.loads(record["fn"]), {}, "_fn")
         blk = _Block(start, end, record["end_pc"], tuple(steps),
                      record["pure"], record["loop"])
         blk.code = bytes(code)
@@ -570,19 +564,21 @@ class Cpu:
         # self-modifying code and re-loads stay correct); firmware
         # never self-modifies, so in practice every instruction decodes
         # once.  Entries: pc -> (insn, size, cycles, thunk) where
-        # thunk is a specialized closure or None (generic handler).
+        # thunk is the table template's function, or None (no
+        # template: the _op_* handler runs).
         # Entries are device-agnostic, so they can be published to and
         # pulled from the shared execution cache.
         self._icache: dict = {}
         # -- superblock layer ----------------------------------------
-        #: False forces the pure ``step()`` interpreter; differential
-        #: tests flip this to pin block mode against step mode.
+        #: False forces ``step()`` through the ``_op_*`` handlers for
+        #: every instruction — the oracle differential tests pin the
+        #: table's thunks and superblocks against.
         self.block_mode = True
         #: compiled superblocks, keyed by entry PC (this CPU's *view*;
         #: blocks may be private or pulled from the shared cache)
         self._blocks: Dict[int, _Block] = {}
         #: entry PCs where compilation declined (first instruction has
-        #: no thunk, hits an I/O port, or the run is too short) — a
+        #: no template, hits an I/O port, or the run is too short) — a
         #: negative cache so ``run`` doesn't retry every iteration.
         #: Never shared: some verdicts depend on this device's MPU
         #: permission edges, not on code bytes.
@@ -850,7 +846,7 @@ class Cpu:
             if entry is None:
                 insn, size = decode(memory.fetch_word, pc)
                 insn_cycles = cyc.instruction_cycles(insn)
-                thunk = _specialize(insn)
+                thunk = _thunk(insn, pc)
                 self._install_entry(
                     pc, (insn, size, insn_cycles, thunk))
             else:
@@ -885,9 +881,10 @@ class Cpu:
         if self.trace_hook is not None:
             self.trace_hook(pc, insn)
         try:
-            if thunk is not None:
+            if thunk is not None and self.block_mode:
                 thunk(r, memory)
             else:
+                # step-only mode runs the _op_* oracle for everything
                 self._dispatch[insn.opcode](insn)
         except MpuViolationError as exc:
             raise CpuFault(FaultKind.MPU_VIOLATION, pc, exc.address,
@@ -1231,7 +1228,7 @@ class Cpu:
                     steps[di] = (p[0], p[1], p[2], p[3], p[4],
                                  ("skip", p[5][1], len(arm),
                                   sum(s[3] for s in arm), len(arm),
-                                  rejoin), None)
+                                  rejoin), p[6])
                     diamond = None
                 elif cursor > rejoin:
                     break        # target inside an instruction: bail
@@ -1248,18 +1245,20 @@ class Cpu:
                 except (DecodeError, MemoryAccessError):
                     break
                 insn_cycles = cyc.instruction_cycles(insn)
-                thunk = _specialize(insn)
+                thunk = _thunk(insn, cursor)
                 entry = (insn, size, insn_cycles, thunk)
                 self._install_entry(cursor, entry)
             else:
                 insn, size, insn_cycles, thunk = entry
-            if thunk is None:         # call/return/rare shape: step()
+            if thunk is None:         # no template: step() runs it
                 break
             last = cursor + size - 1
             if last > 0xFFFF or not perm[last] & PERM_X:
                 break
             src, dst = insn.src, insn.dst
             next_pc = (cursor + size) & 0xFFFF
+            template, consts = _form(insn, cursor)
+            lines = template.source(consts)
             if _hits_io(src, io_ports) or _hits_io(dst, io_ports):
                 # Gate/MPU/timer port operand: absorb it as the
                 # block's *final* instruction.  Marking it a store
@@ -1271,41 +1270,23 @@ class Cpu:
                 # polls dominate the step fallback otherwise.)
                 pure = False
                 steps.append((cursor, next_pc, thunk, insn_cycles,
-                              True, None, None))
+                              _STORE, None, lines))
                 end = cursor + size
                 break
             opcode = insn.opcode
             is_jump = opcode in _JUMP_OPCODES
-            # PUSH and CALL store through SP even though dst is None;
-            # CMP and BIT only *read* their memory destination, so
-            # they never need the post-store check suite
-            stores = (opcode is Opcode.PUSH or opcode is Opcode.CALL
-                      or (not is_jump and dst is not None
-                          and dst.mode is not _M.REGISTER
-                          and opcode is not Opcode.CMP
-                          and opcode is not Opcode.BIT))
-            # CALL / RETI / MOV-to-PC redirect control flow: keep them
-            # as the block's final step, like jumps
-            writes_pc = (opcode is Opcode.CALL or opcode is Opcode.RETI
-                         or (dst is not None
-                             and dst.mode is _M.REGISTER
-                             and dst.register == 0))
-            # register-only shapes that never touch memory nor read
-            # the deferred PC are eligible for the pure
-            # (batch-bookkeeping) executor
-            if not is_jump:
-                if stores or writes_pc:
-                    pure = False
-                elif not (dst is None
-                          or (dst.mode is _M.REGISTER
-                              and src.mode in (_M.REGISTER,
-                                               _M.IMMEDIATE))):
-                    pure = False
-                elif (src is not None and src.mode is _M.REGISTER
-                      and src.register == 0):
-                    pure = False
+            # a store needs the post-store check suite; a memory read,
+            # a PC write, or a read of the deferred PC (an R0 source)
+            # needs exact PC and counters; anything else is eligible
+            # for the pure (batch-bookkeeping) executor
+            kind = (_STORE if template.mem == "w"
+                    else _EXACT if (template.mem or template.pc
+                                    or (src is not None
+                                        and src.mode is _M.REGISTER
+                                        and src.register == 0))
+                    else _REG)
             if is_jump:
-                target = (next_pc + 2 * insn.offset) & 0xFFFF
+                target = consts["t"]
                 if opcode is not Opcode.JMP and diamond is None:
                     if pure and target == pc:
                         # back-edge to the block's own start: close as
@@ -1313,7 +1294,7 @@ class Cpu:
                         # iterates until the jump falls through or the
                         # budget share is spent)
                         steps.append((cursor, next_pc, thunk,
-                                      insn_cycles, False, None, None))
+                                      insn_cycles, kind, None, lines))
                         end = cursor + size
                         loop = True
                         break
@@ -1325,9 +1306,9 @@ class Cpu:
                         # reached, truncated otherwise
                         diamond = (len(steps), target)
                         steps.append((cursor, next_pc, thunk,
-                                      insn_cycles, False,
+                                      insn_cycles, kind,
                                       ("open", _JUMP_CONDS[opcode]),
-                                      None))
+                                      lines))
                         end = cursor + size
                         cursor = next_pc
                         continue
@@ -1337,33 +1318,36 @@ class Cpu:
                     # returns with exact bookkeeping, fallthrough
                     # continues the trace
                     steps.append((cursor, next_pc, thunk, insn_cycles,
-                                  False,
+                                  kind,
                                   ("exit", _JUMP_CONDS[opcode],
-                                   target), None))
+                                   target), lines))
                     end = cursor + size
                     cursor = next_pc
                     continue
-                # unconditional JMP closes the block inclusively; the
-                # branch target is a compile-time constant
+                # unconditional JMP closes the block inclusively
                 steps.append((cursor, next_pc, thunk, insn_cycles,
-                              False, None, [f"r[0] = {target}"]))
+                              kind, None, lines))
                 end = cursor + size
                 loop = pure and target == pc
                 break
-            steps.append((cursor, next_pc, thunk, insn_cycles,
-                          stores, None, _inline_step(insn)))
+            if kind != _REG:
+                pure = False
+            steps.append((cursor, next_pc, thunk, insn_cycles, kind,
+                          None, lines))
             end = cursor + size
             cursor = next_pc
-            if writes_pc or next_pc < pc:    # redirect / wrapped
+            # CALL, BR and RET redirect control flow: keep them as the
+            # block's final step, like jumps
+            if template.pc or next_pc < pc:    # redirect / wrapped
                 break
         if diamond is not None:
             # the trace ended before the forward jump's target: drop
             # the tentative arm and keep the jump as a plain final
-            # step (its thunk performs the branch)
+            # step (its template performs the branch)
             di = diamond[0]
             p = steps[di]
             del steps[di + 1:]
-            steps[di] = (p[0], p[1], p[2], p[3], p[4], None, None)
+            steps[di] = (p[0], p[1], p[2], p[3], p[4], None, p[6])
             end = p[0] + 2      # jump instructions are 2 bytes
             loop = False
         mask = self._code_pages
@@ -1453,6 +1437,10 @@ class Cpu:
     def _op_push(self, insn: Instruction) -> None:
         byte = insn.byte
         value = self._eval_source(insn.src, byte)
+        if insn.src.mode is _M.REGISTER and insn.src.register == Reg.SP:
+            # SP is decremented before the store, so PUSH SP stores the
+            # decremented SP (SLAU367, "PUSH SP, POP SP sequence")
+            value -= 2
         # PUSH.B still decrements SP by 2 (hardware behaviour).
         self._push(value & (0xFF if byte else 0xFFFF))
 
@@ -1625,528 +1613,33 @@ class Cpu:
         self._store(register, address, out, byte)
 
 
-# -- specialized execution thunks -------------------------------------------
+# -- instruction semantics: one template table ------------------------------
 #
-# For the hottest instruction shapes — ALU ops on registers/immediates,
-# all jumps, and the dominant MOV/ADD memory forms — the icache entry
-# carries a closure that performs the whole instruction on the raw
-# register list (and the bus, for the memory forms): no Operand
-# re-interpretation, no property lookups, no flag-helper calls.
-# Shapes with a PC/SP/SR/CG2 destination or a rare opcode keep
-# ``thunk=None`` and go through the generic per-opcode handler;
-# semantics are identical either way, including fault behaviour
-# (memory thunks run inside the same try/except in ``step``).
-
-_SRM = 0xFEF8            # SR with C, Z, N, V cleared
-
-
-def _spec_jump(opcode: Opcode, offset: int):
-    d = 2 * offset        # applied after the pc += size in step()
-    if opcode is Opcode.JMP:
-        def thunk(r, m, d=d):
-            r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JNE:
-        def thunk(r, m, d=d):
-            if not r[2] & 2:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JEQ:
-        def thunk(r, m, d=d):
-            if r[2] & 2:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JNC:
-        def thunk(r, m, d=d):
-            if not r[2] & 1:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JC:
-        def thunk(r, m, d=d):
-            if r[2] & 1:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JN:
-        def thunk(r, m, d=d):
-            if r[2] & 4:
-                r[0] = (r[0] + d) & 0xFFFF
-    elif opcode is Opcode.JGE:
-        def thunk(r, m, d=d):
-            sr = r[2]
-            if not ((sr >> 2) ^ (sr >> 8)) & 1:     # N == V
-                r[0] = (r[0] + d) & 0xFFFF
-    else:                                           # JL
-        def thunk(r, m, d=d):
-            sr = r[2]
-            if ((sr >> 2) ^ (sr >> 8)) & 1:         # N != V
-                r[0] = (r[0] + d) & 0xFFFF
-    return thunk
-
-
-def _th_mov(s, k, d, mask, sign):
-    if s < 0:
-        def thunk(r, m, k=k, d=d):
-            r[d] = k
-    else:
-        def thunk(r, m, s=s, d=d, mask=mask):
-            r[d] = r[s] & mask
-    return thunk
-
-
-def _make_addsub(subtract: bool, use_carry: bool, store: bool):
-    """ADD/ADDC/SUB/SUBC/CMP share one arithmetic skeleton."""
-    def factory(s, k, d, mask, sign):
-        def thunk(r, m, s=s, k=k, d=d, mask=mask, sign=sign):
-            if s >= 0:
-                k = r[s] & mask
-            dst = r[d] & mask
-            if subtract:
-                result = dst + ((~k) & mask) \
-                    + ((r[2] & 1) if use_carry else 1)
-                ovf = (dst ^ k) & (dst ^ (result & mask)) & sign
-            else:
-                result = dst + k + ((r[2] & 1) if use_carry else 0)
-                ovf = ~(k ^ dst) & (k ^ (result & mask)) & sign
-            out = result & mask
-            sr = r[2] & _SRM
-            if result > mask:
-                sr |= 1                              # C
-            if out & sign:
-                sr |= 4                              # N
-            elif out == 0:
-                sr |= 2                              # Z
-            if ovf:
-                sr |= 0x100                          # V
-            r[2] = sr
-            if store:
-                r[d] = out
-        return thunk
-    return factory
-
-
-def _make_logic(op: str, store: bool):
-    """AND/BIT/XOR (flag-setting) and BIS/BIC (flag-preserving)."""
-    def factory(s, k, d, mask, sign):
-        def thunk(r, m, s=s, k=k, d=d, mask=mask, sign=sign):
-            if s >= 0:
-                k = r[s] & mask
-            dst = r[d] & mask
-            if op == "and":
-                out = dst & k
-            elif op == "xor":
-                out = dst ^ k
-            elif op == "bis":
-                r[d] = dst | k
-                return
-            else:                                    # bic
-                r[d] = dst & ((~k) & mask)
-                return
-            sr = r[2] & _SRM
-            if out:
-                sr |= 1                              # C = result != 0
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if op == "xor" and k & sign and dst & sign:
-                sr |= 0x100
-            r[2] = sr
-            if store:
-                r[d] = out
-        return thunk
-    return factory
-
-
-_FMT1_FACTORIES = {
-    Opcode.MOV: _th_mov,
-    Opcode.ADD: _make_addsub(subtract=False, use_carry=False, store=True),
-    Opcode.ADDC: _make_addsub(subtract=False, use_carry=True, store=True),
-    Opcode.SUB: _make_addsub(subtract=True, use_carry=False, store=True),
-    Opcode.SUBC: _make_addsub(subtract=True, use_carry=True, store=True),
-    Opcode.CMP: _make_addsub(subtract=True, use_carry=False, store=False),
-    Opcode.AND: _make_logic("and", store=True),
-    Opcode.BIT: _make_logic("and", store=False),
-    Opcode.XOR: _make_logic("xor", store=True),
-    Opcode.BIS: _make_logic("bis", store=True),
-    Opcode.BIC: _make_logic("bic", store=True),
-}
-
-
-def _spec_format2(insn: Instruction):
-    opcode = insn.opcode
-    src = insn.src
-    if src is None:
-        return None
-    if opcode is Opcode.PUSH:
-        # SP is decremented *before* the store (hardware order), so a
-        # faulting push leaves SP moved — same as the generic handler.
-        # PUSH.B still writes a word with the value masked to 8 bits.
-        mask = 0xFF if insn.byte else 0xFFFF
-        if src.mode is _M.REGISTER:
-            s = src.register
-
-            def thunk(r, m, s=s, mask=mask):
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, r[s] & mask)
-            return thunk
-        if src.mode is _M.IMMEDIATE:
-            k = src.value & mask
-
-            def thunk(r, m, k=k):
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, k)
-            return thunk
-        return None
-    if opcode is Opcode.CALL:
-        # target is evaluated before the push; PC writes are forced
-        # even (RegisterFile semantics)
-        if src.mode is _M.IMMEDIATE:
-            t = src.value & 0xFFFE
-
-            def thunk(r, m, t=t):
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, r[0])
-                r[0] = t
-            return thunk
-        if src.mode is _M.REGISTER:
-            s = src.register
-
-            def thunk(r, m, s=s):
-                t = r[s] & 0xFFFE
-                r[1] = sp = (r[1] - 2) & 0xFFFF
-                m.write_word(sp, r[0])
-                r[0] = t
-            return thunk
-        return None
-    if src.mode is not _M.REGISTER or src.register < 4:
-        return None
-    byte = insn.byte
-    mask = 0xFF if byte else 0xFFFF
-    sign = 0x80 if byte else 0x8000
-    d = src.register
-    if opcode is Opcode.RRA:
-        def thunk(r, m, d=d, mask=mask, sign=sign):
-            v = r[d] & mask
-            out = (v >> 1) | (v & sign)
-            sr = r[2] & _SRM
-            if v & 1:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            r[2] = sr
-            r[d] = out
-        return thunk
-    if opcode is Opcode.RRC:
-        def thunk(r, m, d=d, mask=mask, sign=sign):
-            v = r[d] & mask
-            out = (v >> 1) | (sign if r[2] & 1 else 0)
-            sr = r[2] & _SRM
-            if v & 1:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            r[2] = sr
-            r[d] = out
-        return thunk
-    if opcode is Opcode.SWPB and not byte:
-        def thunk(r, m, d=d):
-            v = r[d]
-            r[d] = ((v << 8) | (v >> 8)) & 0xFFFF
-        return thunk
-    if opcode is Opcode.SXT and not byte:
-        def thunk(r, m, d=d):
-            out = r[d] & 0xFF
-            if out & 0x80:
-                out |= 0xFF00
-            sr = r[2] & _SRM
-            if out:
-                sr |= 1
-            if out & 0x8000:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            r[2] = sr
-            r[d] = out
-        return thunk
-    return None
-
+# Every fast-path instruction shape is defined once, as a source
+# template over the raw register list ``r`` and the bus ``m`` whose
+# ``{holes}`` are the instruction's constants (registers, immediates,
+# addresses, width masks, a jump's target).  Superblock codegen pastes
+# a template with its holes filled in as literals; the thunk
+# ``step()`` calls is the same template compiled once per process into
+# a function that takes the holes as default arguments, bound per
+# instruction.  Memory goes through ``m.read_*``/``m.write_*``, so
+# permissions, I/O dispatch and invalidation behave as in the
+# ``Cpu._op_*`` handlers, which stay the independent oracle: step-only
+# mode runs them, and tests/test_cpu_shapes.py checks every table key
+# against them.  A shape outside the table (DADD, RETI, memory to
+# memory, ...) has no thunk: ``step()`` runs its handler and
+# superblocks end before it.  Temporaries use the ``_i*`` prefix so
+# they never collide with the block executors' own locals.  A flag
+# update starts from ``r[2] & 0xFEF8``: SR with C, Z, N and V clear.
 
 _JUMP_OPCODES = frozenset((
     Opcode.JMP, Opcode.JNE, Opcode.JEQ, Opcode.JNC,
     Opcode.JC, Opcode.JN, Opcode.JGE, Opcode.JL,
 ))
 
-
-_ADDSUB_OPS = frozenset((Opcode.ADD, Opcode.ADDC, Opcode.SUB,
-                         Opcode.SUBC, Opcode.CMP))
-_SUB_OPS = frozenset((Opcode.SUB, Opcode.SUBC, Opcode.CMP))
-_CARRY_OPS = frozenset((Opcode.ADDC, Opcode.SUBC))
-
-
-def _inline_mov_mem_to_reg(src: Operand, d: int, byte: bool):
-    """Inline twin of :func:`_spec_mov_mem_to_reg` (same modes, same
-    read/increment order)."""
-    rd = "m.read_byte" if byte else "m.read_word"
-    sm = src.mode
-    if sm is _M.INDEXED:
-        return [f"r[{d}] = {rd}((r[{src.register}]"
-                f" + {src.value}) & 0xFFFF)"]
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        return [f"r[{d}] = {rd}({src.value & 0xFFFF})"]
-    if sm is _M.INDIRECT:
-        return [f"r[{d}] = {rd}(r[{src.register}])"]
-    if sm is _M.AUTOINCREMENT and src.register >= 1:
-        # read first, increment second — a faulting read leaves the
-        # pointer untouched, exactly like the thunk
-        s = src.register
-        return [f"_ia = r[{s}]",
-                f"_iv = {rd}(_ia)",
-                f"r[{s}] = (_ia + {1 if byte else 2}) & 0xFFFF",
-                f"r[{d}] = _iv"]
-    return None
-
-
-def _inline_mov_to_pc(src: Operand):
-    """Inline twin of :func:`_spec_mov_to_pc` (BR #imm / BR Rn / RET):
-    PC writes forced even, pop reads before it bumps SP."""
-    sm = src.mode
-    if sm is _M.IMMEDIATE:
-        return [f"r[0] = {src.value & 0xFFFE}"]
-    if sm is _M.REGISTER:
-        return [f"r[0] = r[{src.register}] & 0xFFFE"]
-    if sm is _M.AUTOINCREMENT:
-        s = src.register
-        return [f"_ia = r[{s}]",
-                "_iv = m.read_word(_ia)",
-                f"r[{s}] = (_ia + 2) & 0xFFFF",
-                "r[0] = _iv & 0xFFFE"]
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        return [f"r[0] = m.read_word({src.value & 0xFFFF}) & 0xFFFE"]
-    if sm is _M.INDEXED:
-        return [f"r[0] = m.read_word((r[{src.register}]"
-                f" + {src.value}) & 0xFFFF) & 0xFFFE"]
-    if sm is _M.INDIRECT:
-        return [f"r[0] = m.read_word(r[{src.register}]) & 0xFFFE"]
-    return None
-
-
-def _inline_mem_dst(insn: Instruction):
-    """Inline twins of :func:`_spec_mov_to_mem` and
-    :func:`_spec_add_to_mem` — register/immediate source into indexed
-    or absolute memory."""
-    src, dst = insn.src, insn.dst
-    byte = insn.byte
-    mask = 0xFF if byte else 0xFFFF
-    if src.mode is _M.REGISTER:
-        s = src.register
-    elif src.mode is _M.IMMEDIATE:
-        s = -1
-        k = src.value & mask
-    else:
-        return None                       # memory-to-memory
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        addr = f"(r[{dst.register}] + {dst.value}) & 0xFFFF"
-    elif dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        addr = str(dst.value & 0xFFFF)
-    else:
-        return None
-    opcode = insn.opcode
-    if opcode is Opcode.MOV:
-        wr = "m.write_byte" if byte else "m.write_word"
-        if s >= 0:
-            val = f"r[{s}] & 0xFF" if byte else f"r[{s}]"
-        else:
-            val = str(k)
-        return [f"{wr}({addr}, {val})"]
-    if opcode is Opcode.ADD and not byte:
-        lines = [f"_ia = {addr}" if dm is _M.INDEXED else None]
-        ia = "_ia" if dm is _M.INDEXED else addr
-        lines = [ln for ln in lines if ln is not None]
-        if s >= 0:
-            lines.append(f"_ik = r[{s}]")
-            kx = "_ik"
-        else:
-            kx = str(k)
-        lines += [f"_id = m.read_word({ia})",
-                  f"_ix = _id + {kx}",
-                  "_io = _ix & 0xFFFF",
-                  f"_isr = r[2] & {_SRM}",
-                  "if _ix > 0xFFFF: _isr |= 1",
-                  "if _io & 0x8000: _isr |= 4",
-                  "elif _io == 0: _isr |= 2",
-                  f"if ~({kx} ^ _id) & ({kx} ^ _io) & 0x8000:"
-                  " _isr |= 0x100",
-                  "r[2] = _isr",
-                  f"m.write_word({ia}, _io)"]
-        return lines
-    return None
-
-
-def _inline_step(insn: Instruction):
-    """Source lines executing ``insn`` directly on the raw register
-    list — the codegen twin of the thunk skeletons above (identical
-    arithmetic, flag updates, and memory-call order, with the thunk's
-    Python call frame compiled away).  Covers the register/immediate
-    ALU shapes plus the hot memory shapes (PUSH, MOV to/from memory,
-    ADD into memory); memory accesses still go through the
-    ``m.read_*``/``m.write_*`` bus methods, so permissions, I/O
-    dispatch, and invalidation behave exactly as in the thunk.
-    Returns None for any shape that keeps its thunk call.
-    Temporaries use the ``_i*`` prefix so they never collide with the
-    block executors' own locals.
-    """
-    opcode = insn.opcode
-    if opcode in _JUMP_OPCODES:
-        return None
-    dst = insn.dst
-    byte = insn.byte
-    mask = 0xFF if byte else 0xFFFF
-    sign = 0x80 if byte else 0x8000
-    src = insn.src
-    if dst is None:                       # format 2, register operand
-        if opcode is Opcode.PUSH and src is not None:
-            # SP moves before the store, exactly like the thunk: a
-            # faulting push leaves SP decremented
-            if src.mode is _M.REGISTER:
-                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        f"m.write_word(_ia, r[{src.register}]"
-                        f" & {mask})"]
-            if src.mode is _M.IMMEDIATE:
-                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        f"m.write_word(_ia, {src.value & mask})"]
-            return None
-        if opcode is Opcode.CALL and src is not None:
-            # target evaluated before the push; the pushed return
-            # address is the deferred PC (r[0] == next_pc here)
-            if src.mode is _M.IMMEDIATE:
-                return ["_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        "m.write_word(_ia, r[0])",
-                        f"r[0] = {src.value & 0xFFFE}"]
-            if src.mode is _M.REGISTER:
-                return [f"_it = r[{src.register}] & 0xFFFE",
-                        "_ia = r[1] = (r[1] - 2) & 0xFFFF",
-                        "m.write_word(_ia, r[0])",
-                        "r[0] = _it"]
-            return None
-        if (src is None or src.mode is not _M.REGISTER
-                or src.register < 4):
-            return None
-        d = src.register
-        if opcode is Opcode.SWPB and not byte:
-            return [f"_iv = r[{d}]",
-                    f"r[{d}] = (_iv << 8 | _iv >> 8) & 0xFFFF"]
-        if opcode is Opcode.RRA:
-            return [f"_iv = r[{d}] & {mask}",
-                    f"_io = (_iv >> 1) | (_iv & {sign})",
-                    f"_isr = r[2] & {_SRM} | (_iv & 1)",
-                    f"if _io & {sign}: _isr |= 4",
-                    "elif _io == 0: _isr |= 2",
-                    "r[2] = _isr",
-                    f"r[{d}] = _io"]
-        if opcode is Opcode.RRC:
-            return [f"_iv = r[{d}] & {mask}",
-                    f"_io = (_iv >> 1) | ({sign} if r[2] & 1 else 0)",
-                    f"_isr = r[2] & {_SRM} | (_iv & 1)",
-                    f"if _io & {sign}: _isr |= 4",
-                    "elif _io == 0: _isr |= 2",
-                    "r[2] = _isr",
-                    f"r[{d}] = _io"]
-        if opcode is Opcode.SXT and not byte:
-            return [f"_io = r[{d}] & 0xFF",
-                    "if _io & 0x80: _io |= 0xFF00",
-                    f"_isr = r[2] & {_SRM}",
-                    "if _io: _isr |= 1",
-                    "if _io & 0x8000: _isr |= 4",
-                    "elif _io == 0: _isr |= 2",
-                    "r[2] = _isr",
-                    f"r[{d}] = _io"]
-        return None
-    if dst.mode is not _M.REGISTER:
-        return _inline_mem_dst(insn)      # memory destination
-    if dst.register == 0 and opcode is Opcode.MOV and not byte:
-        return _inline_mov_to_pc(src)     # BR / RET shapes
-    if dst.register < 4:
-        return None                       # SP/SR/CG2 destination
-    d = dst.register
-    if src.mode is _M.REGISTER:
-        const = None
-        ks = f"(r[{src.register}] & {mask})"
-    elif src.mode is _M.IMMEDIATE:
-        const = src.value & mask
-        ks = str(const)
-    elif opcode is Opcode.MOV:
-        return _inline_mov_mem_to_reg(src, d, byte)
-    else:
-        return None                       # non-MOV memory source
-    if opcode is Opcode.MOV:
-        return [f"r[{d}] = {ks}"]
-    if opcode in _ADDSUB_OPS:
-        subtract = opcode in _SUB_OPS
-        use_carry = opcode in _CARRY_OPS
-        lines = [f"_id = r[{d}] & {mask}"]
-        if const is None:
-            lines.append(f"_ik = {ks}")
-            kx = "_ik"
-        else:
-            kx = str(const)
-        if subtract:
-            inv = f"(~_ik & {mask})" if const is None \
-                else str((~const) & mask)
-            if use_carry:
-                lines.append(f"_ix = _id + {inv} + (r[2] & 1)")
-            elif const is None:
-                lines.append(f"_ix = _id + {inv} + 1")
-            else:
-                lines.append(f"_ix = _id + {((~const) & mask) + 1}")
-            ovf = f"(_id ^ {kx}) & (_id ^ _io) & {sign}"
-        else:
-            if use_carry:
-                lines.append(f"_ix = _id + {kx} + (r[2] & 1)")
-            else:
-                lines.append(f"_ix = _id + {kx}")
-            ovf = f"~({kx} ^ _id) & ({kx} ^ _io) & {sign}"
-        lines += [f"_io = _ix & {mask}",
-                  f"_isr = r[2] & {_SRM}",
-                  f"if _ix > {mask}: _isr |= 1",
-                  f"if _io & {sign}: _isr |= 4",
-                  "elif _io == 0: _isr |= 2",
-                  f"if {ovf}: _isr |= 0x100",
-                  "r[2] = _isr"]
-        if opcode is not Opcode.CMP:
-            lines.append(f"r[{d}] = _io")
-        return lines
-    if opcode is Opcode.BIS:
-        return [f"r[{d}] = (r[{d}] & {mask}) | {ks}"]
-    if opcode is Opcode.BIC:
-        if const is None:
-            return [f"r[{d}] = (r[{d}] & {mask}) & ~{ks} & {mask}"]
-        return [f"r[{d}] = (r[{d}] & {mask}) & {(~const) & mask}"]
-    if opcode in (Opcode.AND, Opcode.BIT, Opcode.XOR):
-        lines = [f"_id = r[{d}] & {mask}"]
-        if const is None:
-            lines.append(f"_ik = {ks}")
-            kx = "_ik"
-        else:
-            kx = str(const)
-        op = "^" if opcode is Opcode.XOR else "&"
-        lines += [f"_io = _id {op} {kx}",
-                  f"_isr = r[2] & {_SRM}",
-                  "if _io: _isr |= 1",
-                  f"if _io & {sign}: _isr |= 4",
-                  "elif _io == 0: _isr |= 2"]
-        if opcode is Opcode.XOR:
-            lines.append(
-                f"if {kx} & {sign} and _id & {sign}: _isr |= 0x100")
-        lines.append("r[2] = _isr")
-        if opcode is not Opcode.BIT:
-            lines.append(f"r[{d}] = _io")
-        return lines
-    return None
-
-
 #: taken-condition expression per conditional jump, over the live SR
-#: in ``r[2]`` — the exact tests _spec_jump compiles into its thunks.
-#: Used to inline mid-trace jumps into generated block code.
+#: in ``r[2]``: the jump templates test it, and superblock codegen
+#: inlines it for mid-trace exits and diamonds.
 _JUMP_CONDS = {
     Opcode.JNE: "not r[2] & 2",
     Opcode.JEQ: "r[2] & 2",
@@ -2156,6 +1649,243 @@ _JUMP_CONDS = {
     Opcode.JGE: "not ((r[2] >> 2) ^ (r[2] >> 8)) & 1",
     Opcode.JL: "((r[2] >> 2) ^ (r[2] >> 8)) & 1",
 }
+
+_FIELDS = string.Formatter()
+
+
+class _Template:
+    """One width of one table entry: source lines with ``{holes}``,
+    and the flags superblock compilation reads instead of the text —
+    ``mem`` ("" none, "r" reads memory, "w" writes memory) and ``pc``
+    (writes PC)."""
+
+    __slots__ = ("lines", "holes", "mem", "pc", "_fn")
+
+    def __init__(self, text: str, mem: str, pc: bool):
+        self.lines = text.split("\n")
+        self.holes = tuple(dict.fromkeys(
+            field for _, field, _, _ in _FIELDS.parse(text) if field))
+        self.mem = mem
+        self.pc = pc
+        self._fn = None
+
+    def source(self, consts: dict) -> list:
+        """The lines with the instruction's constants as literals."""
+        return [line.format_map(consts) for line in self.lines]
+
+    def thunk(self, consts: dict):
+        """``thunk(r, m)`` with the constants bound as defaults; the
+        body compiles on first use, once per process."""
+        fn = self._fn
+        if fn is None:
+            names = {hole: hole for hole in self.holes}
+            src = "def thunk(r, m%s):\n%s" % (
+                "".join(f", {hole}=0" for hole in self.holes),
+                "".join(f"    {line.format_map(names)}\n"
+                        for line in self.lines))
+            ns: dict = {}
+            exec(compile(src, "<template>", "exec"), ns)
+            fn = self._fn = ns["thunk"]
+        return types.FunctionType(fn.__code__, fn.__globals__, "thunk",
+                                  tuple(consts[h] for h in self.holes))
+
+
+#: (opcode, source shape, destination shape) -> (word template, byte
+#: template or None).  Shapes: "R" register (as a destination R4-R15),
+#: "PC"/"SP"/"SR" those registers as the destination, "K" immediate,
+#: "X" indexed, "A" absolute or symbolic, "N" indirect, "P"
+#: autoincrement, None no operand.  A format-II read-modify-write
+#: operand (RRA, RRC, SWPB, SXT) is the destination; PUSH and CALL
+#: take theirs as the source.
+_TABLE: Dict[tuple, tuple] = {}
+
+
+def _def(opcode, src, dst, text, byte=False, mem="", pc=False):
+    """Enter one table key.  ``{w}`` in ``text`` is the access width
+    ("word", "byte" in the byte form); ``byte`` is True for the same
+    text in both widths, a separate byte text, or False when the shape
+    has no byte form in the table."""
+    if byte is True:
+        byte = text.replace("{w}", "byte")
+    _TABLE[(opcode, src, dst)] = (
+        _Template(text.replace("{w}", "word"), mem, pc),
+        _Template(byte, mem, pc) if byte else None)
+
+
+_O = Opcode
+_NZ = "if _io & {sign}: _isr |= 4\nelif _io == 0: _isr |= 2\n"
+
+
+def _alu(opcode, src, load, store):
+    """ADD/ADDC/SUB/SUBC/CMP and AND/BIT/XOR: the source into ``_ik``
+    (or the constant ``{k}``), then the destination into ``_id`` via
+    ``load``, the result ``_io`` written by ``store``; CMP and BIT
+    only set flags."""
+    k = "_ik" if src == "R" else "{k}"
+    text = ("_ik = (r[{s}] & {mask})\n" if src == "R" else "") + load
+    if opcode in (_O.AND, _O.BIT, _O.XOR):
+        text += ("\n_io = _id %s %s\n_isr = r[2] & 0xFEF8\n"
+                 "if _io: _isr |= 1\n" % ("^" if opcode is _O.XOR
+                                          else "&", k) + _NZ)
+        if opcode is _O.XOR:
+            text += "if %s & {sign} and _id & {sign}: _isr |= 0x100\n" % k
+    else:
+        carry = " + (r[2] & 1)" if opcode in (_O.ADDC, _O.SUBC) else ""
+        if opcode in (_O.ADD, _O.ADDC):
+            add, ovf = k + carry, "~(%s ^ _id) & (%s ^ _io)" % (k, k)
+        else:
+            add = ("{nk1}" if src == "K" and not carry else
+                   ("(~_ik & {mask})" if src == "R" else "{nk}")
+                   + (carry or " + 1"))
+            ovf = "(_id ^ %s) & (_id ^ _io)" % k
+        text += ("\n_ix = _id + %s\n_io = _ix & {mask}\n"
+                 "_isr = r[2] & 0xFEF8\nif _ix > {mask}: _isr |= 1\n"
+                 % add + _NZ + "if %s & {sign}: _isr |= 0x100\n" % ovf)
+    text += "r[2] = _isr"
+    if opcode not in (_O.CMP, _O.BIT):
+        text += "\n" + store
+    return text
+
+
+# jumps: the target is a constant of the instruction at its pc
+_def(_O.JMP, None, None, "r[0] = {t}", pc=True)
+for _op, _cond in _JUMP_CONDS.items():
+    _def(_op, None, None, "if %s: r[0] = {t}" % _cond, pc=True)
+
+# the stack: SP moves before the store, so a faulting push leaves it
+# moved, and PUSH SP stores the moved SP; PUSH.B stores a word.  CALL
+# takes its target before the push and pushes the deferred PC
+_PUSH = "_ia = r[1] = (r[1] - 2) & 0xFFFF\nm.write_word(_ia, "
+_def(_O.PUSH, "R", None, _PUSH + "r[{s}] & {mask})", True, "w")
+_def(_O.PUSH, "K", None, _PUSH + "{k})", True, "w")
+_def(_O.CALL, "K", None, _PUSH + "r[0])\nr[0] = {t}", mem="w", pc=True)
+_def(_O.CALL, "R", None, "_it = r[{s}] & 0xFFFE\n" + _PUSH
+     + "r[0])\nr[0] = _it", mem="w", pc=True)
+
+# format-II read-modify-write on R4-R15
+_def(_O.SWPB, None, "R",
+     "_iv = r[{d}]\nr[{d}] = (_iv << 8 | _iv >> 8) & 0xFFFF")
+_ROTATE = ("_iv = r[{d}] & {mask}\n_io = (_iv >> 1) | (%s)\n"
+           "_isr = r[2] & 0xFEF8 | (_iv & 1)\n" + _NZ
+           + "r[2] = _isr\nr[{d}] = _io")
+_def(_O.RRA, None, "R", _ROTATE % "_iv & {sign}", True)
+_def(_O.RRC, None, "R", _ROTATE % "{sign} if r[2] & 1 else 0", True)
+_def(_O.SXT, None, "R",
+     "_io = r[{d}] & 0xFF\nif _io & 0x80: _io |= 0xFF00\n"
+     "_isr = r[2] & 0xFEF8\nif _io: _isr |= 1\n" + _NZ
+     + "r[2] = _isr\nr[{d}] = _io")
+
+# MOV into a register.  PC and SP writes clear bit 0, and an
+# autoincrement reads before it bumps the pointer (a faulting read
+# leaves it), keeping SP even ({am}): SP bit 0 is not implemented
+_SOURCES = {"X": "(r[{s}] + {off}) & 0xFFFF", "A": "{a}", "N": "r[{s}]"}
+_POP = "_ia = r[{s}]\n_iv = m.read_{w}(_ia)\nr[{s}] = (_ia + {inc}) & {am}\n"
+_def(_O.MOV, "R", "R", "r[{d}] = (r[{s}] & {mask})", True)
+_def(_O.MOV, "K", "R", "r[{d}] = {k}", True)
+_def(_O.MOV, "P", "R", _POP + "r[{d}] = _iv", True, "r")
+_def(_O.MOV, "K", "PC", "r[0] = {t}", pc=True)
+_def(_O.MOV, "R", "PC", "r[0] = r[{s}] & 0xFFFE", pc=True)
+_def(_O.MOV, "P", "PC", _POP + "r[0] = _iv & 0xFFFE", mem="r", pc=True)
+_def(_O.MOV, "K", "SP", "r[1] = {t}")
+_def(_O.MOV, "R", "SP", "r[1] = r[{s}] & 0xFFFE")
+for _src, _at in _SOURCES.items():
+    _def(_O.MOV, _src, "R", "r[{d}] = m.read_{w}(%s)" % _at, True, "r")
+    _def(_O.MOV, _src, "PC", "r[0] = m.read_word(%s) & 0xFFFE" % _at,
+         mem="r", pc=True)
+    if _src != "N":
+        _def(_O.MOV, _src, "SP",
+             "r[1] = m.read_word(%s) & 0xFFFE" % _at, mem="r")
+
+# arithmetic and logic into R4-R15, SP adjusts, and CLRC/SETC-style
+# SR twiddling (BIC/BIS set no flags, so the write is the whole effect)
+for _src in "RK":
+    for _op in (_O.ADD, _O.ADDC, _O.SUB, _O.SUBC, _O.CMP,
+                _O.AND, _O.BIT, _O.XOR):
+        _def(_op, _src, "R", _alu(_op, _src, "_id = r[{d}] & {mask}",
+                                  "r[{d}] = _io"), True)
+    for _op in (_O.ADD, _O.SUB):
+        _def(_op, _src, "SP", _alu(_op, _src, "_id = r[{d}] & {mask}",
+                                   "r[{d}] = _io & 0xFFFE"))
+    for _dst, _byte in (("R", True), ("SR", False)):
+        _def(_O.BIS, _src, _dst, "r[{d}] = (r[{d}] & {mask}) | "
+             + ("(r[{s}] & {mask})" if _src == "R" else "{k}"), _byte)
+        _def(_O.BIC, _src, _dst, "r[{d}] = (r[{d}] & {mask}) & "
+             + ("~(r[{s}] & {mask}) & {mask}" if _src == "R"
+                else "{nk}"), _byte)
+
+# register or immediate into memory: MOV, word ADD (the global-counter
+# increment) and CMP (the poll-a-variable idiom)
+for _dst, _at in (("X", "(r[{dr}] + {off}) & 0xFFFF"), ("A", "{a}")):
+    _def(_O.MOV, "R", _dst, "m.write_word(%s, r[{s}])" % _at,
+         "m.write_byte(%s, r[{s}] & 0xFF)" % _at, "w")
+    _def(_O.MOV, "K", _dst, "m.write_{w}(%s, {k})" % _at, True, "w")
+    _pre, _ia = ("_ia = %s\n" % _at, "_ia") if _dst == "X" else ("", _at)
+    for _src in "RK":
+        _def(_O.ADD, _src, _dst, _pre + _alu(
+            _O.ADD, _src, "_id = m.read_word(%s)" % _ia,
+            "m.write_word(%s, _io)" % _ia), mem="w")
+        _def(_O.CMP, _src, _dst, _pre + _alu(
+            _O.CMP, _src, "_id = m.read_{w}(%s)" % _ia, ""), True, "r")
+
+
+def _shape(op: Optional[Operand], consts: dict, byte: bool,
+           dst: bool) -> Optional[str]:
+    """An operand's table shape; records its constants in ``consts``."""
+    if op is None:
+        return None
+    mode = op.mode
+    if mode is _M.REGISTER:
+        if dst:
+            consts["d"] = op.register
+            return ("PC", "SP", "SR", "CG2")[op.register] \
+                if op.register < 4 else "R"
+        consts["s"] = op.register
+        return "R"
+    if mode is _M.IMMEDIATE:
+        k = op.value & consts["mask"]
+        nk = ~k & consts["mask"]
+        consts.update(k=k, nk=nk, nk1=nk + 1, t=op.value & 0xFFFE)
+        return "K"
+    if mode is _M.INDEXED:
+        consts["dr" if dst else "s"] = op.register
+        consts["off"] = op.value
+        return "X"
+    if mode is _M.ABSOLUTE or mode is _M.SYMBOLIC:
+        consts["a"] = op.value & 0xFFFF
+        return "A"
+    consts["s"] = op.register
+    if mode is _M.INDIRECT:
+        return "N"
+    consts["inc"] = 1 if byte else 2
+    consts["am"] = 0xFFFE if op.register == 1 else 0xFFFF
+    return "P"
+
+
+def _form(insn: Instruction, pc: int):
+    """``(template, constants)`` executing ``insn`` at ``pc``, or None
+    when the table has no entry for its shape."""
+    opcode = insn.opcode
+    byte = insn.byte
+    mask = 0xFF if byte else 0xFFFF
+    consts = {"mask": mask, "sign": 0x80 if byte else 0x8000}
+    if opcode in _JUMP_OPCODES:
+        consts["t"] = (pc + 2 + 2 * insn.offset) & 0xFFFF
+        key = (opcode, None, None)
+    elif insn.dst is None and opcode is not _O.PUSH \
+            and opcode is not _O.CALL:
+        key = (opcode, None, _shape(insn.src, consts, byte, True))
+    else:
+        key = (opcode, _shape(insn.src, consts, byte, False),
+               _shape(insn.dst, consts, byte, True))
+    entry = _TABLE.get(key)
+    template = None if entry is None else entry[byte]
+    return None if template is None else (template, consts)
+
+
+def _thunk(insn: Instruction, pc: int):
+    """The table's ``thunk(r, m)`` for ``insn`` at ``pc``, or None."""
+    form = _form(insn, pc)
+    return None if form is None else form[0].thunk(form[1])
 
 
 def _hits_io(op: Optional[Operand], io_ports: frozenset) -> bool:
@@ -2167,371 +1897,6 @@ def _hits_io(op: Optional[Operand], io_ports: frozenset) -> bool:
     return (op is not None
             and (op.mode is _M.ABSOLUTE or op.mode is _M.SYMBOLIC)
             and (op.value & 0xFFFE) in io_ports)
-
-
-def _spec_mov_mem_to_reg(src: Operand, d: int, byte: bool):
-    """MOV with a memory-mode source into a general register."""
-    sm = src.mode
-    if sm is _M.INDEXED:
-        s, off = src.register, src.value
-        if byte:
-            def thunk(r, m, s=s, off=off, d=d):
-                r[d] = m.read_byte((r[s] + off) & 0xFFFF)
-        else:
-            def thunk(r, m, s=s, off=off, d=d):
-                r[d] = m.read_word((r[s] + off) & 0xFFFF)
-        return thunk
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        a = src.value & 0xFFFF
-        if byte:
-            def thunk(r, m, a=a, d=d):
-                r[d] = m.read_byte(a)
-        else:
-            def thunk(r, m, a=a, d=d):
-                r[d] = m.read_word(a)
-        return thunk
-    if sm is _M.INDIRECT:
-        s = src.register
-        if byte:
-            def thunk(r, m, s=s, d=d):
-                r[d] = m.read_byte(r[s])
-        else:
-            def thunk(r, m, s=s, d=d):
-                r[d] = m.read_word(r[s])
-        return thunk
-    if sm is _M.AUTOINCREMENT and src.register >= 1:
-        # read first, increment second — a faulting read must leave
-        # the pointer untouched, exactly like the generic path.
-        # Register 1 (SP) is allowed: POP Rn is ``MOV @SP+, Rn`` and
-        # an even SP stays even under +2.  (R0 autoincrement decodes
-        # as IMMEDIATE, R2/R3 as constant-generator immediates, so
-        # they never reach this shape.)
-        s = src.register
-        if byte:
-            def thunk(r, m, s=s, d=d):
-                a = r[s]
-                v = m.read_byte(a)
-                r[s] = (a + 1) & 0xFFFF
-                r[d] = v
-        else:
-            def thunk(r, m, s=s, d=d):
-                a = r[s]
-                v = m.read_word(a)
-                r[s] = (a + 2) & 0xFFFF
-                r[d] = v
-        return thunk
-    return None
-
-
-def _spec_mov_to_mem(s: int, k: int, dst: Operand, byte: bool):
-    """MOV from a register (s >= 0) or immediate into memory."""
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        dreg, off = dst.register, dst.value
-        if byte:
-            def thunk(r, m, s=s, k=k, dreg=dreg, off=off):
-                m.write_byte((r[dreg] + off) & 0xFFFF,
-                             (r[s] & 0xFF) if s >= 0 else k)
-        else:
-            def thunk(r, m, s=s, k=k, dreg=dreg, off=off):
-                m.write_word((r[dreg] + off) & 0xFFFF,
-                             r[s] if s >= 0 else k)
-        return thunk
-    if dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        a = dst.value & 0xFFFF
-        if byte:
-            def thunk(r, m, s=s, k=k, a=a):
-                m.write_byte(a, (r[s] & 0xFF) if s >= 0 else k)
-        else:
-            def thunk(r, m, s=s, k=k, a=a):
-                m.write_word(a, r[s] if s >= 0 else k)
-        return thunk
-    return None
-
-
-def _spec_add_to_mem(s: int, k: int, dst: Operand):
-    """Word ADD from a register/immediate into indexed or absolute
-    memory (the global-counter increment idiom)."""
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        dreg, off = dst.register, dst.value
-
-        def thunk(r, m, s=s, k=k, dreg=dreg, off=off):
-            a = (r[dreg] + off) & 0xFFFF
-            if s >= 0:
-                k = r[s]
-            dstv = m.read_word(a)
-            result = dstv + k
-            out = result & 0xFFFF
-            sr = r[2] & _SRM
-            if result > 0xFFFF:
-                sr |= 1
-            if out & 0x8000:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if ~(k ^ dstv) & (k ^ out) & 0x8000:
-                sr |= 0x100
-            r[2] = sr
-            m.write_word(a, out)
-        return thunk
-    if dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        a0 = dst.value & 0xFFFF
-
-        def thunk(r, m, s=s, k=k, a=a0):
-            if s >= 0:
-                k = r[s]
-            dstv = m.read_word(a)
-            result = dstv + k
-            out = result & 0xFFFF
-            sr = r[2] & _SRM
-            if result > 0xFFFF:
-                sr |= 1
-            if out & 0x8000:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if ~(k ^ dstv) & (k ^ out) & 0x8000:
-                sr |= 0x100
-            r[2] = sr
-            m.write_word(a, out)
-        return thunk
-    return None
-
-
-def _spec_cmp_mem(s: int, k: int, dst: Operand, byte: bool):
-    """CMP against an indexed or absolute memory destination: flags
-    only, no write-back (the poll-a-variable idiom).  The source is
-    evaluated before the destination read, like the generic handler."""
-    mask = 0xFF if byte else 0xFFFF
-    sign = 0x80 if byte else 0x8000
-    dm = dst.mode
-    if dm is _M.INDEXED:
-        dreg, off = dst.register, dst.value
-
-        def thunk(r, m, s=s, k=k, dreg=dreg, off=off,
-                  mask=mask, sign=sign, byte=byte):
-            if s >= 0:
-                k = r[s] & mask
-            a = (r[dreg] + off) & 0xFFFF
-            dstv = m.read_byte(a) if byte else m.read_word(a)
-            result = dstv + ((~k) & mask) + 1
-            out = result & mask
-            sr = r[2] & _SRM
-            if result > mask:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if (dstv ^ k) & (dstv ^ out) & sign:
-                sr |= 0x100
-            r[2] = sr
-        return thunk
-    if dm is _M.ABSOLUTE or dm is _M.SYMBOLIC:
-        a0 = dst.value & 0xFFFF
-
-        def thunk(r, m, s=s, k=k, a=a0,
-                  mask=mask, sign=sign, byte=byte):
-            if s >= 0:
-                k = r[s] & mask
-            dstv = m.read_byte(a) if byte else m.read_word(a)
-            result = dstv + ((~k) & mask) + 1
-            out = result & mask
-            sr = r[2] & _SRM
-            if result > mask:
-                sr |= 1
-            if out & sign:
-                sr |= 4
-            elif out == 0:
-                sr |= 2
-            if (dstv ^ k) & (dstv ^ out) & sign:
-                sr |= 0x100
-            r[2] = sr
-        return thunk
-    return None
-
-
-def _spec_sp_dest(opcode: Opcode, s: int, k: int):
-    """Word MOV/ADD/SUB into SP — the stack adjust idioms of every
-    prologue and epilogue.  Flags (for ADD/SUB) are computed from the
-    unmasked result first; the SP write forces bit 0 clear afterwards,
-    exactly like ``RegisterFile.write``."""
-    if opcode is Opcode.MOV:
-        if s < 0:
-            t = k & 0xFFFE
-
-            def thunk(r, m, t=t):
-                r[1] = t
-        else:
-            def thunk(r, m, s=s):
-                r[1] = r[s] & 0xFFFE
-        return thunk
-    subtract = opcode is Opcode.SUB
-
-    def thunk(r, m, s=s, k=k, subtract=subtract):
-        if s >= 0:
-            k = r[s]
-        dst = r[1]
-        if subtract:
-            result = dst + ((~k) & 0xFFFF) + 1
-            ovf = (dst ^ k) & (dst ^ (result & 0xFFFF)) & 0x8000
-        else:
-            result = dst + k
-            ovf = ~(k ^ dst) & (k ^ (result & 0xFFFF)) & 0x8000
-        out = result & 0xFFFF
-        sr = r[2] & _SRM
-        if result > 0xFFFF:
-            sr |= 1
-        if out & 0x8000:
-            sr |= 4
-        elif out == 0:
-            sr |= 2
-        if ovf:
-            sr |= 0x100
-        r[2] = sr
-        r[1] = out & 0xFFFE
-    return thunk
-
-
-def _spec_mov_mem_to_sp(src: Operand):
-    """Word MOV from memory into SP (stack switch in the dispatcher).
-    The SP write forces bit 0 clear, like ``RegisterFile.write``."""
-    sm = src.mode
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        a = src.value & 0xFFFF
-
-        def thunk(r, m, a=a):
-            r[1] = m.read_word(a) & 0xFFFE
-        return thunk
-    if sm is _M.INDEXED:
-        sreg, off = src.register, src.value
-
-        def thunk(r, m, sreg=sreg, off=off):
-            r[1] = m.read_word((r[sreg] + off) & 0xFFFF) & 0xFFFE
-        return thunk
-    return None
-
-
-def _spec_mov_to_pc(src: Operand):
-    """Word MOV into PC: BR #imm / BR Rn / RET (``MOV @SP+, PC``).
-
-    PC writes are forced even; the autoincrement form reads before it
-    bumps the pointer, so a faulting pop leaves SP untouched — both
-    matching the generic handler exactly.
-    """
-    sm = src.mode
-    if sm is _M.IMMEDIATE:
-        t = src.value & 0xFFFE
-
-        def thunk(r, m, t=t):
-            r[0] = t
-        return thunk
-    if sm is _M.REGISTER:
-        s = src.register
-
-        def thunk(r, m, s=s):
-            r[0] = r[s] & 0xFFFE
-        return thunk
-    if sm is _M.AUTOINCREMENT:
-        s = src.register
-
-        def thunk(r, m, s=s):
-            a = r[s]
-            v = m.read_word(a)
-            r[s] = (a + 2) & 0xFFFF
-            r[0] = v & 0xFFFE
-        return thunk
-    if sm is _M.ABSOLUTE or sm is _M.SYMBOLIC:
-        a = src.value & 0xFFFF
-
-        def thunk(r, m, a=a):
-            r[0] = m.read_word(a) & 0xFFFE
-        return thunk
-    if sm is _M.INDEXED:
-        sreg, off = src.register, src.value
-
-        def thunk(r, m, sreg=sreg, off=off):
-            r[0] = m.read_word((r[sreg] + off) & 0xFFFF) & 0xFFFE
-        return thunk
-    if sm is _M.INDIRECT:
-        s = src.register
-
-        def thunk(r, m, s=s):
-            r[0] = m.read_word(r[s]) & 0xFFFE
-        return thunk
-    return None
-
-
-def _specialize(insn: Instruction):
-    """Return a fast closure ``thunk(regs_list, memory)`` for ``insn``,
-    or None to use the generic per-opcode handler."""
-    opcode = insn.opcode
-    if opcode in _JUMP_OPCODES:
-        return _spec_jump(opcode, insn.offset)
-    dst = insn.dst
-    if dst is None:
-        return _spec_format2(insn)
-    src = insn.src
-    byte = insn.byte
-    mask = 0xFF if byte else 0xFFFF
-    if src.mode is _M.REGISTER:
-        s, k = src.register, 0
-    elif src.mode is _M.IMMEDIATE:
-        s, k = -1, src.value & mask
-    else:
-        s, k = -2, 0                                  # memory source
-    if dst.mode is _M.REGISTER:
-        if dst.register < 4:                          # PC/SP/SR/CG2
-            if opcode is Opcode.MOV and not byte and dst.register == 0:
-                return _spec_mov_to_pc(src)           # BR / RET shapes
-            if dst.register == 1 and not byte:        # stack adjusts
-                if s == -2:
-                    if opcode is Opcode.MOV:
-                        return _spec_mov_mem_to_sp(src)
-                elif opcode in (Opcode.MOV, Opcode.ADD, Opcode.SUB):
-                    return _spec_sp_dest(opcode, s, k)
-            if (dst.register == 2 and not byte and s != -2
-                    and (opcode is Opcode.BIC or opcode is Opcode.BIS)):
-                # CLRC/SETC-style flag twiddling: BIC/BIS don't update
-                # flags, so the SR write is the entire effect
-                if opcode is Opcode.BIC:
-                    if s < 0:
-                        nk = (~k) & 0xFFFF
-
-                        def thunk(r, m, nk=nk):
-                            r[2] = r[2] & nk
-                    else:
-                        def thunk(r, m, s=s):
-                            r[2] = r[2] & ~r[s] & 0xFFFF
-                else:
-                    if s < 0:
-                        def thunk(r, m, k=k):
-                            r[2] = r[2] | k
-                    else:
-                        def thunk(r, m, s=s):
-                            r[2] = (r[2] | r[s]) & 0xFFFF
-                return thunk
-            return None
-        if s == -2:
-            if opcode is Opcode.MOV:
-                return _spec_mov_mem_to_reg(src, dst.register, byte)
-            return None
-        factory = _FMT1_FACTORIES.get(opcode)
-        if factory is None:                           # DADD
-            return None
-        return factory(s, k, d=dst.register, mask=mask,
-                       sign=0x80 if byte else 0x8000)
-    # memory destination
-    if s == -2:
-        return None                                   # mem -> mem
-    if opcode is Opcode.MOV:
-        return _spec_mov_to_mem(s, k, dst, byte)
-    if opcode is Opcode.ADD and not byte:
-        return _spec_add_to_mem(s, k, dst)
-    if opcode is Opcode.CMP:
-        return _spec_cmp_mem(s, k, dst, byte)
-    return None
 
 
 #: Opcode -> Cpu handler method name; resolved to bound methods once

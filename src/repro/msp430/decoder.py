@@ -33,6 +33,9 @@ _FORMAT2_BY_BITS = {
 _JUMP_BY_BITS = {
     op.value: op for op in Opcode if op.is_jump
 }
+# Format-II opcodes whose B/W bit must be clear; a set bit is an
+# undecodable word, not an instruction
+_NO_BYTE_FORM = frozenset((Opcode.SWPB, Opcode.SXT, Opcode.CALL))
 
 # (register, As) -> constant, for constant-generator source decoding.
 _CG_DECODE = {
@@ -122,6 +125,9 @@ def decode(fetch: Callable[[int], int],
         if opcode is Opcode.RETI:
             return Instruction(Opcode.RETI), 2
         byte = bool(word & 0x40)
+        if byte and opcode in _NO_BYTE_FORM:
+            raise DecodeError(f"{opcode.name} has no byte form: word "
+                              f"0x{word:04X} at 0x{address:04X}")
         as_bits = (word >> 4) & 0b11
         register = word & 0xF
         src = _decode_source(as_bits, register, reader)

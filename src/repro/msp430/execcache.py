@@ -54,10 +54,10 @@ from __future__ import annotations
 import hashlib
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.framestore import AppendStore, FrameFormat, HEADER, \
-    StoreLayout, scan_store
+    StoreLayout
 
 #: variants kept per PC before publishing stops.  A device rewriting
 #: its own code (rogue wild-pointer stores) would otherwise grow an
@@ -162,7 +162,7 @@ def clear_registry() -> None:
 # detected, skipped, and simply re-translated.
 
 #: bump when the record payload layout changes
-DISK_FORMAT = 1
+DISK_FORMAT = 2
 
 #: a single compiled block serializes to a few KB; anything claiming
 #: to be bigger is a corrupt length field
@@ -171,8 +171,8 @@ _MAX_RECORD = 1 << 24
 _FORMAT = FrameFormat(b"SBX1", _MAX_RECORD, ".sbx")
 _LAYOUT = StoreLayout(_FORMAT, "EXEC_CACHE", "exec", default_mb=64)
 
-# kept under their historical names: tests (and the wire layer's
-# hostile-input fixtures) frame .sbx records by hand with these
+# kept under their historical names: hostile-input tests frame .sbx
+# records by hand with these
 _MAGIC = _FORMAT.magic
 _HEADER = HEADER
 
@@ -210,73 +210,18 @@ def prune_exec_cache(directory: Optional[Path] = None,
     return _LAYOUT.prune(directory, max_bytes, keep)
 
 
-# -- store export/import (the fleet blob channel) ---------------------------
+# -- what the store holds ----------------------------------------------------
 #
-# A remote fleet worker starts translation-cold: its host has never
-# run this firmware.  The coordinator offers its ``.sbx`` store files
-# over the content-addressed blob channel; the worker imports any it
-# doesn't already have and starts warm.  Import is fail-closed in
-# exactly the sense ingestion already is: the blob's sha was verified
-# at the channel layer, and every frame is then re-walked — magic,
-# length bound, payload digest, record shape — with anything invalid
-# dropped (never written).  Record payloads are deserialized with the
-# restricted :func:`~repro.safeload.safe_loads` (frame digests only
-# prove the sender framed its own bytes consistently, so the
-# deserializer itself must be non-executing): a payload referencing
-# any global raises before anything is called, so a corrupt or
-# hostile transfer degrades to "fewer warm frames", never to code
-# execution or a poisoned store.  Adoption-time byte-verification
-# against the puller's live memory still applies on top, as for any
-# locally published frame.
-
-def _validate_block_record(record) -> None:
-    """Raise unless ``record`` has the shape of a block record."""
-    record["pc"], record["code"]
-
-
-def list_store_files() -> List[dict]:
-    """Offerable ``.sbx`` stores in this process's cache dir:
-    ``[{"name", "sha", "size"}, ...]`` — the coordinator's side of the
-    blob-channel handshake."""
-    return _LAYOUT.list_store_files()
-
-
-def read_store_file(name: str) -> Optional[bytes]:
-    """The raw bytes of one offerable store, or ``None`` (bad name,
-    vanished file)."""
-    return _LAYOUT.read_store_file(name)
-
-
-def have_store_file(name: str) -> bool:
-    """Whether this host already has (any version of) the named store
-    — an importer skips those; append-only publishing means the local
-    copy converges on its own."""
-    return _LAYOUT.have_store_file(name)
-
-
-def scan_frames(data: bytes) -> Tuple[bytes, int, int]:
-    """Walk ``data`` as SBX frames and keep only fully valid ones.
-
-    Returns ``(valid frame bytes, records kept, frames rejected)``.
-    The walk applies every check ingestion applies — magic, length
-    bound, payload digest, globals-free restricted unpickling,
-    record shape — and, being an import-time scan of a complete
-    transfer, also treats a torn tail as a rejection rather than
-    "wait for more"."""
-    return scan_store(data, _FORMAT, _validate_block_record)
-
-
-def import_store_file(name: str, data: bytes) -> int:
-    """Install a store fetched from a peer; returns records kept.
-
-    No-ops (returns 0) when caching is disabled, the name is not a
-    valid store name, the store already exists locally, or no frame
-    survives validation.  The validated frames are written atomically
-    under the peer's name — the name encodes the (port wiring,
-    toolchain, interpreter) identity, so a store from a peer with a
-    different environment simply never gets opened here."""
-    return _LAYOUT.import_store_file(name, data,
-                                     _validate_block_record)
+# A record's ``fn`` is marshaled Python bytecode that revival runs, so
+# a ``.sbx`` store is executable, trusted local state, like
+# ``__pycache__``: it is written and read only by processes on this
+# host and is never shipped to or accepted from a peer (fleet workers
+# translate locally; only ``.tbx`` trace stores, which hold primitive
+# values, cross the wire).  Record payloads are still deserialized
+# with the restricted :func:`~repro.safeload.safe_loads`, so a corrupt
+# frame is skipped, not executed, and adoption-time byte-verification
+# against the puller's live memory still keeps a stale or self-modified
+# variant from being adopted by a device whose code differs.
 
 
 class DiskTier(AppendStore):
@@ -290,9 +235,9 @@ class DiskTier(AppendStore):
     duplicate record, which the per-``(pc, code)`` dedup set absorbs.
 
     The tier stores *record dicts* (plain serialized data); turning a
-    record back into a live compiled block — decoding thunks from the
-    recorded bytes, reviving the marshaled generated code — is the
-    CPU layer's job (:func:`repro.msp430.cpu._block_from_record`),
+    record back into a live compiled block — re-decoding each step
+    from the recorded bytes, reviving the marshaled generated code —
+    is the CPU layer's job (:func:`repro.msp430.cpu._block_from_record`),
     keyed off :meth:`take` at superblock-compile time.
     """
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import MemoryAccessError
+from repro.errors import DecodeError, MemoryAccessError
 from repro.msp430.cpu import Cpu, CpuFault, ExecutionLimitExceeded, \
     FaultKind
+from repro.msp430.decoder import decode_bytes
 from repro.msp430.encoding import encode_bytes
 from repro.msp430.isa import (
     Instruction,
@@ -536,6 +537,70 @@ class TestSuperblockInvalidation:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is FaultKind.BUS_ERROR
         assert outcomes[0][1] == CODE + 8      # the faulting store
+
+
+class TestStackPointerSemantics:
+    """SLAU367's stack-pointer section settles two shapes the oracle
+    once disagreed on: PUSH SP stores the decremented SP (its "PUSH
+    SP, POP SP sequence"), and SP bit 0 is not implemented, so a byte
+    pop leaves SP even.  Each runs as the oracle handler, as a thunk
+    through ``step()``, and in block mode."""
+
+    HALT = Instruction(Opcode.MOV, src=imm(1), dst=absolute(DONE_PORT))
+
+    def _ways(self, insn):
+        states = []
+        for way in ("oracle", "thunk", "block"):
+            cpu = _block_cpu()
+            cpu.regs.sp = 0x2000
+            cpu.memory.load(0x1FFE, b"\x00\x00\x5a\xa5")
+            if way == "oracle":
+                cpu._execute(insn)
+            else:
+                _load_insns(cpu, [insn, self.HALT])
+                if way == "thunk":
+                    cpu.step()
+                else:
+                    cpu.run()
+            states.append((cpu.regs.sp, cpu.regs.read(5),
+                           cpu.memory.read_word(0x1FFE)))
+        return states
+
+    def test_push_sp_stores_the_decremented_sp(self):
+        insn = Instruction(Opcode.PUSH, src=reg(Reg.SP))
+        assert self._ways(insn) == [(0x1FFE, 0, 0x1FFE)] * 3
+
+    def test_byte_pop_leaves_sp_even(self):
+        insn = Instruction(Opcode.MOV, byte=True,
+                           src=autoincrement(Reg.SP), dst=reg(5))
+        assert self._ways(insn) == [(0x2000, 0x5A, 0)] * 3
+
+
+class TestUndecodableFormatTwo:
+    """SWPB, SXT and CALL have no byte form: a word with the B/W bit
+    set is a decode error, which both execution modes turn into the
+    same DECODE_ERROR fault."""
+
+    @pytest.mark.parametrize("word", [0x10C4, 0x11C4, 0x12C4])
+    def test_byte_form_does_not_decode(self, word):
+        with pytest.raises(DecodeError, match="no byte form"):
+            decode_bytes(word.to_bytes(2, "little"), CODE)
+
+    def test_both_modes_fault_at_the_word(self):
+        outcomes = []
+        for block_mode in (True, False):
+            cpu = _block_cpu(block_mode)
+            _load_insns(cpu, [Instruction(Opcode.MOV, src=imm(5),
+                                          dst=reg(5))])
+            cpu.memory.load(CODE + 4, (0x12C4).to_bytes(2, "little"))
+            with pytest.raises(CpuFault) as info:
+                cpu.run(max_cycles=1000)
+            fault = info.value
+            outcomes.append((fault.kind, fault.pc, fault.address,
+                             _arch_state(cpu)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:3] == (FaultKind.DECODE_ERROR, CODE + 4,
+                                   CODE + 4)
 
 
 class TestRunBudgetMessages:

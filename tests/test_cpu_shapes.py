@@ -1,0 +1,226 @@
+"""Every instruction-semantics template, run three ways.
+
+The template table in :mod:`repro.msp430.cpu` is the only fast-path
+definition of an instruction: ``step()`` calls a template compiled as
+a thunk, and superblock codegen pastes the same template.  This module
+walks the table, instantiates every key in byte and word form where
+the table has one, and runs each instance from a seeded random state
+as
+
+* the **thunk**: ``step()`` in block mode (a trace hook keeps ``run``
+  off superblocks),
+* **generated code**: a superblock compiled at the instruction, with
+  codegen forced before its first dispatch, and
+* the **oracle**: step-only mode, which runs the ``Cpu._op_*``
+  handlers.
+
+All sixteen registers, the 64 KB image, cycles, instructions, the MPU
+violation record and the fault's (kind, pc, address) must agree, so
+the partial-update order of a faulting access is pinned too.  Memory
+operands land in in-bounds SRAM (even and odd) and FRAM, the unmapped
+hole between them, and an MPU-denied segment.  Everything after the
+instruction is zero, so each run ends with a decode fault at the next
+PC (or with the instruction budget, for a self-loop).
+"""
+
+import random
+
+import pytest
+
+from repro.errors import EncodingError
+from repro.msp430.cpu import Cpu, CpuFault, ExecutionLimitExceeded, \
+    _TABLE, _codegen, _form
+from repro.msp430.decoder import decode_bytes
+from repro.msp430.encoding import encode_bytes
+from repro.msp430.isa import Instruction, Opcode, absolute, \
+    autoincrement, imm, indexed, indirect, reg, symbolic
+from repro.msp430.memory import Memory, MemoryMap
+from repro.msp430.mpu import Mpu, MpuConfig, SegmentPermissions
+
+CODE = 0x4400
+
+#: in-bounds SRAM (even, odd), FRAM, the SRAM-FRAM hole, MPU-denied
+ADDRESSES = (0x2000, 0x2001, 0x6000, 0x3000, 0x8000)
+IMMEDIATES = (0, 1, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFFFF)
+#: register sources the decoder produces (R3 decodes as constant 0)
+SOURCES = (0, 1, 2, 4, 9, 15)
+DESTINATIONS = (4, 9, 15)
+#: pointer registers for X(Rn), @Rn and @Rn+ (SP included)
+POINTERS = (1, 6, 12)
+OFFSETS = (0, 2, 0xFFFE)
+#: self-loop, next instruction, forward, and into the unmapped hole
+JUMP_OFFSETS = (-1, 0, 3, -0x200)
+
+_RWX = SegmentPermissions(True, True, True)
+_MPU = MpuConfig(0x8000, 0x9000, _RWX, SegmentPermissions(), _RWX)
+
+#: random states per instance
+STATES = 2
+
+
+def _pointer(i, address):
+    """A pointer register for ``address`` that can hold it (SP is
+    always even)."""
+    pointer = POINTERS[i % len(POINTERS)]
+    return 6 if pointer == 1 and address & 1 else pointer
+
+
+def _variants(shape, dst):
+    """``(operand, register presets)`` choices for one shape."""
+    if shape is None:
+        return [(None, {})]
+    if shape == "R":
+        return [(reg(n), {}) for n in (DESTINATIONS if dst else SOURCES)]
+    if shape in ("PC", "SP", "SR"):
+        return [(reg(("PC", "SP", "SR").index(shape)), {})]
+    if shape == "K":
+        return [(imm(value), {}) for value in IMMEDIATES]
+    out = []
+    for i, address in enumerate(ADDRESSES):
+        pointer = _pointer(i, address)
+        if shape == "X":
+            offset = OFFSETS[i % len(OFFSETS)]
+            out.append((indexed(offset, pointer),
+                        {pointer: (address - offset) & 0xFFFF}))
+        elif shape == "A":
+            operand = absolute if i % 2 else symbolic
+            out.append((operand(address), {}))
+        elif shape == "N":
+            out.append((indirect(pointer), {pointer: address}))
+        else:                                  # "P"
+            out.append((autoincrement(pointer), {pointer: address}))
+    if shape == "N":
+        out.append((indirect(0), {}))          # @PC: the next word
+    return out
+
+
+def _instances(key, byte):
+    """Every ``(instruction, register presets)`` built for ``key``."""
+    opcode, src, dst = key
+    if opcode.is_jump:
+        if byte:
+            return                             # jumps have no width
+        for offset in JUMP_OFFSETS:
+            yield Instruction(opcode, offset=offset), {}
+        return
+    if opcode.is_format2 and src is None:      # RRA RRC SWPB SXT
+        for operand, presets in _variants(dst, True):
+            yield Instruction(opcode, byte=byte, src=operand), presets
+        return
+    sources = _variants(src, False)
+    dests = _variants(dst, True)
+    count = max(len(sources), len(dests))
+    for i in range(count):
+        (s, s_presets), (d, d_presets) = \
+            sources[i % len(sources)], dests[i % len(dests)]
+        presets = {**s_presets, **d_presets}
+        if opcode in (Opcode.PUSH, Opcode.CALL):
+            # the stack is this shape's memory operand
+            presets[1] = (ADDRESSES[i % len(ADDRESSES)] & 0xFFFE) + 2
+        yield Instruction(opcode, byte=byte, src=s, dst=d), presets
+
+
+def _machine(code, presets, seed, block_mode):
+    memory = Memory()
+    mpu = Mpu()
+    mpu.attach(memory)
+    mpu.configure(_MPU)
+    cpu = Cpu(memory)
+    cpu.block_mode = block_mode
+    rnd = random.Random(seed)
+    memory.load(MemoryMap.SRAM_START, rnd.randbytes(
+        MemoryMap.SRAM_END + 1 - MemoryMap.SRAM_START))
+    memory.load(0x6000, rnd.randbytes(64))
+    memory.load(CODE, code)
+    regs = cpu.regs
+    for n in range(16):
+        regs.write(n, rnd.randrange(0x10000))
+    regs.write(1, 0x2100 + 2 * rnd.randrange(0x100))
+    for n, value in presets.items():
+        regs.write(n, value)
+    regs.pc = CODE
+    return cpu, mpu
+
+
+def _run(mode, code, presets, seed):
+    cpu, mpu = _machine(code, presets, seed, mode != "oracle")
+    if mode == "thunk":
+        cpu.trace_hook = lambda pc, insn: None
+    elif mode == "codegen":
+        cpu.memory._refresh_permissions()
+        block = cpu._compile_block(CODE)
+        assert block is not None and block.steps[0][0] == CODE
+        block.fn = _codegen(block)
+    try:
+        cpu.run(max_instructions=8)
+        outcome = ("halted",)
+    except ExecutionLimitExceeded:
+        outcome = ("limit",)
+    except CpuFault as fault:
+        outcome = (fault.kind, fault.pc, fault.address)
+    if mode == "thunk":
+        assert cpu._icache[CODE >> 6][CODE][3] is not None, "no thunk"
+    return (outcome, tuple(cpu.regs), cpu.cycles, cpu.instructions,
+            mpu.ctl1, mpu.violation_address, mpu.violation_kind,
+            cpu.memory._bytes)
+
+
+def _check(insn, presets, seed):
+    code = encode_bytes(insn, CODE)
+    oracle = _run("oracle", code, presets, seed)
+    for mode in ("thunk", "codegen"):
+        got = _run(mode, code, presets, seed)
+        if got != oracle:
+            fields = ("outcome", "registers", "cycles", "instructions",
+                      "mpu ctl1", "violation address", "violation kind",
+                      "memory")
+            bad = next(name for name, a, b in zip(fields, got, oracle)
+                       if a != b)
+            detail = ""
+            if bad == "memory":
+                at = next(i for i in range(0x10000)
+                          if got[-1][i] != oracle[-1][i])
+                detail = f" first at 0x{at:04X}"
+            else:
+                detail = (f": {mode}={got[fields.index(bad)]!r} "
+                          f"oracle={oracle[fields.index(bad)]!r}")
+            pytest.fail(f"{insn.render()} {presets} seed {seed}: "
+                        f"{mode} differs in {bad}{detail}")
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_TABLE, key=repr),
+    ids=lambda key: "-".join(str(part) if not hasattr(part, "name")
+                             else part.name for part in key))
+def test_template_agrees_with_oracle(key):
+    seed = 0
+    for byte, template in enumerate(_TABLE[key]):
+        if template is None:
+            continue
+        for insn, presets in _instances(key, bool(byte)):
+            for _ in range(STATES):
+                seed += 1
+                _check(insn, presets, seed)
+
+
+def test_instances_cover_every_table_key():
+    exercised = set()
+    for key, (word, narrow) in _TABLE.items():
+        for byte, template in ((False, word), (True, narrow)):
+            try:
+                instances = list(_instances(key, byte))
+            except EncodingError:
+                assert template is None, (key, byte)
+                continue
+            for insn, _ in instances:
+                decoded, _ = decode_bytes(encode_bytes(insn, CODE), CODE)
+                form = _form(decoded, CODE)
+                if template is None:
+                    # no byte form in the table: step() runs _op_*
+                    assert form is None, (key, insn.render())
+                    continue
+                assert form is not None and form[0] is template, \
+                    (key, insn.render())
+                exercised.add(key)
+    assert exercised == set(_TABLE)
+

@@ -5,10 +5,11 @@ The network layer's contract has two halves.  The wire half is
 fail-closed framing and hostile-input hardening: torn, oversized,
 garbage, or digest-mismatched frames raise :class:`WireError` and are
 never acted on; a handshake with a stale campaign key, skewed
-versions, or a failed shared-secret challenge is refused; and
-payloads that *deserialize* (checkpoints, ``.sbx`` records) are
-loaded with a restricted unpickler, so a crafted pickle is rejected
-instead of executed.  The campaign half is transport invariance: a
+versions, or a failed shared-secret challenge is refused; payloads
+that *deserialize* (checkpoints, disk-tier records) are loaded with a
+restricted unpickler, so a crafted pickle is rejected instead of
+executed; and nothing executable crosses the wire — a worker never
+fetches an offered ``.sbx`` translation store.  The campaign half is transport invariance: a
 campaign dispatched over sockets — including one that loses a worker
 mid-unit, or loses the coordinator itself — produces byte-identical
 output to the in-process ``--jobs`` path.
@@ -118,7 +119,7 @@ class TestProtocol:
             parse_endpoint("host:seven")
 
 
-# -- translation-store transfer validation ----------------------------------
+# -- hostile translation stores ---------------------------------------------
 
 def _sbx_frame(record: dict) -> bytes:
     payload = pickle.dumps(record,
@@ -126,47 +127,6 @@ def _sbx_frame(record: dict) -> bytes:
     digest = hashlib.sha256(payload).digest()[:16]
     return (execcache._MAGIC
             + execcache._HEADER.pack(len(payload), digest) + payload)
-
-
-class TestStoreTransfer:
-    def test_scan_keeps_valid_rejects_torn_tail(self):
-        good = _sbx_frame({"pc": 1, "code": "a"})
-        torn = _sbx_frame({"pc": 2, "code": "b"})[:-3]
-        kept, records, rejected = execcache.scan_frames(good + torn)
-        assert (records, rejected) == (1, 1)
-        assert kept == good
-
-    def test_scan_rejects_corrupt_payload_digest(self):
-        frame = bytearray(_sbx_frame({"pc": 1, "code": "a"}))
-        frame[-1] ^= 0xFF
-        kept, records, rejected = execcache.scan_frames(bytes(frame))
-        assert (kept, records, rejected) == (b"", 0, 1)
-
-    def test_scan_rejects_shapeless_records(self):
-        frame = _sbx_frame({"not": "a block record"})
-        kept, records, rejected = execcache.scan_frames(frame)
-        assert (kept, records, rejected) == (b"", 0, 1)
-
-    def test_import_writes_only_valid_frames(self, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
-        name = "0123456789abcdef.sbx"
-        good = _sbx_frame({"pc": 1, "code": "a"})
-        assert execcache.import_store_file(
-            name, good + b"trailing garbage") == 1
-        assert (tmp_path / name).read_bytes() == good
-        # an existing store is never overwritten by an import
-        assert execcache.import_store_file(name, good) == 0
-
-    def test_import_refuses_bad_names_and_empty_scans(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
-        good = _sbx_frame({"pc": 1, "code": "a"})
-        assert execcache.import_store_file("../evil.sbx", good) == 0
-        assert execcache.import_store_file("UPPER.sbx", good) == 0
-        assert execcache.import_store_file(
-            "0123456789abcdef.sbx", b"pure garbage") == 0
-        assert list(tmp_path.glob("*.sbx")) == []
 
 
 # -- non-executing deserialization ------------------------------------------
@@ -198,17 +158,6 @@ class TestSafeLoads:
         evil = pickle.dumps(_Exploit(str(marker)))
         with pytest.raises(UnsafePayload):
             safe_loads(evil)
-        assert not marker.exists()
-
-    def test_scan_frames_never_executes_a_hostile_record(
-            self, tmp_path):
-        # a well-framed transfer (magic, length, digest all
-        # self-consistent — an attacker controls those) whose payload
-        # is an exploit pickle: rejected, nothing executed
-        marker = tmp_path / "pwned"
-        frame = _sbx_frame(_Exploit(str(marker)))
-        kept, records, rejected = execcache.scan_frames(frame)
-        assert (kept, records, rejected) == (b"", 0, 1)
         assert not marker.exists()
 
     def test_disk_tier_never_executes_a_hostile_record(self, tmp_path):
@@ -300,7 +249,6 @@ def _raw_connect(address, **overrides):
                                                timeout=10))
     hello = {"type": "hello", "proto": PROTO_VERSION,
              "state_version": STATE_VERSION,
-             "disk_format": execcache.DISK_FORMAT,
              "campaign": None, "worker": "probe", "host": "test"}
     hello.update(overrides)
     channel.send(hello)
@@ -951,7 +899,6 @@ class TestSharedSecret:
                                                    timeout=10))
         channel.send({"type": "hello", "proto": PROTO_VERSION,
                       "state_version": STATE_VERSION,
-                      "disk_format": execcache.DISK_FORMAT,
                       "campaign": None, "worker": "probe",
                       "host": "test"})
         reply, _ = channel.recv(timeout=10)
@@ -985,6 +932,59 @@ class TestSharedSecret:
             (reference / "summary.json").read_bytes()
         assert (out / "devices-mpu.jsonl").read_bytes() == \
             (reference / "devices-mpu.jsonl").read_bytes()
+
+
+class TestNothingExecutableCrossesTheWire:
+    def test_worker_never_fetches_an_offered_sbx_store(
+            self, tmp_path, monkeypatch):
+        """A ``.sbx`` record's ``fn`` is bytecode that revival runs,
+        so whoever answers a worker's ``--connect`` must not be able
+        to plant one: a fake coordinator offers a well-framed store
+        and would serve it, and the worker asks for nothing and
+        writes nothing."""
+        exec_dir = tmp_path / "worker-exec"
+        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(exec_dir))
+        store = _sbx_frame({"pc": 0x4400, "end": 0x4402,
+                            "end_pc": 0x4402, "pure": True,
+                            "loop": False, "code": b"\x03\x43",
+                            "steps": [], "fn": b""})
+        name = "0123456789abcdef.sbx"
+        config = FleetConfig(**_CAMPAIGN)
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+        received = []
+
+        def _fake_coordinator():
+            connection, _ = listener.accept()
+            channel = Channel(connection)
+            channel.recv(timeout=10)                    # hello
+            channel.send({
+                "type": "welcome", "campaign": config.key(),
+                "config": asdict(config), "cohort": False,
+                "heartbeat_s": 5.0,
+                "stores": [{"name": name, "sha": blob_sha(store),
+                            "size": len(store)}],
+                "trace_stores": []})
+            while True:
+                message, _ = channel.recv(timeout=10)
+                received.append(message)
+                if message["type"] == "blob_get":
+                    channel.send({"type": "blob",
+                                  "name": message["name"]}, blob=store)
+                elif message["type"] == "lease_req":
+                    channel.send({"type": "shutdown"})
+                    break
+            channel.close()
+
+        server = threading.Thread(target=_fake_coordinator, daemon=True)
+        server.start()
+        assert run_worker(f"{host}:{port}", worker_id="w0",
+                          retry_limit=0) == 0
+        server.join(timeout=10)
+        listener.close()
+        assert [m for m in received if m["type"] == "blob_get"] == []
+        assert received[-1]["type"] == "lease_req"
+        assert not list(tmp_path.rglob("*.sbx"))
 
 
 class TestCliValidation:
