@@ -28,8 +28,7 @@ Cache states:
 (the ``.tbx`` stores): ``cold`` starts from an empty tier, ``warm``
 lets an unmeasured campaign publish its dispatch traces first so the
 measured one replays instead of executing — the repeated-study number
-cross-unit trace sharing exists for.  ``--rejoin off`` disables
-dispatch-boundary rejoin for before/after comparisons.
+cross-unit trace sharing exists for.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_fleet.py``)
 to append a record to ``BENCH_fleet.json`` at the repo root, or via
@@ -59,26 +58,23 @@ CACHE_STATES = ("default", "cold", "warm")
 
 
 def _one_campaign(config, jobs: int, cohort: bool = False,
-                  transport: str = "local",
-                  rejoin: bool = True) -> float:
+                  transport: str = "local") -> float:
     """Wall seconds for one campaign into a throwaway directory."""
     from repro.fleet.executor import run_campaign
 
     out = Path(tempfile.mkdtemp(prefix="bench_fleet_"))
     try:
         if transport == "socket":
-            return _one_socket_campaign(config, jobs, cohort, out,
-                                        rejoin)
+            return _one_socket_campaign(config, jobs, cohort, out)
         start = time.perf_counter()
-        run_campaign(config, out, jobs=jobs, cohort=cohort,
-                     rejoin=rejoin)
+        run_campaign(config, out, jobs=jobs, cohort=cohort)
         return time.perf_counter() - start
     finally:
         shutil.rmtree(out, ignore_errors=True)
 
 
 def _one_socket_campaign(config, jobs: int, cohort: bool,
-                         out: Path, rejoin: bool = True) -> float:
+                         out: Path) -> float:
     """Wall seconds for the same campaign dispatched over loopback
     TCP to ``jobs`` worker subprocesses — the measured time includes
     worker spawn and handshake, because a real socket campaign pays
@@ -100,7 +96,7 @@ def _one_socket_campaign(config, jobs: int, cohort: bool,
     def _campaign():
         try:
             run_campaign(config, out, jobs=jobs, cohort=cohort,
-                         rejoin=rejoin, transport=transport)
+                         transport=transport)
         except BaseException as error:
             failure.append(error)
 
@@ -129,8 +125,8 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
                    jobs: int = 1, seed: int = 0,
                    cache: str = "default", cohort: bool = False,
                    homogeneous: bool = False,
-                   transport: str = "local", trace: str = "default",
-                   rejoin: bool = True) -> float:
+                   transport: str = "local",
+                   trace: str = "default") -> float:
     """Device-sim-hours per wall second for one full campaign.
 
     ``homogeneous=True`` clones device 0 fleet-wide — the one-firmware
@@ -151,7 +147,7 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
 
     def _measured() -> float:
         return devices * hours / _one_campaign(config, jobs, cohort,
-                                               transport, rejoin)
+                                               transport)
 
     def _with_trace_tier(run):
         if trace == "default":
@@ -162,8 +158,8 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
         tracetier.clear_tier()
         try:
             if trace == "warm":
-                _one_campaign(config, jobs, cohort, transport,
-                              rejoin)             # publish traces
+                _one_campaign(config, jobs, cohort,
+                              transport)          # publish traces
                 tracetier.clear_tier()    # warmth must come from disk
             return run()
         finally:
@@ -184,7 +180,7 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
     try:
         if cache == "warm":
             _one_campaign(config, jobs, cohort,
-                          transport, rejoin)      # populate disk
+                          transport)              # populate disk
             clear_registry()              # warmth must come from disk
         return _with_trace_tier(_measured)
     finally:
@@ -200,8 +196,8 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
                    cache: str = "default", cohort: bool = False,
                    homogeneous: bool = False,
                    devices: int = DEVICES,
-                   transport: str = "local", trace: str = "default",
-                   rejoin: bool = True) -> dict:
+                   transport: str = "local",
+                   trace: str = "default") -> dict:
     # Best-of-N: interference only ever lowers a rate, so the max over
     # repeats is the least-noisy estimate (same rule as BENCH_sim).
     # A different seed per repeat keeps the firmware build cache from
@@ -211,8 +207,7 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
             bench_campaign(devices=devices, jobs=jobs, seed=n,
                            cache=cache, cohort=cohort,
                            homogeneous=homogeneous,
-                           transport=transport, trace=trace,
-                           rejoin=rejoin)
+                           transport=transport, trace=trace)
             for n in range(repeats)), 4),
         "devices": devices,
         "sim_hours_per_device": SIM_HOURS,
@@ -223,7 +218,6 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
         "homogeneous": homogeneous,
         "transport": transport,
         "trace": trace,
-        "rejoin": rejoin,
         "host_cpus": os.cpu_count(),
     }
 
@@ -231,8 +225,8 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
 def record(label: str, repeats: int = 3, jobs: int = 1,
            cache: str = "default", cohort: bool = False,
            homogeneous: bool = False, devices: int = DEVICES,
-           transport: str = "local", trace: str = "default",
-           rejoin: bool = True) -> dict:
+           transport: str = "local",
+           trace: str = "default") -> dict:
     """Append one measurement record to BENCH_fleet.json.  The stored
     label is annotated with everything that disambiguates the row —
     two rows are only comparable when jobs, cache state, population
@@ -244,13 +238,12 @@ def record(label: str, repeats: int = 3, jobs: int = 1,
                  f"{'homogeneous' if homogeneous else 'jittered'} "
                  f"devices={devices} transport={transport} "
                  f"trace={trace} "
-                 f"rejoin={'on' if rejoin else 'off'} "
                  f"cpus={os.cpu_count()}]",
         "date": time.strftime("%Y-%m-%d %H:%M:%S"),
         "repeats": repeats,
         "results": run_benchmarks(repeats, jobs, cache, cohort,
                                   homogeneous, devices, transport,
-                                  trace, rejoin),
+                                  trace),
     }
     history = []
     if BENCH_JSON.exists():
@@ -328,22 +321,17 @@ def main() -> int:
                         choices=CACHE_STATES,
                         help="cohort trace-tier (.tbx) state the "
                              "campaign starts from (mirrors --cache)")
-    parser.add_argument("--rejoin", default="on",
-                        choices=("on", "off"),
-                        help="dispatch-boundary rejoin for forked "
-                             "cohort followers")
     parser.add_argument(
         "--check-floor", type=float, default=None, metavar="RATE",
         help="CI mode: run without recording, exit 1 unless "
              "device-sim-hours/s >= RATE (uses the first --jobs value)")
     args = parser.parse_args()
     cohort = args.cohort == "on"
-    rejoin = args.rejoin == "on"
     if args.check_floor is not None:
         results = run_benchmarks(args.repeats, args.jobs[0],
                                  args.cache, cohort,
                                  args.homogeneous, args.devices,
-                                 args.transport, args.trace, rejoin)
+                                 args.transport, args.trace)
         rate = results["device_sim_hours_per_sec"]
         ok = rate >= args.check_floor
         print(f"fleet throughput {rate} device-sim-hours/s "
@@ -353,7 +341,7 @@ def main() -> int:
     for jobs in args.jobs:
         entry = record(args.label, args.repeats, jobs, args.cache,
                        cohort, args.homogeneous, args.devices,
-                       args.transport, args.trace, rejoin)
+                       args.transport, args.trace)
         print(json.dumps(entry, indent=2))
     return 0
 

@@ -3,133 +3,89 @@
 Running the paper's experiment suite rebuilds the same handful of
 (application set, isolation model) firmwares dozens of times — the AFT
 is deterministic, so every rebuild after the first is wasted work.
-:func:`build_firmware` keys each build by a SHA-256 over
+:func:`build_firmware` names each build by a hash over
 
 * every app's name, source text, handler list, and recursive-stack
   default,
 * the isolation model plus the pipeline flags that change codegen
   (``shadow_stack``, ``optimize``), and
-* the **toolchain version** — a content hash over the toolchain's own
-  Python sources, so editing the compiler, assembler, linker, or
-  kernel templates invalidates every cached image automatically.
+* the store identity every disk tier folds in: the entry format
+  version, the interpreter, and the **toolchain version** — a content
+  hash over the toolchain's own Python sources, so editing the
+  compiler, assembler, linker, or kernel templates invalidates every
+  cached image automatically.
 
 Two layers:
 
 * an in-process dict returning the *same* :class:`Firmware` object
   (machines only read firmware, so sharing is safe), and
-* an optional on-disk pickle layer under ``.cache/firmware/`` at the
-  repo root, shared across processes — this is what makes the
-  parallel experiment runner's worker processes cheap.
+* an on-disk layer under ``.cache/firmware/`` at the repo root, shared
+  across processes — this is what makes the parallel experiment
+  runner's worker processes cheap.  It is a
+  :class:`~repro.framestore.StoreLayout` like the ``.sbx`` and
+  ``.tbx`` tiers: each ``<name>.pkl`` entry is one self-checking
+  frame, written by temp file and rename and LRU-pruned to the
+  budget.  An entry is used only when it holds exactly one intact
+  frame whose payload unpickles through
+  :func:`~repro.safeload.safe_loads` with the firmware's data classes
+  as the only resolvable globals; anything else — bit-rot, a torn
+  write, a crafted pickle — is rebuilt and overwritten.
 
 Environment knobs: ``REPRO_NO_CACHE=1`` disables both layers,
-``REPRO_CACHE_DIR`` overrides the on-disk location, and
-``REPRO_CACHE_MAX_MB`` bounds the on-disk layer (default 256 MB; 0 or
-negative disables pruning).  The disk layer is LRU: reads touch the
-entry's mtime, and after each write the oldest entries are evicted
-until the total size fits the bound.  Builds that use a custom
-``policy_factory`` (e.g. the ARP profiler's counting policies) must
-not use this module — the factory is arbitrary code and cannot be part
-of a content key.
+``REPRO_CACHE_DIR`` is the on-disk directory itself, and
+``REPRO_CACHE_MAX_MB`` bounds it (default 256 MB; 0 or negative
+disables pruning).  Builds that use a custom ``policy_factory`` (e.g.
+the ARP profiler's counting policies) must not use this module — the
+factory is arbitrary code and cannot be part of a content key.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
-from functools import lru_cache
-from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from repro.aft.firmware import Firmware
-from repro.aft.models import IsolationModel
+from repro.aft.access import AccessReport, FunctionAccessProfile
+from repro.aft.firmware import AppLayout, Firmware
+from repro.aft.models import FeatureLimitedPolicy, IsolationModel, \
+    ModelConfig, MpuPolicy, NoChecksPolicy, SoftwareOnlyPolicy
 from repro.aft.phases import AftPipeline, AppSource
+from repro.aft.stackdepth import StackEstimate
+from repro.asm.linker import Image
+from repro.asm.objfile import Relocation, RelocType, Section
+from repro.cc.sema import LanguageProfile
+from repro.cc.symbols import ApiFunction, ApiTable
+from repro.cc.types import CharType, FunctionType, IntType, \
+    PointerType, VoidType
+from repro.framestore import FrameFormat, StoreLayout
+from repro.kernel.layout import KernelLayout
+from repro.msp430.mpu import MpuConfig, SegmentPermissions
+from repro.safeload import allowlist, safe_loads
 
-#: packages whose sources constitute "the toolchain" for cache keying
-_TOOLCHAIN_PACKAGES = ("aft", "asm", "cc", "kernel", "msp430")
+#: bump when the pickled :class:`Firmware` layout changes
+FIRMWARE_FORMAT = 1
+
+#: a linked firmware pickles to tens of KB; anything claiming more
+#: than this is a corrupt length field
+_MAX_RECORD = 1 << 24
+
+_FORMAT = FrameFormat(b"FWB1", _MAX_RECORD, ".pkl")
+
+#: ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_MB``; only the global
+#: ``REPRO_NO_CACHE`` switches this tier off
+LAYOUT = StoreLayout(_FORMAT, "CACHE", "firmware", default_mb=256,
+                     version=FIRMWARE_FORMAT, switch=False)
+
+#: every class a pickled :class:`Firmware` references — the only
+#: globals an entry may resolve
+_FIRMWARE_CLASSES = allowlist(
+    Firmware, AppLayout, ModelConfig, IsolationModel, NoChecksPolicy,
+    FeatureLimitedPolicy, SoftwareOnlyPolicy, MpuPolicy, Image,
+    Section, Relocation, RelocType, KernelLayout, ApiTable,
+    ApiFunction, LanguageProfile, MpuConfig, SegmentPermissions,
+    StackEstimate, AccessReport, FunctionAccessProfile, VoidType,
+    IntType, CharType, PointerType, FunctionType)
 
 _memory_cache: Dict[str, Firmware] = {}
-
-
-@lru_cache(maxsize=1)
-def toolchain_version() -> str:
-    """Content hash of the toolchain's own sources, once per process."""
-    digest = hashlib.sha256()
-    root = Path(__file__).resolve().parent.parent
-    for package in _TOOLCHAIN_PACKAGES:
-        for path in sorted((root / package).glob("*.py")):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
-def cache_key(model: IsolationModel, apps: Sequence[AppSource],
-              shadow_stack: bool = False,
-              optimize: bool = False) -> str:
-    digest = hashlib.sha256()
-    digest.update(toolchain_version().encode())
-    digest.update(repr((model.name, shadow_stack, optimize)).encode())
-    for app in apps:
-        digest.update(repr((app.name, app.source, tuple(app.handlers),
-                            app.recursive_stack)).encode())
-    return digest.hexdigest()
-
-
-def cache_dir() -> Path:
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override)
-    # src/repro/aft/cache.py -> repo root is three levels above src/
-    return Path(__file__).resolve().parents[3] / ".cache" / "firmware"
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true")
-
-
-def cache_max_bytes() -> int:
-    """On-disk budget from ``REPRO_CACHE_MAX_MB`` (<= 0: unbounded)."""
-    raw = os.environ.get("REPRO_CACHE_MAX_MB", "256")
-    try:
-        return int(float(raw) * 1024 * 1024)
-    except ValueError:
-        return 256 * 1024 * 1024
-
-
-def prune_cache(directory: Optional[Path] = None,
-                max_bytes: Optional[int] = None) -> int:
-    """Evict least-recently-used ``.pkl`` entries until the cache fits
-    ``max_bytes``; returns the number of entries removed.
-
-    "Recently used" is mtime: :func:`build_firmware` touches an entry
-    on every disk hit, so hot firmwares survive sweeps.  Concurrent
-    workers may race us to a file — a vanished entry is not an error.
-    """
-    directory = cache_dir() if directory is None else directory
-    limit = cache_max_bytes() if max_bytes is None else max_bytes
-    if limit <= 0 or not directory.is_dir():
-        return 0
-    entries = []
-    total = 0
-    for path in directory.glob("*.pkl"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-        total += stat.st_size
-    removed = 0
-    entries.sort()                     # oldest first
-    for _mtime, size, path in entries:
-        if total <= limit:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue                   # raced with another worker
-        total -= size
-        removed += 1
-    return removed
 
 
 def build_firmware(model: IsolationModel,
@@ -143,38 +99,41 @@ def build_firmware(model: IsolationModel,
     pipeline is deterministic and the key covers all of its inputs.
     ``persist=False`` keeps the result out of the on-disk layer.
     """
-    if not _cache_enabled():
+    if not LAYOUT.enabled():
         return AftPipeline(model, shadow_stack=shadow_stack,
                            optimize=optimize).build(apps)
 
-    key = cache_key(model, apps, shadow_stack, optimize)
-    firmware = _memory_cache.get(key)
+    path = LAYOUT.store_path(
+        model.name, shadow_stack, optimize,
+        tuple((app.name, app.source, tuple(app.handlers),
+               app.recursive_stack) for app in apps))
+    firmware = _memory_cache.get(path.name)
     if firmware is not None:
         return firmware
 
-    disk_path = cache_dir() / f"{key}.pkl"
-    if persist and disk_path.exists():
-        try:
-            with disk_path.open("rb") as fh:
-                firmware = pickle.load(fh)
-            os.utime(disk_path)       # LRU touch: mark recently used
-        except Exception:
-            firmware = None           # stale/corrupt entry: rebuild
+    if persist:
+        firmware = _load(path)
     if firmware is None:
         firmware = AftPipeline(model, shadow_stack=shadow_stack,
                                optimize=optimize).build(apps)
         if persist:
-            try:
-                disk_path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = disk_path.with_suffix(".tmp%d" % os.getpid())
-                with tmp.open("wb") as fh:
-                    pickle.dump(firmware, fh)
-                tmp.replace(disk_path)  # atomic: safe under fan-out
-                prune_cache(disk_path.parent)
-            except Exception:
-                pass                  # unpicklable or read-only FS
-    _memory_cache[key] = firmware
+            LAYOUT.write_entry(path, pickle.dumps(
+                firmware, protocol=pickle.HIGHEST_PROTOCOL))
+    _memory_cache[path.name] = firmware
     return firmware
+
+
+def _load(path) -> Optional[Firmware]:
+    """The firmware stored at ``path``, or ``None`` (absent, or not
+    exactly one intact frame of allowlisted data)."""
+    payload = LAYOUT.read_entry(path)
+    if payload is None:
+        return None
+    try:
+        firmware = safe_loads(payload, _FIRMWARE_CLASSES)
+    except Exception:
+        return None
+    return firmware if isinstance(firmware, Firmware) else None
 
 
 def clear_memory_cache() -> None:

@@ -210,8 +210,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     summary = run_campaign(config, Path(args.out), jobs=args.jobs,
                            report=print, profile_dir=profile_dir,
                            cohort=args.cohort == "on",
-                           transport=transport,
-                           rejoin=args.rejoin == "on")
+                           transport=transport)
     print(summary_text(summary))
     print(f"summary: {Path(args.out) / 'summary.json'}")
     if profile_dir is not None:
@@ -244,38 +243,19 @@ def cmd_fleet_status(args: argparse.Namespace) -> int:
     target = args.target
     if ":" in target and not Path(target).exists():
         import socket as socketlib
-        from repro.fleet.net.protocol import Channel, PROTO_VERSION, \
-            auth_mac
-        from repro.fleet.net.worker import parse_endpoint
-        from repro.fleet.snapshot import STATE_VERSION
+        from repro.fleet.net.protocol import Channel
+        from repro.fleet.net.worker import HandshakeRejected, \
+            handshake, parse_endpoint
         host, port = parse_endpoint(target)
-        secret = _fleet_secret(args.secret_file)
         channel = Channel(
             socketlib.create_connection((host, port), timeout=10))
         try:
-            channel.send({"type": "hello", "proto": PROTO_VERSION,
-                          "state_version": STATE_VERSION,
-                          "campaign": None, "role": "status",
-                          "worker": "status-observer",
-                          "host": socketlib.gethostname()})
-            message, _blob = channel.recv(timeout=10.0)
-            if message["type"] == "challenge":
-                if secret is None:
-                    raise ReproError(
-                        "coordinator requires a shared secret — pass "
-                        "--secret-file or set REPRO_FLEET_SECRET")
-                channel.send({"type": "auth", "mac": auth_mac(
-                    secret, str(message.get("nonce", "")))})
-                message, _blob = channel.recv(timeout=10.0)
-            if message["type"] == "reject":
-                raise ReproError(
-                    f"status request rejected: "
-                    f"{message.get('reason', 'rejected')}")
-            if message["type"] != "status":
-                raise ReproError(
-                    f"expected a status reply, got "
-                    f"{message['type']!r}")
-            status = message
+            status = handshake(channel, None, "status-observer",
+                               _fleet_secret(args.secret_file),
+                               role="status")
+        except HandshakeRejected as reject:
+            raise ReproError(f"status request rejected: {reject}") \
+                from None
         finally:
             channel.close()
     else:
@@ -484,13 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(devices fork to real execution at first divergence); "
              "an execution detail — summaries are byte-identical "
              "on or off")
-    fleet_run.add_argument(
-        "--rejoin", default="on", choices=("on", "off"),
-        help="let a forked cohort follower re-handshake at each "
-             "later dispatch boundary and resume trace replay once "
-             "its state digest matches again (only with --cohort "
-             "on); an execution detail — summaries are "
-             "byte-identical on or off")
     fleet_run.add_argument(
         "--homogeneous", action="store_true",
         help="clone device 0 across the whole fleet (one firmware "

@@ -28,7 +28,7 @@ dataclasses or builtins.
 from __future__ import annotations
 
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aft.models import IsolationModel
 from repro.aft.phases import AppSource
@@ -38,7 +38,6 @@ from repro.experiments import figure2 as figure2_mod
 from repro.experiments import figure3 as figure3_mod
 from repro.experiments import table1 as table1_mod
 from repro.experiments.code_size import SIZE_MODELS, CodeSizeResult
-from repro.experiments.figure2 import Figure2Result
 from repro.experiments.figure3 import CASES, Figure3Result
 from repro.experiments.report import FullReport
 from repro.experiments.table1 import DEFAULT_MODELS, Table1Result
@@ -95,62 +94,7 @@ def _merge_code_size(futures: Dict[IsolationModel, Future],
     return result
 
 
-# -- public entry points ------------------------------------------------
-def run_table1_parallel(jobs: int,
-                        models: Sequence[IsolationModel] = DEFAULT_MODELS,
-                        runs: int = 200,
-                        loop_iterations: int = 64) -> Table1Result:
-    if jobs <= 1:
-        return table1_mod.run_table1(models, runs, loop_iterations)
-    with worker_pool(jobs) as pool:
-        futures = {m: pool.submit(_table1_cell, m, runs, loop_iterations)
-                   for m in models}
-        return _merge_table1(futures, models, runs, loop_iterations)
-
-
-def run_figure2_parallel(jobs: int,
-                         apps: Sequence[str] = SUITE_NAMES,
-                         table1_runs: int = 50,
-                         arp_samples: int = 48) -> Figure2Result:
-    if jobs <= 1:
-        return figure2_mod.run_figure2(apps, table1_runs=table1_runs,
-                                       arp_samples=arp_samples)
-    with worker_pool(jobs) as pool:
-        t1_futures = {m: pool.submit(_table1_cell, m, table1_runs, 64)
-                      for m in DEFAULT_MODELS}
-        arp_future = pool.submit(_arp_cell, tuple(apps), arp_samples)
-        table1 = _merge_table1(t1_futures, DEFAULT_MODELS,
-                               table1_runs, 64)
-        profiles = arp_future.result()
-    return figure2_mod.run_figure2(apps, table1=table1,
-                                   arp_samples=arp_samples,
-                                   profiles=profiles)
-
-
-def run_figure3_parallel(jobs: int,
-                         models: Sequence[IsolationModel] = DEFAULT_MODELS,
-                         runs: int = 200) -> Figure3Result:
-    if jobs <= 1:
-        return figure3_mod.run_figure3(models, runs)
-    with worker_pool(jobs) as pool:
-        futures = {m: pool.submit(_figure3_cell, m, runs)
-                   for m in models}
-        return _merge_figure3(futures, models, runs)
-
-
-def run_code_size_parallel(jobs: int,
-                           apps: Optional[Sequence[AppSource]] = None,
-                           models: Sequence[IsolationModel] = SIZE_MODELS
-                           ) -> CodeSizeResult:
-    if jobs <= 1:
-        return code_size_mod.run_code_size(apps, models)
-    sources = list(apps) if apps is not None else load_suite()
-    with worker_pool(jobs) as pool:
-        futures = {m: pool.submit(_code_size_cell, m, sources)
-                   for m in models}
-        return _merge_code_size(futures, models)
-
-
+# -- public entry point -------------------------------------------------
 def run_all_parallel(jobs: int,
                      table1_runs: int = 100,
                      figure3_runs: int = 100,

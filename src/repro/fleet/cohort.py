@@ -354,19 +354,17 @@ def _apply_entry(machine: AmuletMachine, scheduler,
 
 class CohortFollower:
     """Follower-side ``dispatch_fn``: replay while in lockstep, fork
-    copy-on-write (execute normally) at a divergence — and, with
-    ``rejoin``, offer the forked device's state back to the trace at
-    every later dispatch boundary, resuming replay on a match."""
+    copy-on-write (execute normally) at a divergence — and offer the
+    forked device's state back to the trace at every later dispatch
+    boundary, resuming replay on a match."""
 
     def __init__(self, machine: AmuletMachine, scheduler,
                  trace: SegmentTrace, stats: CohortStats,
-                 rejoin: bool = True,
                  pre_sha: Optional[str] = None):
         self.machine = machine
         self.scheduler = scheduler
         self.trace = trace
         self.stats = stats
-        self.rejoin = rejoin
         self.cursor = 0
         if pre_sha is None:
             pre_sha = state_digest(machine)
@@ -396,7 +394,7 @@ class CohortFollower:
             # the rest of the segment for real
             self.lockstep = False
             self.stats.forks += 1
-        elif self.rejoin:
+        else:
             entry = self._try_rejoin(app, handler, args)
             if entry is not None:
                 self.stats.replayed += 1
@@ -464,16 +462,14 @@ def record_segment(machine: AmuletMachine, scheduler,
 
 def replay_segment(machine: AmuletMachine, scheduler,
                    trace: SegmentTrace, start_ms: int, end_ms: int,
-                   stats: CohortStats, rejoin: bool = True,
+                   stats: CohortStats,
                    pre_sha: Optional[str] = None) -> None:
     """Run ``[start_ms, end_ms)`` as a follower of ``trace``.
 
     ``pre_sha`` (the follower's already-computed segment-start digest)
-    skips recomputing the handshake; ``rejoin=False`` restores the
-    fork-and-interpret-to-segment-end behaviour."""
+    skips recomputing the handshake."""
     scheduler.dispatch_fn = CohortFollower(machine, scheduler, trace,
-                                           stats, rejoin=rejoin,
-                                           pre_sha=pre_sha)
+                                           stats, pre_sha=pre_sha)
     try:
         scheduler.seed_events(end_ms, start_ms)
         while scheduler.step(before_ms=end_ms) is not None:

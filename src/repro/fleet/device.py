@@ -156,7 +156,6 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
                     resumes: Optional[Dict[int, dict]] = None,
                     cache_mode: str = "shared",
                     stats: Optional[CohortStats] = None,
-                    rejoin: bool = True,
                     tier=None) -> Dict[int, DeviceRun]:
     """Run (or resume) several devices together, lockstep where their
     firmware and state coincide (see :mod:`repro.fleet.cohort`).
@@ -170,8 +169,8 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
     when the persistent ``tier`` — a
     :class:`repro.fleet.tracetier.TraceTier` — is attached, so a
     rerun, a sibling unit, or a remote worker replays it next time),
-    and with ``rejoin`` a mid-segment divergence can re-enter
-    lockstep at a later dispatch boundary.  In-memory traces die as
+    and a mid-segment divergence can re-enter lockstep at a later
+    dispatch boundary.  In-memory traces die as
     soon as no device can still use them, bounding trace memory to
     roughly the resume-point spread.
 
@@ -180,7 +179,7 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
     compared to :func:`simulate_device`'s callback); ``resumes`` maps
     device id to a snapshot.  Results are byte-identical to running
     :func:`simulate_device` per device — with the tier cold, warm,
-    or absent, rejoin on or off — the tests pin this.
+    or absent — the tests pin this.
     """
     resumes = resumes or {}
     stats = stats if stats is not None else CohortStats()
@@ -224,7 +223,7 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
                     stats.trace_misses += 1
             if trace is not None:
                 replay_segment(machine, scheduler, trace, t, end,
-                               stats, rejoin=rejoin, pre_sha=pre_sha)
+                               stats, pre_sha=pre_sha)
             elif not bucket or tier is not None:
                 # lead this (segment, state): record — and persist,
                 # so the next unit/process/worker replays instead
@@ -240,7 +239,7 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
                 # state converges onto the leader's)
                 first = next(iter(bucket.values()))
                 replay_segment(machine, scheduler, first, t, end,
-                               stats, rejoin=rejoin, pre_sha=pre_sha)
+                               stats, pre_sha=pre_sha)
             position[device_id] = end
             if on_checkpoint is not None and end < sim_ms:
                 on_checkpoint(device_id, end,

@@ -372,17 +372,17 @@ class FileSink:
 
 def run_unit(config_dict: dict, model_key: str,
              device_ids: List[int], sink: FileSink,
-             profile_dir: Optional[str] = None, cohort: bool = False,
-             rejoin: bool = True) -> dict:
+             profile_dir: Optional[str] = None,
+             cohort: bool = False) -> dict:
     """Pool entry point: run (or resume) one unit into ``sink``.
     Returns ``{"records": {device_id: record}, "stats":
     asdict(UnitStats)}``; with ``profile_dir`` the unit's cProfile dump
-    lands there.  ``cohort`` and ``rejoin`` pick execution strategies;
-    like ``--jobs`` they never change results."""
+    lands there.  ``cohort`` picks the execution strategy; like
+    ``--jobs`` it never changes results."""
     config = FleetConfig(**{**config_dict,
                             "models": tuple(config_dict["models"])})
     run = partial(_run_unit, config, model_key, device_ids, sink,
-                  cohort, rejoin)
+                  cohort)
     if profile_dir is None:
         records, stats = run()
     else:
@@ -393,8 +393,8 @@ def run_unit(config_dict: dict, model_key: str,
 
 
 def _run_unit(config: FleetConfig, model_key: str,
-              device_ids: List[int], sink, cohort: bool,
-              rejoin: bool) -> Tuple[Dict[int, dict], UnitStats]:
+              device_ids: List[int], sink,
+              cohort: bool) -> Tuple[Dict[int, dict], UnitStats]:
     """The one unit runner, for pool and socket workers alike: run the
     unit's devices, driving ``sink`` through ``load_resume(device)``
     (checkpoint bytes or ``None``), ``checkpoint(device, payload)``
@@ -434,7 +434,7 @@ def _run_unit(config: FleetConfig, model_key: str,
                 specs, model, sim_ms=config.sim_ms,
                 checkpoint_every_ms=config.checkpoint_ms,
                 on_checkpoint=submit_checkpoint,
-                resumes=resumes, stats=cohort_stats, rejoin=rejoin,
+                resumes=resumes, stats=cohort_stats,
                 tier=trace_tier())
             writer.drain()
             # records commit only once the whole cohort finished (the
@@ -495,8 +495,8 @@ class LocalTransport:
 
     def open_campaign(self, campaign: dict) -> None:
         """``campaign`` carries the shared context: ``config_dict``,
-        ``config_key``, ``out_dir``, ``cohort``, ``rejoin``,
-        ``profile_dir`` and the ``say`` reporter."""
+        ``config_key``, ``out_dir``, ``cohort``, ``profile_dir`` and
+        the ``say`` reporter."""
         self._campaign = campaign
 
     def run_units(self, model_key: str, units: List[List[int]]):
@@ -510,7 +510,7 @@ class LocalTransport:
                 future = pool.submit(
                     run_unit, campaign["config_dict"], model_key,
                     unit, sink, campaign["profile_dir"],
-                    campaign["cohort"], campaign.get("rejoin", True))
+                    campaign["cohort"])
                 submitted[future] = (unit, t_submit)
             # stream the fold: consume results the moment any worker
             # finishes a unit, in completion order
@@ -529,10 +529,10 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
                  report: Optional[Callable[[str], None]] = None,
                  profile_dir: Optional[Path] = None,
                  cohort: bool = False,
-                 transport=None, rejoin: bool = True) -> dict:
+                 transport=None) -> dict:
     """Run (or resume) a whole campaign; returns the summary dict.
 
-    ``jobs``, ``cohort``, ``rejoin``, the transport and profiling are
+    ``jobs``, ``cohort``, the transport and profiling are
     execution details — they never change the results and are free
     to differ between the original run and a resume.  ``transport``
     defaults to an in-process :class:`LocalTransport` pool of
@@ -587,7 +587,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
         profile_dir = Path(profile_dir)
         profile_dir.mkdir(parents=True, exist_ok=True)
         coordinator_profile = {"jobs": jobs, "cohort": cohort,
-                               "rejoin": rejoin, "models": {}}
+                               "models": {}}
 
     if transport is None:
         transport = LocalTransport(jobs)
@@ -596,7 +596,6 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
         "config_key": config.key(),
         "out_dir": str(out_dir),
         "cohort": cohort,
-        "rejoin": rejoin,
         "profile_dir": str(profile_dir)
         if profile_dir is not None else None,
         "say": say,

@@ -200,7 +200,7 @@ class SocketTransport:
         # cohort-off campaign would hash and ship .tbx stores that no
         # worker can use
         self._trace_offers = (
-            tracetier.list_store_files() if campaign.get("cohort")
+            tracetier.LAYOUT.list_store_files() if campaign.get("cohort")
             else [])
         self._listener = socket.create_server((self.host, self.port))
         self.address = self._listener.getsockname()[:2]
@@ -582,7 +582,6 @@ class SocketTransport:
             "campaign": config_key,
             "config": self._campaign["config_dict"],
             "cohort": self._campaign["cohort"],
-            "rejoin": self._campaign.get("rejoin", True),
             "profile": self._campaign.get("profile_dir") is not None,
             "heartbeat_s": self.heartbeat_s,
             "lease_timeout_s": self.lease_timeout_s,
@@ -714,7 +713,7 @@ class SocketTransport:
             except (ValueError, OSError):
                 data = None
         elif name.startswith("tbx:"):
-            data = tracetier.read_store_file(name[len("tbx:"):])
+            data = tracetier.LAYOUT.read_store_file(name[len("tbx:"):])
         if data is None or blob_sha(data) != want_sha:
             channel.send({"type": "blob_missing", "name": name})
             return

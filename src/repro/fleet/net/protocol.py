@@ -23,12 +23,13 @@ Message vocabulary (the ``type`` field):
 type      direction   meaning
 ========  ==========  ===================================================
 hello     w -> c      handshake: proto + STATE_VERSION + campaign key
-                      (None on first contact) + worker id
+                      (None on first contact) + worker id + role
+                      (``worker``, or ``status`` for an observer)
 challenge c -> w      a secret is configured: prove you hold it —
                       reply with ``auth`` over the fresh nonce
 auth      w -> c      HMAC-SHA256(secret, nonce) for the challenge
-welcome   c -> w      handshake accepted: campaign key, config, cohort,
-                      rejoin and profile flags, heartbeat, ``.tbx``
+welcome   c -> w      handshake accepted: campaign key, config, cohort
+                      and profile flags, heartbeat, ``.tbx``
                       trace-store offers (nothing executable: no
                       ``.sbx`` translation store is ever offered)
 reject    c -> w      handshake refused (stale campaign key, version
@@ -53,7 +54,8 @@ profile   w -> c      one unit's cProfile dump (blob follows) when the
 batch     w -> c      several coalesced frames in one: ``frames`` holds
                       the sub-messages, one concatenated blob follows
 status_req any -> c   one-shot observer: report live campaign state
-status    c -> any    the report (workers, queue, rates)
+status    c -> any    the report (workers, queue, rates); also the
+                      reply to a ``status``-role hello
 ping      w -> c      heartbeat (any frame refreshes the deadline)
 pong      c -> w      heartbeat echo
 ========  ==========  ===================================================

@@ -84,9 +84,9 @@ class _Shutdown(Exception):
     """Coordinator says the campaign is complete — exit 0."""
 
 
-class _Reject(Exception):
+class HandshakeRejected(Exception):
     """Handshake refused; ``kind`` is ``"campaign"`` (recoverable by
-    re-handshaking keyless) or ``"version"`` (fatal)."""
+    re-handshaking keyless), ``"version"`` or ``"auth"`` (fatal)."""
 
     def __init__(self, kind: str, reason: str):
         super().__init__(reason)
@@ -252,7 +252,7 @@ def _import_stores(batcher: FrameBatcher, channel: Channel,
         name = str(offer.get("name", ""))
         sha = offer.get("sha")
         if not name or not isinstance(sha, str) or \
-                tracetier.have_store_file(name):
+                tracetier.LAYOUT.have_store_file(name):
             continue
         blob = _fetch_blob(batcher, channel, f"tbx:{name}", sha)
         if blob is None:
@@ -303,15 +303,15 @@ class WireSink:
 
 
 def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
-               config: FleetConfig, cohort: bool, rejoin: bool,
-               profile: bool, worker_id: str) -> None:
+               config: FleetConfig, cohort: bool, profile: bool,
+               worker_id: str) -> None:
     """Run one leased unit through the shared runner over a
     :class:`WireSink`; when the campaign profiles, the unit's cProfile
     dump goes home as a ``profile`` frame."""
     sink = WireSink(batcher, channel, lease, worker_id)
     run = partial(_run_unit, config, lease["model"],
                   [int(device) for device in lease["devices"]], sink,
-                  cohort, rejoin)
+                  cohort)
     if not profile:
         run()
         return
@@ -321,18 +321,23 @@ def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
                 blob=dump)
 
 
-def _handshake(channel: Channel, campaign_key: Optional[str],
-               worker_id: str,
-               secret: Optional[bytes] = None) -> dict:
+def handshake(channel: Channel, campaign_key: Optional[str],
+              worker_id: str, secret: Optional[bytes] = None,
+              role: str = "worker") -> dict:
+    """The one client side of the hello/challenge/auth exchange, for
+    workers (answered by ``welcome``) and ``repro fleet status``
+    observers (``role="status"``, answered by the ``status`` view);
+    returns that reply, raising :class:`HandshakeRejected` on a
+    refusal."""
     channel.send({"type": "hello", "proto": PROTO_VERSION,
                   "state_version": STATE_VERSION,
-                  "campaign": campaign_key,
+                  "campaign": campaign_key, "role": role,
                   "worker": worker_id,
                   "host": socket.gethostname()})
     message, _ = channel.recv(timeout=REPLY_TIMEOUT_S)
     if message["type"] == "challenge":
         if secret is None:
-            raise _Reject(
+            raise HandshakeRejected(
                 "auth", "coordinator requires a shared secret — "
                 "pass --secret-file or set REPRO_FLEET_SECRET")
         channel.send({"type": "auth",
@@ -340,11 +345,12 @@ def _handshake(channel: Channel, campaign_key: Optional[str],
                                       str(message.get("nonce", "")))})
         message, _ = channel.recv(timeout=REPLY_TIMEOUT_S)
     if message["type"] == "reject":
-        raise _Reject(str(message.get("kind", "version")),
-                      str(message.get("reason", "rejected")))
-    if message["type"] != "welcome":
+        raise HandshakeRejected(str(message.get("kind", "version")),
+                                str(message.get("reason", "rejected")))
+    want = "welcome" if role == "worker" else role
+    if message["type"] != want:
         raise WireError(
-            f"expected welcome, got {message['type']!r}")
+            f"expected {want}, got {message['type']!r}")
     return message
 
 
@@ -352,7 +358,6 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
                welcome: dict, config: FleetConfig, worker_id: str,
                say: Callable[[str], None]) -> None:
     cohort = bool(welcome.get("cohort", False))
-    rejoin = bool(welcome.get("rejoin", True))
     profile = bool(welcome.get("profile", False))
     # the coordinator parks a lease_req until work exists; meanwhile
     # only pongs arrive, one per heartbeat, so the deadline scales
@@ -365,8 +370,8 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
                                  timeout=lease_wait_s)
         say(f"lease {message['lease']}: model {message['model']}, "
             f"{len(message['devices'])} device(s)")
-        _run_lease(batcher, channel, message, config, cohort, rejoin,
-                   profile, worker_id)
+        _run_lease(batcher, channel, message, config, cohort, profile,
+                   worker_id)
 
 
 def run_worker(connect: str, worker_id: Optional[str] = None,
@@ -402,8 +407,8 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
         stop = threading.Event()
         heartbeat: Optional[threading.Thread] = None
         try:
-            welcome = _handshake(channel, campaign_key, worker_id,
-                                 secret)
+            welcome = handshake(channel, campaign_key, worker_id,
+                                secret)
             failures = 0
             backoff = 0.5
             campaign_key = str(welcome["campaign"])
@@ -430,7 +435,7 @@ def run_worker(connect: str, worker_id: Optional[str] = None,
         except _Shutdown:
             say("campaign complete — shutting down")
             return 0
-        except _Reject as reject:
+        except HandshakeRejected as reject:
             if reject.kind == "campaign":
                 say(f"handshake rejected ({reject}); re-handshaking "
                     "without a campaign key")

@@ -36,12 +36,12 @@ Trust model — identical to the exec tier's, one layer up:
 
 Knobs mirror the exec tier: ``REPRO_TRACE_CACHE=0`` disables,
 ``REPRO_TRACE_CACHE_DIR`` relocates, ``REPRO_TRACE_CACHE_MAX_MB``
-bounds the LRU budget (``REPRO_NO_CACHE`` still kills everything).
+bounds the LRU budget (``REPRO_NO_CACHE`` still kills everything);
+:data:`LAYOUT` names, lists, serves and prunes the store files.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -65,29 +65,13 @@ _MAX_RECORD = 1 << 26
 MAX_SEGMENT_VARIANTS = 64
 
 _FORMAT = FrameFormat(b"TBX1", _MAX_RECORD, ".tbx")
-_LAYOUT = StoreLayout(_FORMAT, "TRACE_CACHE", "trace", default_mb=256)
+LAYOUT = StoreLayout(_FORMAT, "TRACE_CACHE", "trace", default_mb=256,
+                     version=TRACE_FORMAT)
 
 _ENTRY_SLOTS = TraceEntry.__slots__
 
 _RECORD_KEYS = ("base_sha", "start_ms", "end_ms", "pre_sha",
                 "timer_modulus", "entries")
-
-
-def trace_enabled() -> bool:
-    return _LAYOUT.enabled()
-
-
-def trace_cache_dir() -> Path:
-    """``REPRO_TRACE_CACHE_DIR``, else ``<REPRO_CACHE_DIR>/trace``,
-    else ``<repo>/.cache/trace`` (sibling of the exec cache)."""
-    return _LAYOUT.directory()
-
-
-def _store_path(base_sha: str) -> Path:
-    from repro.aft.cache import toolchain_version  # lazy: avoids cycle
-    identity = (TRACE_FORMAT, sys.implementation.cache_tag,
-                toolchain_version(), base_sha)
-    return trace_cache_dir() / _LAYOUT.store_name(identity)
 
 
 # -- record (de)serialization ------------------------------------------------
@@ -246,7 +230,7 @@ class TraceStore(AppendStore):
     def __init__(self, path: Path):
         #: (start_ms, end_ms) -> {pre_sha: raw record dict}
         self._index: Dict[Tuple[int, int], Dict[str, dict]] = {}
-        super().__init__(path, _LAYOUT)
+        super().__init__(path, LAYOUT)
 
     def stats(self) -> dict:
         return {"path": str(self.path), "loaded": self.loaded,
@@ -308,7 +292,7 @@ class TraceTier:
         if base_sha not in self._stores:
             try:
                 self._stores[base_sha] = TraceStore(
-                    _store_path(base_sha))
+                    LAYOUT.store_path(base_sha))
             except OSError:
                 self._stores[base_sha] = None    # unwritable: no tier
         return self._stores[base_sha]
@@ -344,7 +328,7 @@ def trace_tier() -> Optional[TraceTier]:
     ``REPRO_NO_CACHE``) disables it."""
     global _TIER, _TIER_READY
     if not _TIER_READY:
-        _TIER = TraceTier() if trace_enabled() else None
+        _TIER = TraceTier() if LAYOUT.enabled() else None
         _TIER_READY = True
     return _TIER
 
@@ -358,28 +342,9 @@ def clear_tier() -> None:
 
 # -- store export/import (the fleet blob channel) ---------------------------
 
-def list_store_files() -> List[dict]:
-    """Offerable ``.tbx`` stores in this process's cache dir:
-    ``[{"name", "sha", "size"}, ...]``."""
-    return _LAYOUT.list_store_files()
-
-
-def read_store_file(name: str) -> Optional[bytes]:
-    """The raw bytes of one offerable store, or ``None``."""
-    return _LAYOUT.read_store_file(name)
-
-
-def have_store_file(name: str) -> bool:
-    """Whether this host already has (any version of) the named
-    store."""
-    return _LAYOUT.have_store_file(name)
-
-
 def import_store_file(name: str, data: bytes) -> int:
     """Install a ``.tbx`` store fetched from a peer; returns records
-    kept.  Fail-closed exactly like the ``.sbx`` import: every frame
-    is re-walked (magic, length, digest), payloads pass through the
-    restricted unpickler, and only shape-valid trace records are
-    written."""
-    return _LAYOUT.import_store_file(name, data,
-                                     _validate_record_shape)
+    kept.  Fail-closed: every frame is re-walked (magic, length,
+    digest), payloads pass through the restricted unpickler, and only
+    shape-valid trace records are written."""
+    return LAYOUT.import_store_file(name, data, _validate_record_shape)

@@ -1,15 +1,17 @@
-"""Self-checking append-only frame stores (shared plumbing).
+"""Self-checking frame stores: the one layout every disk tier uses.
 
-Two persistent cache tiers share one on-disk grammar: the ``.sbx``
-execution-cache tier (:mod:`repro.msp430.execcache`) and the ``.tbx``
-cohort trace tier (:mod:`repro.fleet.tracetier`).  Both persist
-pickled record dicts as **frames** — a 4-byte magic, a little-endian
-length, a 16-byte sha-256 payload prefix, then the payload — appended
-to store files named by a 16-hex-digit identity hash.  This module
-holds the format-agnostic machinery: frame packing and walking, the
-import-time scan, the LRU file prune, the env-knob plumbing
+Three persistent cache tiers share one on-disk grammar: the firmware
+build cache (:mod:`repro.aft.cache`, one ``.pkl`` entry per build),
+the ``.sbx`` execution-cache tier (:mod:`repro.msp430.execcache`) and
+the ``.tbx`` cohort trace tier (:mod:`repro.fleet.tracetier`).  All
+persist pickled payloads as **frames** — a 4-byte magic, a
+little-endian length, a 16-byte sha-256 payload prefix, then the
+payload — in files named by a 16-hex-digit identity hash.  This
+module holds the format-agnostic machinery: frame packing and
+walking, the import-time scan, one-frame entry files, the LRU file
+prune, store naming, the env-knob plumbing
 (``REPRO_<FAMILY>[_DIR|_MAX_MB]``), and the incremental append-only
-reader both tiers subclass.
+reader the ``.sbx`` and ``.tbx`` tiers subclass.
 
 The safety model is identical for every family:
 
@@ -18,11 +20,13 @@ The safety model is identical for every family:
   the magic/length/digest walk and skipped, never acted on.
 * **Deserialization never executes.**  Payloads are deserialized
   with the restricted :func:`repro.safeload.safe_loads`; a payload
-  referencing any global raises before anything is called, so a
-  corrupt frame degrades to "fewer warm frames".  (A ``.sbx``
-  record's ``fn`` is generated bytecode that *revival* runs, so
-  ``.sbx`` stores are trusted local state, like ``__pycache__``, and
-  never cross the fleet wire; only ``.tbx`` stores are exported.)
+  referencing any global outside the family's allowlist (empty for
+  ``.sbx`` and ``.tbx``, the firmware data classes for ``.pkl``)
+  raises before anything is called, so a corrupt frame degrades to
+  "fewer warm frames" or a rebuild.  (A ``.sbx`` record's ``fn`` is
+  generated bytecode that *revival* runs, so ``.sbx`` stores are
+  trusted local state, like ``__pycache__``, and never cross the
+  fleet wire; only ``.tbx`` stores are exported.)
 * **Frame digests prove framing, not provenance.**  An attacker
   controls magic, length, and digest of frames it writes; every
   family therefore re-validates record *content* on ingest (shape
@@ -37,8 +41,10 @@ import os
 import pickle
 import re
 import struct
+import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import faults
 from repro.safeload import safe_loads
@@ -46,6 +52,23 @@ from repro.safeload import safe_loads
 #: every frame family uses the same header: payload length (u32le) +
 #: the first 16 bytes of the payload's sha-256
 HEADER = struct.Struct("<I16s")
+
+#: packages whose sources constitute "the toolchain" for store naming
+_TOOLCHAIN_PACKAGES = ("aft", "asm", "cc", "kernel", "msp430")
+
+
+@lru_cache(maxsize=1)
+def toolchain_version() -> str:
+    """Content hash of the toolchain's own sources, once per process —
+    editing the compiler, assembler, linker, kernel templates or CPU
+    starts a new store file in every tier."""
+    digest = hashlib.sha256()
+    root = Path(__file__).resolve().parent
+    for package in _TOOLCHAIN_PACKAGES:
+        for path in sorted((root / package).glob("*.py")):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 class FrameFormat:
@@ -149,31 +172,36 @@ def scan_store(data: bytes, fmt: FrameFormat,
 
 
 class StoreLayout:
-    """One family's on-disk layout: directory, budget, and naming —
-    all tunable through ``REPRO_<FAMILY>``, ``REPRO_<FAMILY>_DIR`` and
-    ``REPRO_<FAMILY>_MAX_MB`` (plus the global ``REPRO_NO_CACHE`` and
-    ``REPRO_CACHE_DIR``)."""
+    """One family's on-disk layout: directory, budget, naming and
+    files — all tunable through ``REPRO_<FAMILY>_DIR`` and
+    ``REPRO_<FAMILY>_MAX_MB``, plus the global ``REPRO_NO_CACHE`` and
+    ``REPRO_CACHE_DIR`` and, when ``switch`` is set, the family's own
+    ``REPRO_<FAMILY>=0`` off switch."""
 
-    __slots__ = ("fmt", "family", "subdir", "default_mb", "_name_re")
+    __slots__ = ("fmt", "family", "subdir", "default_mb", "version",
+                 "switch", "_name_re")
 
     def __init__(self, fmt: FrameFormat, family: str, subdir: str,
-                 default_mb: int):
+                 default_mb: int, version: int, switch: bool = True):
         self.fmt = fmt
         self.family = family          # env-var infix, e.g. EXEC_CACHE
         self.subdir = subdir          # default subdir under .cache/
         self.default_mb = default_mb
+        self.version = version        # bump when the payload changes
+        self.switch = switch
         self._name_re = re.compile(
             r"^[0-9a-f]{16}" + re.escape(fmt.suffix) + r"$")
 
     def enabled(self) -> bool:
         if os.environ.get("REPRO_NO_CACHE", "") in ("1", "true"):
             return False
-        return os.environ.get(f"REPRO_{self.family}", "") \
-            not in ("0", "off")
+        return not self.switch or \
+            os.environ.get(f"REPRO_{self.family}", "") not in ("0", "off")
 
     def directory(self) -> Path:
         """``REPRO_<FAMILY>_DIR``, else ``<REPRO_CACHE_DIR>/<subdir>``,
-        else ``<repo>/.cache/<subdir>``."""
+        else ``<repo>/.cache/<subdir>`` (for the firmware family,
+        ``CACHE``, the override *is* ``REPRO_CACHE_DIR``)."""
         override = os.environ.get(f"REPRO_{self.family}_DIR")
         if override:
             return Path(override)
@@ -193,13 +221,16 @@ class StoreLayout:
         except ValueError:
             return self.default_mb * 1024 * 1024
 
-    def store_name(self, identity: tuple) -> str:
-        """The file name for an identity tuple — everything
-        version-shaped goes *into the name*, so an incompatible
-        change simply starts a new file and the old one ages out
-        under the LRU budget."""
-        digest = hashlib.sha256(repr(identity).encode()).hexdigest()
-        return digest[:16] + self.fmt.suffix
+    def store_path(self, *identity) -> Path:
+        """The file for one store identity.  Everything version-shaped
+        — the family's format version, the interpreter, the
+        toolchain's own sources — goes *into the name*, so an
+        incompatible change simply starts a new file and the old one
+        ages out under the LRU budget."""
+        key = (self.version, sys.implementation.cache_tag,
+               toolchain_version()) + identity
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()
+        return self.directory() / (digest[:16] + self.fmt.suffix)
 
     def valid_name(self, name: str) -> bool:
         return bool(self._name_re.match(name))
@@ -294,18 +325,51 @@ class StoreLayout:
         if path.exists():
             return 0
         kept, records, _rejected = scan_store(data, self.fmt, validate)
-        if not records:
+        if not records or not self._install(path, kept):
             return 0
+        return records
+
+    # -- one-frame entry files (the firmware build cache) ---------------
+
+    def write_entry(self, path: Path, payload: bytes) -> bool:
+        """Write ``payload`` as a file holding exactly one frame;
+        returns whether it landed (``False``: oversized payload or an
+        unwritable cache dir)."""
+        if len(payload) > self.fmt.max_record:
+            return False
+        return self._install(path, self.fmt.frame(payload))
+
+    def read_entry(self, path: Path) -> Optional[bytes]:
+        """The payload of an entry file, or ``None`` unless the file
+        holds exactly one intact frame (missing, torn, bit-rotted,
+        garbage, trailing bytes).  A hit refreshes the file's mtime,
+        so hot entries survive LRU sweeps."""
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        events, _consumed, tail = walk_frames(data, self.fmt)
+        if tail != "clean" or len(events) != 1 or not events[0][2]:
+            return None
+        try:
+            os.utime(path)
+        except OSError:
+            pass                       # raced with a prune: still valid
+        return events[0][0]
+
+    def _install(self, path: Path, data: bytes) -> bool:
+        """Atomically (temp file, then rename) write ``data`` at
+        ``path`` and prune the directory around it."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(
                 f"{self.fmt.suffix}.tmp{os.getpid()}")
-            tmp.write_bytes(kept)
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError:
-            return 0                   # unwritable cache dir
+            return False               # unwritable cache dir
         self.prune(path.parent, keep=path)
-        return records
+        return True
 
 
 class AppendStore:

@@ -597,13 +597,8 @@ class Cpu:
         #: cached decoded code; shared by reference with the bus so
         #: plain data writes skip the invalidator call entirely
         self._code_pages = bytearray(1024)
-        set_invalidator = getattr(self.memory, "set_invalidator", None)
-        if set_invalidator is not None:
-            set_invalidator(self._on_memory_write, self._code_pages)
-        else:
-            # Memory stand-ins without the fast-path slot: chain the
-            # invalidator like any other write hook.
-            self.memory.add_write_hook(self._on_memory_write)
+        self.memory.set_invalidator(self._on_memory_write,
+                                    self._code_pages)
         # Per-opcode handler methods, bound once.
         self._dispatch: Dict[Opcode, Callable[[Instruction], None]] = {
             opcode: getattr(self, name)
@@ -860,12 +855,11 @@ class Cpu:
                     if memory._perm_stale:
                         memory._refresh_permissions()
                     perm = memory._perm
-                    if perm is None or not perm[pc] & PERM_X:
+                    if not perm[pc] & PERM_X:
                         memory._check_slow(pc, EXECUTE)
                     if size > 2:
                         last = pc + size - 1
-                        if last > 0xFFFF or perm is None \
-                                or not perm[last] & PERM_X:
+                        if last > 0xFFFF or not perm[last] & PERM_X:
                             memory._check_slow(last, EXECUTE)
         except MpuViolationError as exc:
             raise CpuFault(FaultKind.MPU_VIOLATION, pc, exc.address,
@@ -932,142 +926,137 @@ class Cpu:
                 if memory._perm_stale:
                     memory._refresh_permissions()
                 perm = memory._perm
-                if perm is not None:
-                    regs = self.regs._regs
-                    get = self._blocks.get
-                    while True:
-                        blk = get(regs[0])
-                        if blk is None:
-                            pc = regs[0]
-                            if pc in no_block:
-                                break
-                            blk = self._compile_block(pc)
-                            if blk is None:
-                                break
-                        if blk.perm_ok is not perm:
-                            # MPU configuration changed since the last
-                            # execute-validation of this block's range.
-                            # Two validation slots: a device alternating
-                            # between kernel and app bitmaps (context
-                            # switches) revalidates each block twice,
-                            # then hits a slot from there on.
-                            if blk.perm_ok2 is perm or all(
-                                    b & PERM_X
-                                    for b in perm[blk.start:blk.end]):
-                                blk.perm_ok2 = blk.perm_ok
-                                blk.perm_ok = perm
-                            else:
-                                break        # step() raises the fault
-                        if blk.fn is None:
-                            if blk.execs < 2:
-                                # tier 0: interpret the steps; blocks
-                                # executed once or twice never pay
-                                # compile()
-                                blk.execs += 1
-                                if (self.cycles + blk.cycles
-                                        > cycle_limit
-                                        or (insn_limit is not None
-                                            and self.instructions
-                                            + blk.count > insn_limit)):
-                                    break    # budget: step() raises
-                                try:
-                                    _interp_block(self, blk, regs,
-                                                  memory)
-                                except MpuViolationError as exc:
-                                    raise CpuFault(
-                                        FaultKind.MPU_VIOLATION,
-                                        blk.pc_map[regs[0]],
-                                        exc.address, exc.kind) from exc
-                                except MemoryAccessError as exc:
-                                    raise CpuFault(
-                                        FaultKind.BUS_ERROR,
-                                        blk.pc_map[regs[0]],
-                                        exc.address, exc.kind) from exc
-                                if (self.halted
-                                        or self._pending_fault
-                                        is not None
-                                        or self.trace_hook is not None
-                                        or memory._observers):
-                                    break
-                                if memory._perm_stale:
-                                    memory._refresh_permissions()
-                                    perm = memory._perm
-                                    if perm is None:
-                                        break
-                                continue
-                            proto = blk.proto
-                            if proto is not None \
-                                    and proto.fn is not None:
-                                blk.fn = proto.fn
-                            else:
-                                blk.fn = _codegen(blk)
-                                if proto is not None:
-                                    proto.fn = blk.fn
-                                shared = self._shared
-                                if shared is not None \
-                                        and shared.disk is not None:
-                                    # block proved hot enough to pay
-                                    # compile(): persist it so future
-                                    # processes start with it revived
-                                    record = _block_record(
-                                        proto if proto is not None
-                                        else blk)
-                                    if record is not None:
-                                        shared.disk.publish(record)
-                        if blk.loop:
-                            iters = ((cycle_limit - self.cycles)
-                                     // blk.cycles)
-                            if insn_limit is not None:
-                                j = ((insn_limit - self.instructions)
-                                     // blk.count)
-                                if j < iters:
-                                    iters = j
-                            if iters < 1:
-                                break        # budget: step() raises
-                            blk.fn(self, regs, memory, iters)
-                            continue
-                        if (self.cycles + blk.cycles > cycle_limit
-                                or (insn_limit is not None
-                                    and self.instructions + blk.count
-                                    > insn_limit)):
-                            break            # budget: step() raises
-                        if blk.pure:
-                            blk.fn(self, regs, memory)
-                            continue
-                        try:
-                            if not blk.fn(self, regs, memory):
-                                # no store-boundary event fired: reads
-                                # have no side effects, so every
-                                # post-dispatch guard is provably
-                                # unchanged
-                                continue
-                        except MpuViolationError as exc:
-                            raise CpuFault(
-                                FaultKind.MPU_VIOLATION,
-                                blk.pc_map[regs[0]],
-                                exc.address, exc.kind) from exc
-                        except MemoryAccessError as exc:
-                            raise CpuFault(
-                                FaultKind.BUS_ERROR,
-                                blk.pc_map[regs[0]],
-                                exc.address, exc.kind) from exc
-                        if (self.halted
-                                or self._pending_fault is not None
-                                or self.trace_hook is not None
-                                or memory._observers):
+                regs = self.regs._regs
+                get = self._blocks.get
+                while True:
+                    blk = get(regs[0])
+                    if blk is None:
+                        pc = regs[0]
+                        if pc in no_block:
                             break
-                        if memory._perm_stale:
-                            # MPU reconfigured (context switch):
-                            # rebind the permission bitmap and stay
-                            # on the fast path — the block above
-                            # retired instructions, so progress is
-                            # guaranteed.
-                            memory._refresh_permissions()
-                            perm = memory._perm
-                            if perm is None:
+                        blk = self._compile_block(pc)
+                        if blk is None:
+                            break
+                    if blk.perm_ok is not perm:
+                        # MPU configuration changed since the last
+                        # execute-validation of this block's range.
+                        # Two validation slots: a device alternating
+                        # between kernel and app bitmaps (context
+                        # switches) revalidates each block twice,
+                        # then hits a slot from there on.
+                        if blk.perm_ok2 is perm or all(
+                                b & PERM_X
+                                for b in perm[blk.start:blk.end]):
+                            blk.perm_ok2 = blk.perm_ok
+                            blk.perm_ok = perm
+                        else:
+                            break        # step() raises the fault
+                    if blk.fn is None:
+                        if blk.execs < 2:
+                            # tier 0: interpret the steps; blocks
+                            # executed once or twice never pay
+                            # compile()
+                            blk.execs += 1
+                            if (self.cycles + blk.cycles
+                                    > cycle_limit
+                                    or (insn_limit is not None
+                                        and self.instructions
+                                        + blk.count > insn_limit)):
+                                break    # budget: step() raises
+                            try:
+                                _interp_block(self, blk, regs,
+                                              memory)
+                            except MpuViolationError as exc:
+                                raise CpuFault(
+                                    FaultKind.MPU_VIOLATION,
+                                    blk.pc_map[regs[0]],
+                                    exc.address, exc.kind) from exc
+                            except MemoryAccessError as exc:
+                                raise CpuFault(
+                                    FaultKind.BUS_ERROR,
+                                    blk.pc_map[regs[0]],
+                                    exc.address, exc.kind) from exc
+                            if (self.halted
+                                    or self._pending_fault
+                                    is not None
+                                    or self.trace_hook is not None
+                                    or memory._observers):
                                 break
-                    if self.halted:
+                            if memory._perm_stale:
+                                memory._refresh_permissions()
+                                perm = memory._perm
+                            continue
+                        proto = blk.proto
+                        if proto is not None \
+                                and proto.fn is not None:
+                            blk.fn = proto.fn
+                        else:
+                            blk.fn = _codegen(blk)
+                            if proto is not None:
+                                proto.fn = blk.fn
+                            shared = self._shared
+                            if shared is not None \
+                                    and shared.disk is not None:
+                                # block proved hot enough to pay
+                                # compile(): persist it so future
+                                # processes start with it revived
+                                record = _block_record(
+                                    proto if proto is not None
+                                    else blk)
+                                if record is not None:
+                                    shared.disk.publish(record)
+                    if blk.loop:
+                        iters = ((cycle_limit - self.cycles)
+                                 // blk.cycles)
+                        if insn_limit is not None:
+                            j = ((insn_limit - self.instructions)
+                                 // blk.count)
+                            if j < iters:
+                                iters = j
+                        if iters < 1:
+                            break        # budget: step() raises
+                        blk.fn(self, regs, memory, iters)
+                        continue
+                    if (self.cycles + blk.cycles > cycle_limit
+                            or (insn_limit is not None
+                                and self.instructions + blk.count
+                                > insn_limit)):
+                        break            # budget: step() raises
+                    if blk.pure:
+                        blk.fn(self, regs, memory)
+                        continue
+                    try:
+                        if not blk.fn(self, regs, memory):
+                            # no store-boundary event fired: reads
+                            # have no side effects, so every
+                            # post-dispatch guard is provably
+                            # unchanged
+                            continue
+                    except MpuViolationError as exc:
+                        raise CpuFault(
+                            FaultKind.MPU_VIOLATION,
+                            blk.pc_map[regs[0]],
+                            exc.address, exc.kind) from exc
+                    except MemoryAccessError as exc:
+                        raise CpuFault(
+                            FaultKind.BUS_ERROR,
+                            blk.pc_map[regs[0]],
+                            exc.address, exc.kind) from exc
+                    if (self.halted
+                            or self._pending_fault is not None
+                            or self.trace_hook is not None
+                            or memory._observers):
                         break
+                    if memory._perm_stale:
+                        # MPU reconfigured (context switch):
+                        # rebind the permission bitmap and stay
+                        # on the fast path — the block above
+                        # retired instructions, so progress is
+                        # guaranteed.
+                        memory._refresh_permissions()
+                        perm = memory._perm
+                if self.halted:
+                    break
             # -- exact per-instruction path --------------------------
             step()
             if self.cycles > cycle_limit:
@@ -1175,7 +1164,7 @@ class Cpu:
         """
         memory = self.memory
         shared = self._shared
-        perm = memory._perm           # caller refreshed; never None here
+        perm = memory._perm           # caller refreshed it
         if shared is not None:
             # adopt a compiled block from the shared store when some
             # variant's recorded bytes match this device's memory AND

@@ -52,12 +52,10 @@ byte-identical to private-cache and step-only runs.
 from __future__ import annotations
 
 import hashlib
-import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.framestore import AppendStore, FrameFormat, HEADER, \
-    StoreLayout
+from repro.framestore import AppendStore, FrameFormat, StoreLayout
 
 #: variants kept per PC before publishing stops.  A device rewriting
 #: its own code (rogue wild-pointer stores) would otherwise grow an
@@ -131,9 +129,9 @@ def shared_execution_cache(io_ports) -> SharedExecutionCache:
     store = _REGISTRY.get(key)
     if store is None:
         store = SharedExecutionCache()
-        if _disk_enabled():
+        if LAYOUT.enabled():
             try:
-                store.disk = DiskTier(_store_path(key))
+                store.disk = DiskTier(LAYOUT.store_path(key))
             except OSError:
                 store.disk = None    # unwritable cache dir: memory-only
         _REGISTRY[key] = store
@@ -147,19 +145,20 @@ def clear_registry() -> None:
 
 # -- persistent disk tier ---------------------------------------------------
 #
-# One append-only store file per (port wiring, toolchain version,
-# interpreter) — the same identity rule as the in-memory registry,
-# with everything version-shaped folded into the *file name* so a
-# toolchain edit or a Python upgrade simply starts a new file (the old
-# one ages out under the LRU budget).  Records inside the file are
-# content-addressed exactly like the in-memory store: each carries the
-# code bytes it translates, and adoption byte-verifies against the
-# puller's live memory, so the disk tier adds no trust beyond what a
-# sibling process already gets.  The framing, scanning, pruning and
-# env-knob plumbing are the shared :mod:`repro.framestore` machinery
-# (the cohort trace tier uses the same grammar under a different
-# magic): a torn tail from a killed writer or a corrupted record is
-# detected, skipped, and simply re-translated.
+# One append-only store file per port wiring — the same identity rule
+# as the in-memory registry; the layout folds everything
+# version-shaped (record format, interpreter, toolchain sources) into
+# the *file name*, so a toolchain edit or a Python upgrade simply
+# starts a new file (the old one ages out under the LRU budget).
+# Records inside the file are content-addressed exactly like the
+# in-memory store: each carries the code bytes it translates, and
+# adoption byte-verifies against the puller's live memory, so the
+# disk tier adds no trust beyond what a sibling process already gets.
+# The framing, pruning, naming and env-knob plumbing are the shared
+# :mod:`repro.framestore` machinery (``REPRO_EXEC_CACHE=0`` disables,
+# ``REPRO_EXEC_CACHE_DIR`` relocates, ``REPRO_EXEC_CACHE_MAX_MB``
+# bounds, default 64 MB): a torn tail from a killed writer or a
+# corrupted record is detected, skipped, and simply re-translated.
 
 #: bump when the record payload layout changes
 DISK_FORMAT = 2
@@ -169,45 +168,8 @@ DISK_FORMAT = 2
 _MAX_RECORD = 1 << 24
 
 _FORMAT = FrameFormat(b"SBX1", _MAX_RECORD, ".sbx")
-_LAYOUT = StoreLayout(_FORMAT, "EXEC_CACHE", "exec", default_mb=64)
-
-# kept under their historical names: hostile-input tests frame .sbx
-# records by hand with these
-_MAGIC = _FORMAT.magic
-_HEADER = HEADER
-
-
-def _disk_enabled() -> bool:
-    return _LAYOUT.enabled()
-
-
-def exec_cache_dir() -> Path:
-    """``REPRO_EXEC_CACHE_DIR``, else ``<REPRO_CACHE_DIR>/exec``, else
-    ``<repo>/.cache/exec`` (sibling of the firmware build cache)."""
-    return _LAYOUT.directory()
-
-
-def exec_cache_max_bytes() -> int:
-    """Disk budget from ``REPRO_EXEC_CACHE_MAX_MB`` (<= 0: unbounded;
-    default 64 MB — compiled-block records are a few KB each)."""
-    return _LAYOUT.max_bytes()
-
-
-def _store_path(port_key: tuple) -> Path:
-    from repro.aft.cache import toolchain_version  # lazy: avoids cycle
-    identity = (DISK_FORMAT, sys.implementation.cache_tag,
-                toolchain_version(), port_key)
-    return exec_cache_dir() / _LAYOUT.store_name(identity)
-
-
-def prune_exec_cache(directory: Optional[Path] = None,
-                     max_bytes: Optional[int] = None,
-                     keep: Optional[Path] = None) -> int:
-    """Evict least-recently-used ``.sbx`` store files until the cache
-    fits the budget; returns the number of files removed.  ``keep``
-    (the store a live process is appending to) is never evicted —
-    its mtime is refreshed by every append anyway."""
-    return _LAYOUT.prune(directory, max_bytes, keep)
+LAYOUT = StoreLayout(_FORMAT, "EXEC_CACHE", "exec", default_mb=64,
+                     version=DISK_FORMAT)
 
 
 # -- what the store holds ----------------------------------------------------
@@ -250,7 +212,7 @@ class DiskTier(AppendStore):
         self._seen = set()
         #: pc -> total variants seen (enforces MAX_VARIANTS on disk)
         self._counts: Dict[int, int] = {}
-        super().__init__(path, _LAYOUT)
+        super().__init__(path, LAYOUT)
 
     def stats(self) -> dict:
         return {"path": str(self.path), "loaded": self.loaded,

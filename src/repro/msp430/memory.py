@@ -48,7 +48,7 @@ Architecture-visible behaviour is unchanged; only speed differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import MemoryAccessError
 
@@ -216,19 +216,15 @@ class Memory:
         self._observers: List[Observer] = []
         # When True, region/MPU checks are bypassed (loader, debugger).
         self._supervisor_depth = 0
-        # Invoked with the written address; the CPU registers one to
-        # invalidate its decoded-instruction cache (self-modifying
-        # code, loaders), profilers and watchpoint engines may add
-        # their own — hooks chain instead of clobbering each other.
-        self.write_hooks: List[WriteHandler] = []
         # -- invalidation fast path ----------------------------------
-        # The CPU's icache/superblock invalidator is the one hook that
-        # fires on *every* backing-store write, but it only has work to
-        # do when the written page actually holds decoded code.  It
-        # registers here with a 1024-entry per-64-byte-page mask (shared
-        # by reference with the CPU, which sets bits as it caches); the
-        # write paths probe the mask and skip the Python call for the
-        # overwhelmingly common data-page write.
+        # The CPU's icache/superblock invalidator must see every write
+        # that can touch cached code (self-modifying code, loaders),
+        # but it only has work to do when the written page actually
+        # holds decoded code.  It registers here with a 1024-entry
+        # per-64-byte-page mask (shared by reference with the CPU,
+        # which sets bits as it caches); the write paths probe the
+        # mask and skip the Python call for the overwhelmingly common
+        # data-page write.
         self._inv_hook: Optional[WriteHandler] = None
         self._inv_mask: Optional[bytearray] = None
         # -- permission fast path ------------------------------------
@@ -236,14 +232,13 @@ class Memory:
         #: identical maps share one object across Memory instances
         self._region_perm: bytes = _intern_region_perm(
             self.map.region_permission_bytes())
-        #: active bitmap (region & MPU overlay); None means the fast
-        #: path is unavailable (an MPU without overlay support)
-        self._perm: Optional[bytes] = self._region_perm
+        #: active bitmap (region & MPU overlay)
+        self._perm: bytes = self._region_perm
         #: set by :meth:`invalidate_permissions`; forces a rebuild on
         #: the next checked access
         self._perm_stale = False
         #: overlay memo: MPU configuration signature -> combined bitmap
-        self._perm_cache: Dict[tuple, Optional[bytes]] = {}
+        self._perm_cache: Dict[tuple, bytes] = {}
 
     # -- configuration -----------------------------------------------------
     def add_io(self, address: int,
@@ -275,14 +270,6 @@ class Memory:
     def remove_observer(self, observer: Observer) -> None:
         self._observers.remove(observer)
 
-    def add_write_hook(self, hook: WriteHandler) -> None:
-        """Chain a callback invoked after every write with the address
-        (``-1`` for bulk loads).  Hooks run in registration order."""
-        self.write_hooks.append(hook)
-
-    def remove_write_hook(self, hook: WriteHandler) -> None:
-        self.write_hooks.remove(hook)
-
     def set_invalidator(self, hook: WriteHandler,
                         mask: bytearray) -> None:
         """Install the CPU's code-cache invalidator with its page mask.
@@ -303,20 +290,16 @@ class Memory:
         """Mark the flat permission bitmap stale (MPU config changed)."""
         self._perm_stale = True
 
-    def _refresh_permissions(self) -> Optional[bytes]:
-        """Rebuild the active bitmap from the region map and the MPU."""
+    def _refresh_permissions(self) -> bytes:
+        """Rebuild the active bitmap from the region map and the MPU
+        (either MPU model: both expose ``permission_signature`` and
+        ``permission_overlay``)."""
         self._perm_stale = False
         mpu = self.mpu
         if mpu is None:
             self._perm = self._region_perm
             return self._perm
-        signature_fn = getattr(mpu, "permission_signature", None)
-        if signature_fn is None:
-            # Unknown MPU implementation: disable the fast path and
-            # consult it on every access via the slow path.
-            self._perm = None
-            return None
-        sig = signature_fn()
+        sig = mpu.permission_signature()
         perm = self._perm_cache.get(sig)
         if perm is None:
             # L2: the process-global memo.  Signatures fully determine
@@ -350,21 +333,7 @@ class Memory:
             return False
         if self._perm_stale:
             self._refresh_permissions()
-        perm = self._perm
-        if perm is not None:
-            return bool(perm[address] & _KIND_BIT[kind])
-        # Slow-path probe against an MPU without overlay support: ask
-        # the region map, then the MPU, undoing violation side effects.
-        if not self.map.page_table[address >> 7].allows(kind):
-            return False
-        if self.mpu is None:
-            return True
-        from repro.errors import MpuViolationError
-        try:
-            self.mpu.check(address, kind)
-        except (MpuViolationError, MemoryAccessError):
-            return False
-        return True
+        return bool(self._perm[address] & _KIND_BIT[kind])
 
     # -- supervisor (unchecked) access --------------------------------------
     class _Supervisor:
@@ -388,16 +357,15 @@ class Memory:
             return
         if self._perm_stale:
             self._refresh_permissions()
-        perm = self._perm
-        if perm is not None and 0 <= address <= 0xFFFF \
-                and perm[address] & _KIND_BIT[kind]:
+        if 0 <= address <= 0xFFFF \
+                and self._perm[address] & _KIND_BIT[kind]:
             return
         self._check_slow(address, kind)
 
     def _check_slow(self, address: int, kind: str) -> None:
         """The original region walk + MPU segment check.  Runs when the
-        bitmap denies (or cannot answer); raises the same errors with
-        the same MPU violation-flag side effects as always."""
+        bitmap denies; raises the same errors with the same MPU
+        violation-flag side effects as always."""
         if not 0 <= address <= 0xFFFF:
             raise MemoryAccessError(address, kind, "outside 64 KB space")
         region = self.map.page_table[address >> 7]
@@ -420,8 +388,7 @@ class Memory:
         if not self._supervisor_depth:
             if self._perm_stale:
                 self._refresh_permissions()
-            perm = self._perm
-            if perm is None or not perm[address] & \
+            if not self._perm[address] & \
                     (PERM_R if kind is READ else _KIND_BIT[kind]):
                 self._check_slow(address, kind)
         if self._observers:
@@ -437,8 +404,7 @@ class Memory:
         if not self._supervisor_depth:
             if self._perm_stale:
                 self._refresh_permissions()
-            perm = self._perm
-            if perm is None or not perm[address] & PERM_W:
+            if not self._perm[address] & PERM_W:
                 self._check_slow(address, WRITE)
         if self._observers:
             self._notify(address, WRITE, 1)
@@ -458,8 +424,6 @@ class Memory:
             # bytes into this page: 6-byte max instruction)
             if mask[page] or (address & 63 < 4 and mask[page - 1]):
                 inv(address, value)
-        for hook in self.write_hooks:
-            hook(address, value)
 
     # -- word access ------------------------------------------------------------
     def read_word(self, address: int, kind: str = READ) -> int:
@@ -470,8 +434,7 @@ class Memory:
         if not self._supervisor_depth:
             if self._perm_stale:
                 self._refresh_permissions()
-            perm = self._perm
-            if perm is None or not perm[address] & \
+            if not self._perm[address] & \
                     (PERM_R if kind is READ else _KIND_BIT[kind]):
                 self._check_slow(address, kind)
         if self._observers:
@@ -486,8 +449,7 @@ class Memory:
         if not self._supervisor_depth:
             if self._perm_stale:
                 self._refresh_permissions()
-            perm = self._perm
-            if perm is None or not perm[address] & PERM_W:
+            if not self._perm[address] & PERM_W:
                 self._check_slow(address, WRITE)
         if self._observers:
             self._notify(address, WRITE, 2)
@@ -507,8 +469,6 @@ class Memory:
             # cannot hit spilled code
             if mask[page] or (address & 63 < 4 and mask[page - 1]):
                 inv(address, value)
-        for hook in self.write_hooks:
-            hook(address, value)
 
     def fetch_word(self, address: int) -> int:
         """Instruction fetch: a word read with execute permission."""
@@ -530,8 +490,8 @@ class Memory:
     # -- snapshot/restore ---------------------------------------------------
     def state_dict(self) -> dict:
         """The full 64 KB backing image.  I/O handlers, observers and
-        write hooks are *wiring*, re-created when the owning machine is
-        reconstructed, so only the bytes are captured."""
+        the invalidator are *wiring*, re-created when the owning
+        machine is reconstructed, so only the bytes are captured."""
         return {"bytes": bytes(self._bytes)}
 
     def load_state(self, state: dict) -> None:
@@ -551,8 +511,6 @@ class Memory:
         """Bulk write: full invalidation of every cached-code consumer."""
         if self._inv_hook is not None:
             self._inv_hook(-1, 0)
-        for hook in self.write_hooks:
-            hook(-1, 0)
 
     # -- whole-image helpers (checkpointing, cohort lockstep) ---------------
     def image_bytes(self) -> bytes:

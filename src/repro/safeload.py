@@ -22,12 +22,19 @@ The trade is symmetric: producers must keep serializing primitives
 only (``pickle.dumps`` on the dicts the ``state_dict``/block-record
 layers already emit), and in exchange consumers may load bytes from
 an untrusted peer with no more risk than ``json.loads``.
+
+One format needs more than primitives: a cached :class:`Firmware`
+(:mod:`repro.aft.cache`) is a tree of plain data classes.  Its reader
+passes an explicit :func:`allowlist` of those classes; every other
+global still raises, so the worst a crafted entry can do is construct
+one of the listed data classes with odd field values.
 """
 
 from __future__ import annotations
 
 import io
 import pickle
+from typing import Dict, Optional, Tuple
 
 
 class UnsafePayload(pickle.UnpicklingError):
@@ -37,19 +44,35 @@ class UnsafePayload(pickle.UnpicklingError):
     generic corrupt-payload handling catches it too."""
 
 
+#: ``(module, qualified name) -> class`` a payload may reference
+Allowlist = Dict[Tuple[str, str], type]
+
+
+def allowlist(*classes: type) -> Allowlist:
+    """The allowlist naming exactly ``classes``."""
+    return {(cls.__module__, cls.__qualname__): cls for cls in classes}
+
+
 class _RestrictedUnpickler(pickle.Unpickler):
+    def __init__(self, data: bytes, allowed: Allowlist):
+        super().__init__(io.BytesIO(data))
+        self._allowed = allowed
+
     def find_class(self, module: str, name: str):
-        raise UnsafePayload(
-            f"payload references global {module}.{name} — primitive-"
-            "only formats never do; refusing to resolve it")
+        cls = self._allowed.get((module, name))
+        if cls is None:
+            raise UnsafePayload(
+                f"payload references global {module}.{name} — not in "
+                "this format's allowlist; refusing to resolve it")
+        return cls
 
     def persistent_load(self, pid):
         raise UnsafePayload(
             "payload uses persistent ids — refusing to resolve them")
 
 
-def safe_loads(data: bytes):
-    """Deserialize a pickle of primitive values; raise
-    :class:`UnsafePayload` the moment the payload references anything
-    resolvable (and therefore callable)."""
-    return _RestrictedUnpickler(io.BytesIO(data)).load()
+def safe_loads(data: bytes, allowed: Optional[Allowlist] = None):
+    """Deserialize a pickle of primitive values (plus the ``allowed``
+    classes); raise :class:`UnsafePayload` the moment the payload
+    references anything else resolvable (and therefore callable)."""
+    return _RestrictedUnpickler(data, allowed or {}).load()

@@ -1,4 +1,5 @@
-"""On-disk firmware cache bounding: REPRO_CACHE_MAX_MB + LRU prune."""
+"""On-disk firmware cache bounding: REPRO_CACHE_MAX_MB + LRU prune
+(the firmware tier's :class:`~repro.framestore.StoreLayout`)."""
 
 import os
 import pickle
@@ -27,45 +28,45 @@ class TestPruneCache:
         old = _make_entry(tmp_path, "a" * 8, 1000, mtime=100)
         mid = _make_entry(tmp_path, "b" * 8, 1000, mtime=200)
         new = _make_entry(tmp_path, "c" * 8, 1000, mtime=300)
-        removed = cache.prune_cache(tmp_path, max_bytes=2000)
+        removed = cache.LAYOUT.prune(tmp_path, max_bytes=2000)
         assert removed == 1
         assert not old.exists()
         assert mid.exists() and new.exists()
 
     def test_noop_when_within_limit(self, tmp_path):
         kept = _make_entry(tmp_path, "a" * 8, 100, mtime=100)
-        assert cache.prune_cache(tmp_path, max_bytes=2000) == 0
+        assert cache.LAYOUT.prune(tmp_path, max_bytes=2000) == 0
         assert kept.exists()
 
     def test_zero_or_negative_limit_disables(self, tmp_path):
         kept = _make_entry(tmp_path, "a" * 8, 5000, mtime=100)
-        assert cache.prune_cache(tmp_path, max_bytes=0) == 0
-        assert cache.prune_cache(tmp_path, max_bytes=-1) == 0
+        assert cache.LAYOUT.prune(tmp_path, max_bytes=0) == 0
+        assert cache.LAYOUT.prune(tmp_path, max_bytes=-1) == 0
         assert kept.exists()
 
     def test_missing_directory_is_noop(self, tmp_path):
-        assert cache.prune_cache(tmp_path / "nope", max_bytes=1) == 0
+        assert cache.LAYOUT.prune(tmp_path / "nope", max_bytes=1) == 0
 
     def test_ignores_non_pkl_files(self, tmp_path):
         note = tmp_path / "README.txt"
         note.write_text("not a cache entry")
         entry = _make_entry(tmp_path, "a" * 8, 4000, mtime=100)
-        assert cache.prune_cache(tmp_path, max_bytes=2000) == 1
+        assert cache.LAYOUT.prune(tmp_path, max_bytes=2000) == 1
         assert note.exists() and not entry.exists()
 
 
 class TestCacheMaxBytes:
     def test_default_is_256_mb(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
-        assert cache.cache_max_bytes() == 256 * 1024 * 1024
+        assert cache.LAYOUT.max_bytes() == 256 * 1024 * 1024
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
-        assert cache.cache_max_bytes() == int(1.5 * 1024 * 1024)
+        assert cache.LAYOUT.max_bytes() == int(1.5 * 1024 * 1024)
 
     def test_garbage_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "lots")
-        assert cache.cache_max_bytes() == 256 * 1024 * 1024
+        assert cache.LAYOUT.max_bytes() == 256 * 1024 * 1024
 
 
 class TestBuildFirmwareLru:

@@ -11,14 +11,14 @@ Promises pinned here:
   on disk exactly as it does in memory.
 * **Fail-closed ingestion** — corrupted, truncated, or hand-crafted
   hostile records are detected and skipped (and at worst cost a
-  re-translation); a rogue device cannot use the shared store file to
-  alter what a clean device computes.
+  re-translation; :mod:`tests.tier_matrix` runs the same hostile
+  inputs over every disk tier); a rogue device cannot use the shared
+  store file to alter what a clean device computes.
 """
 
 import hashlib
 import json
 import os
-import struct
 
 from repro.fleet.device import simulate_device
 from repro.fleet.population import device_spec
@@ -26,14 +26,14 @@ from repro.fleet.telemetry import MODELS_BY_KEY
 from repro.msp430 import execcache
 from repro.msp430.cpu import _block_from_record
 from repro.msp430.execcache import (
+    LAYOUT,
     MAX_VARIANTS,
     DiskTier,
     clear_registry,
-    exec_cache_max_bytes,
-    prune_exec_cache,
     shared_execution_cache,
 )
 from repro.pool import worker_pool
+from tests.tier_matrix import HostileInputMatrix
 
 #: long enough that hot superblocks pass the tier-up threshold and
 #: are code-generated — which is what gets published to disk
@@ -107,7 +107,7 @@ class TestPrune:
             path = tmp_path / f"store{n}.sbx"
             path.write_bytes(b"y" * 1000)
             os.utime(path, (1_000_000 + n, 1_000_000 + n))
-        removed = prune_exec_cache(tmp_path, max_bytes=2500)
+        removed = LAYOUT.prune(tmp_path, max_bytes=2500)
         assert removed == 2
         assert sorted(p.name for p in tmp_path.glob("*.sbx")) == \
             ["store2.sbx", "store3.sbx"]
@@ -118,18 +118,18 @@ class TestPrune:
             path = tmp_path / name
             path.write_bytes(b"y" * 1000)
             os.utime(path, (1_000_000 + n, 1_000_000 + n))
-        prune_exec_cache(tmp_path, max_bytes=1000, keep=keep)
+        LAYOUT.prune(tmp_path, max_bytes=1000, keep=keep)
         assert keep.exists()
 
     def test_zero_budget_means_unbounded(self, tmp_path):
         (tmp_path / "a.sbx").write_bytes(b"y" * 1000)
-        assert prune_exec_cache(tmp_path, max_bytes=0) == 0
+        assert LAYOUT.prune(tmp_path, max_bytes=0) == 0
 
     def test_budget_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_CACHE_MAX_MB", "2")
-        assert exec_cache_max_bytes() == 2 * 1024 * 1024
+        assert LAYOUT.max_bytes() == 2 * 1024 * 1024
         monkeypatch.setenv("REPRO_EXEC_CACHE_MAX_MB", "nonsense")
-        assert exec_cache_max_bytes() == 64 * 1024 * 1024
+        assert LAYOUT.max_bytes() == 64 * 1024 * 1024
 
     def test_publish_prunes_under_tiny_budget(self, tmp_path,
                                               monkeypatch):
@@ -149,7 +149,28 @@ class TestPrune:
         assert tier.published == 8
 
 
-class TestFailClosedIngestion:
+class TestFailClosedIngestion(HostileInputMatrix):
+    _PCS = (0x4400, 0x4402)
+
+    def fmt(self):
+        return LAYOUT.fmt
+
+    def populate(self, tmp_path):
+        path = tmp_path / "s.sbx"
+        path.unlink(missing_ok=True)
+        tier = DiskTier(path)
+        tier.publish(_record(self._PCS[0], b"\x01\x02"))
+        tier.publish(_record(self._PCS[1], b"\x03\x04"))
+        return path
+
+    def assert_recovers(self, path, intact, corrupt):
+        fresh = DiskTier(path)
+        served = [pc for pc in self._PCS if fresh.take(pc) is not None]
+        # an unserved PC is simply translated again by the CPU
+        assert served == list(self._PCS[:intact])
+        if corrupt:
+            assert fresh.corrupt >= 1
+
     def test_round_trip_and_dedup(self, tmp_path):
         tier = DiskTier(tmp_path / "s.sbx")
         tier.publish(_record(0x4400, b"\x01\x02"))
@@ -169,47 +190,6 @@ class TestFailClosedIngestion:
         fresh = DiskTier(path)
         assert fresh.loaded == MAX_VARIANTS
         assert len(fresh.take(0x4400)) == MAX_VARIANTS
-
-    def test_flipped_payload_byte_is_skipped(self, tmp_path):
-        path = tmp_path / "s.sbx"
-        tier = DiskTier(path)
-        tier.publish(_record(0x4400, b"\x01\x02"))
-        tier.publish(_record(0x4402, b"\x03\x04"))
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF          # bit-rot mid-file
-        path.write_bytes(bytes(data))
-        fresh = DiskTier(path)
-        assert fresh.corrupt >= 1
-        assert fresh.loaded < 2               # the damaged frame gone
-
-    def test_truncated_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "s.sbx"
-        tier = DiskTier(path)
-        tier.publish(_record(0x4400, b"\x01\x02"))
-        tier.publish(_record(0x4402, b"\x03\x04"))
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) - 7])  # kill mid-append
-        fresh = DiskTier(path)
-        assert fresh.loaded == 1              # first frame intact
-        assert fresh.take(0x4400) is not None
-        assert fresh.take(0x4402) is None     # torn frame not served
-
-    def test_garbage_file_loads_nothing(self, tmp_path):
-        path = tmp_path / "s.sbx"
-        path.write_bytes(b"not a store file at all" * 10)
-        fresh = DiskTier(path)
-        assert fresh.loaded == 0
-        assert fresh.corrupt >= 1
-
-    def test_oversized_length_field_rejected(self, tmp_path):
-        path = tmp_path / "s.sbx"
-        header = struct.Struct("<I16s")
-        path.write_bytes(b"SBX1"
-                         + header.pack(1 << 30, b"\x00" * 16)
-                         + b"\x00" * 64)
-        fresh = DiskTier(path)
-        assert fresh.loaded == 0
-        assert fresh.corrupt >= 1
 
     def test_hostile_record_fails_revival(self):
         """A syntactically valid record whose contents aren't a real

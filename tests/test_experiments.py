@@ -149,3 +149,11 @@ class TestFigure2:
         chart = figure2.render_chart()
         assert "#" in chart
         assert "billions of cycles" in chart
+
+
+class TestParallelRunner:
+    def test_jobs_two_renders_like_jobs_one(self):
+        from repro.experiments.parallel import run_all_parallel
+        counts = dict(table1_runs=3, figure3_runs=3, arp_samples=4)
+        assert run_all_parallel(2, **counts).render() == \
+            run_all_parallel(1, **counts).render()

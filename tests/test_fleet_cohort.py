@@ -33,12 +33,12 @@ _CAMPAIGN = dict(devices=6, hours=0.003, models=("mpu",), seed=7,
 
 
 def _campaign(tmp_path, name, cohort, jobs=2, profile=False,
-              rejoin=True, **overrides):
+              **overrides):
     config = FleetConfig(**{**_CAMPAIGN, **overrides})
     out = tmp_path / name
     profile_dir = out / "profiles" if profile else None
     summary = run_campaign(config, out, jobs=jobs, cohort=cohort,
-                           rejoin=rejoin, profile_dir=profile_dir)
+                           profile_dir=profile_dir)
     return out, summary
 
 
@@ -83,20 +83,6 @@ class TestCohortCampaign:
         run_campaign(config, out, jobs=2, cohort=True)
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()
-
-    def test_rejoin_off_on_identical(self, tmp_path):
-        off, _ = _campaign(tmp_path, "rj-off", cohort=True,
-                           rejoin=False, profile=True)
-        on, _ = _campaign(tmp_path, "rj-on", cohort=True,
-                          rejoin=True, profile=True)
-        assert (off / "summary.json").read_bytes() == \
-            (on / "summary.json").read_bytes()
-        assert (off / "devices-mpu.jsonl").read_bytes() == \
-            (on / "devices-mpu.jsonl").read_bytes()
-        for out, expected in ((off, False), (on, True)):
-            profile = json.loads(
-                (out / "profiles" / "coordinator.json").read_text())
-            assert profile["rejoin"] is expected
 
     def test_cohort_is_not_campaign_identity(self, tmp_path):
         # finish a campaign with cohorts off, reopen it with them on:
@@ -316,24 +302,6 @@ class TestDispatchBoundaryRejoin:
         assert follower.cpu.regs.snapshot() == \
             leader.cpu.regs.snapshot()
         assert follower.cpu.cycles == leader.cpu.cycles
-
-    def test_rejoin_off_forks_to_segment_end(self):
-        # rejoin=False restores the old contract: one divergence and
-        # the rest of the segment runs for real
-        leader, trace = self._trace()
-        broken = len(trace.entries) // 2
-        trace.entries[broken].key = ("rogue", "nope", (), ())
-        follower, follower_sched = _ticker_machine()
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats, rejoin=False)
-        assert stats.forks == 1 and stats.rejoins == 0
-        assert stats.replayed == broken
-        assert stats.executed == len(trace.entries) - broken
-        assert follower.cpu.memory.image_equals(
-            leader.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            leader.cpu.regs.snapshot()
 
     def test_persistent_divergence_never_rejoins(self):
         # a follower whose environment differs can never match a

@@ -15,7 +15,6 @@ mid-unit, or loses the coordinator itself — produces byte-identical
 output to the in-process ``--jobs`` path.
 """
 
-import hashlib
 import json
 import os
 import pickle
@@ -122,11 +121,8 @@ class TestProtocol:
 # -- hostile translation stores ---------------------------------------------
 
 def _sbx_frame(record: dict) -> bytes:
-    payload = pickle.dumps(record,
-                           protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).digest()[:16]
-    return (execcache._MAGIC
-            + execcache._HEADER.pack(len(payload), digest) + payload)
+    return execcache.LAYOUT.fmt.frame(
+        pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 # -- non-executing deserialization ------------------------------------------
@@ -193,7 +189,7 @@ class _Coordinator:
 
     def __init__(self, out, jobs=2, lease_timeout_s=10.0,
                  profile=False, secret=None, cohort=False,
-                 rejoin=True, **overrides):
+                 **overrides):
         self.out = Path(out)
         self.transport = SocketTransport(
             lease_timeout_s=lease_timeout_s, heartbeat_s=0.5,
@@ -205,7 +201,7 @@ class _Coordinator:
         def _run():
             try:
                 run_campaign(config, self.out, jobs=jobs,
-                             cohort=cohort, rejoin=rejoin,
+                             cohort=cohort,
                              transport=self.transport,
                              profile_dir=profile_dir)
             except BaseException as error:   # surfaced in join()
@@ -503,7 +499,7 @@ def _listening(tmp_path) -> SocketTransport:
     transport = SocketTransport(heartbeat_s=0.5)
     transport.open_campaign({
         "config_dict": asdict(config), "config_key": config.key(),
-        "out_dir": str(tmp_path), "cohort": False, "rejoin": True,
+        "out_dir": str(tmp_path), "cohort": False,
         "profile_dir": None,
         "say": lambda _line: None})
     return transport
@@ -1221,7 +1217,7 @@ class TestSocketTraceTier:
         reference = tmp_path / "reference"
         run_campaign(FleetConfig(**_CAMPAIGN), reference, jobs=1,
                      cohort=True)
-        assert list(tracetier.trace_cache_dir().glob("*.tbx"))
+        assert list(tracetier.LAYOUT.directory().glob("*.tbx"))
         # a subprocess worker starts with empty caches: the stores
         # must reach it over the sha-verified blob channel
         out = tmp_path / "sock-warm"
@@ -1246,10 +1242,10 @@ class TestSocketTraceTier:
 
 
 class TestFleetStatus:
-    def _cli_status(self, target, tmp_path):
+    def _cli_status(self, target, tmp_path, *extra):
         return subprocess.run(
             [sys.executable, "-m", "repro.cli", "fleet", "status",
-             str(target)],
+             str(target), *extra],
             env=_subprocess_env(tmp_path), capture_output=True,
             text=True, timeout=60)
 
@@ -1277,6 +1273,28 @@ class TestFleetStatus:
         done = self._cli_status(out, tmp_path)
         assert done.returncode == 0, done.stderr
         assert "worker w0" in done.stdout
+
+    def test_live_view_authenticates_like_a_worker(self, tmp_path):
+        secret = b"fleet-secret-9"
+        secret_file = tmp_path / "fleet.secret"
+        secret_file.write_bytes(secret + b"\n")
+        coordinator = _Coordinator(tmp_path / "status-auth",
+                                   secret=secret)
+        address = coordinator.address()
+        keyless = self._cli_status(address, tmp_path)
+        assert keyless.returncode == 2
+        assert "requires a shared secret" in keyless.stderr
+        assert "--secret-file" in keyless.stderr
+        live = self._cli_status(address, tmp_path,
+                                "--secret-file", str(secret_file))
+        assert live.returncode == 0, live.stderr
+        assert "campaign" in live.stdout
+        assert "no workers have connected" in live.stdout
+        codes = {}
+        worker = _worker_thread(address, "w0", codes, secret=secret)
+        coordinator.join()
+        worker.join(timeout=30)
+        assert codes == {"w0": 0}
 
     def test_missing_status_file_is_a_clear_error(self, tmp_path):
         empty = tmp_path / "not-a-campaign"
