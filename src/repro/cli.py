@@ -293,8 +293,7 @@ def _fleet_status_text(status: dict) -> str:
         lines.append(
             f"  cohort: {cohort.get('cohort_replayed', 0)} replayed, "
             f"{cohort.get('cohort_executed', 0)} executed, "
-            f"{cohort.get('cohort_forks', 0)} fork(s), "
-            f"{cohort.get('cohort_rejoins', 0)} rejoin(s); "
+            f"{cohort.get('cohort_forks', 0)} fork(s); "
             f"trace tier {cohort.get('trace_hits', 0)} hit(s) / "
             f"{cohort.get('trace_misses', 0)} miss(es)"
             + (f" ({rate:.0%} hit rate)"

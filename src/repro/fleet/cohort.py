@@ -25,8 +25,8 @@ Why this is sound — the dispatch read/write contract
 * the absolute cycle counter — but **only** when the code reads the
   cycle-timer port (``CycleTimer`` returns absolute quantized cycles).
 
-The trace therefore carries a **state digest** per dispatch boundary
-(:func:`state_digest`: sha-256 over the memory delta against the
+The trace therefore carries the leader's **state digest** at segment
+start (:func:`state_digest`: sha-256 over the memory delta against the
 firmware base image plus registers, env tuple, MPU state and storage
 — everything a dispatch can read, nothing it can't) and a per-entry
 **key** ``(app, handler, args, env)`` checked before each replay.  A
@@ -35,19 +35,10 @@ leader's; equality of the remaining inputs then follows by induction:
 matching states plus matching deltas stay matching.  Timer-reading
 dispatches additionally pin the leader's pre-dispatch cycle count
 modulo ``divider * 2^16`` — the exact equivalence class under which
-every timer read in the dispatch returns the same value.
-
-The per-entry digests also buy **dispatch-boundary rejoin**: a forked
-follower (executing for real after a divergence) re-offers its state
-at each subsequent dispatch boundary — key and cycles-mod first (both
-cheap), digest only when those match — and resumes delta replay the
-moment it coincides with a recorded pre-state again.  This needs no
-induction from the segment start: digest equality *is* direct
-verification of every replay-relevant input, the entry key pins the
-dispatched event (and with it ``env.time_ms``, hence the scheduler's
-``now``), and cycle counts stay per-device because entries store
-deltas.  A device that diverges for three dispatches and reconverges
-replays the rest of the segment instead of interpreting it.
+every timer read in the dispatch returns the same value.  That
+segment-start handshake is the only state check: a follower that
+fails a key or ``cycles_mod`` guard forks and executes the rest of
+the segment for real, and the recorder never digests mid-segment.
 
 Entries store the complete write-set: dirtied memory pages
 (hierarchical diff against a pre-dispatch copy), post registers,
@@ -81,13 +72,6 @@ from repro.kernel.machine import AmuletMachine, DispatchResult
 #: the rest — slower, never wrong
 MAX_TRACE_ENTRIES = 200_000
 
-#: how many upcoming trace entries a forked follower offers its state
-#: against at each dispatch boundary.  Divergences the fleet actually
-#: produces (a rogue's extra fault recovery, one skipped handler)
-#: displace the streams by a dispatch or two; a small window catches
-#: those without scanning the whole tail on every diverged dispatch
-REJOIN_WINDOW = 8
-
 
 def _env_tuple(env) -> tuple:
     """The sensor environment as a flat comparable tuple — every field
@@ -106,7 +90,7 @@ def _env_restore(env, values: tuple) -> None:
 class TraceEntry:
     """One recorded dispatch: the match key plus the full write-set."""
 
-    __slots__ = ("key", "pre_sha", "cycles_mod", "pages", "regs_post",
+    __slots__ = ("key", "cycles_mod", "pages", "regs_post",
                  "cycles_delta", "instructions_delta", "env_post",
                  "mpu_post", "faults", "digits", "texts", "log_words",
                  "log_buffers", "storage_updates", "vibrations_delta",
@@ -115,9 +99,6 @@ class TraceEntry:
     def __init__(self) -> None:
         #: (app, handler, args tuple, pre-dispatch env tuple)
         self.key: tuple = ()
-        #: leader's :func:`state_digest` at this dispatch boundary —
-        #: the rejoin handshake (and entry 0's is the segment one)
-        self.pre_sha: str = ""
         #: leader's pre-dispatch ``cycles % (divider * 2^16)`` when the
         #: dispatch read the timer port; None for the common
         #: timer-blind dispatch
@@ -176,9 +157,6 @@ class CohortStats:
     rejects: int = 0
     #: in-segment copy-on-write exits (first divergent dispatch)
     forks: int = 0
-    #: forked followers that reconverged and resumed delta replay at a
-    #: later dispatch boundary
-    rejoins: int = 0
     #: segments satisfied from the persistent trace tier
     trace_hits: int = 0
     #: tier probes that found no matching recorded segment
@@ -197,9 +175,11 @@ def state_digest(machine: AmuletMachine) -> str:
     service state (display, log, vibration, call counters, the
     armed-timer log) is deliberately absent — execution never reads
     it, and leaving it out lets a device whose *history* differs but
-    whose live state has reconverged (re)join lockstep.  The absolute
-    cycle counter is also absent: entries store cycle *deltas*, and
-    the rare timer-reading dispatch is pinned by ``cycles_mod``."""
+    whose live state has reconverged join lockstep at a segment
+    start.  The absolute cycle counter is also absent: entries store
+    cycle *deltas*, and the rare timer-reading dispatch is pinned by
+    ``cycles_mod``.  Cohort lockstep computes it once per device and
+    segment, never per dispatch."""
     cpu = machine.cpu
     digest = hashlib.sha256()
     digest.update(machine.base_sha.encode())
@@ -240,7 +220,6 @@ class CohortRecorder:
         env = svc.env
         timer = machine.timer
         env_pre = _env_tuple(env)
-        pre_sha = state_digest(machine)
         pre_mem = cpu.memory.image_bytes()
         pre_cycles = cpu.cycles
         pre_instructions = cpu.instructions
@@ -261,7 +240,6 @@ class CohortRecorder:
 
         entry = TraceEntry()
         entry.key = (app, handler, tuple(args), env_pre)
-        entry.pre_sha = pre_sha
         if timer.reads != pre_timer_reads:
             entry.cycles_mod = pre_cycles % trace.timer_modulus
         entry.pages = cpu.memory.delta_since(pre_mem)
@@ -354,9 +332,8 @@ def _apply_entry(machine: AmuletMachine, scheduler,
 
 class CohortFollower:
     """Follower-side ``dispatch_fn``: replay while in lockstep, fork
-    copy-on-write (execute normally) at a divergence — and offer the
-    forked device's state back to the trace at every later dispatch
-    boundary, resuming replay on a match."""
+    copy-on-write (execute normally) at the first divergence and run
+    the rest of the segment for real."""
 
     def __init__(self, machine: AmuletMachine, scheduler,
                  trace: SegmentTrace, stats: CohortStats,
@@ -394,48 +371,23 @@ class CohortFollower:
             # the rest of the segment for real
             self.lockstep = False
             self.stats.forks += 1
-        else:
-            entry = self._try_rejoin(app, handler, args)
-            if entry is not None:
-                self.stats.replayed += 1
-                return _apply_entry(machine, self.scheduler, entry)
         self.stats.executed += 1
         return machine.dispatch(app, handler, args)
 
-    def _try_rejoin(self, app: str, handler: str, args
-                    ) -> Optional[TraceEntry]:
-        """Re-handshake a forked follower against the next few
-        recorded entries: key and cycles-mod are cheap pre-filters,
-        the state digest (computed at most once per boundary) is the
-        actual verification.  On a match the cursor jumps there and
-        lockstep resumes."""
-        trace = self.trace
-        machine = self.machine
-        entries = trace.entries
-        key = (app, handler, tuple(args),
-               _env_tuple(machine.services.env))
-        digest = None
-        limit = min(len(entries), self.cursor + REJOIN_WINDOW)
-        for index in range(self.cursor, limit):
-            entry = entries[index]
-            if entry.key != key:
-                continue
-            if entry.cycles_mod is not None and \
-                    machine.cpu.cycles % trace.timer_modulus \
-                    != entry.cycles_mod:
-                continue
-            if digest is None:
-                digest = state_digest(machine)
-            if entry.pre_sha == digest:
-                self.cursor = index + 1
-                self.lockstep = True
-                self.stats.rejoins += 1
-                return entry
-        if self.cursor < len(entries):
-            # keep the window sliding with the follower's own stream,
-            # so a persistent divergence stays a cheap key compare
-            self.cursor += 1
-        return None
+
+def run_segment(scheduler, start_ms: int, end_ms: int,
+                dispatch_fn=None) -> None:
+    """Seed the periodic sources over ``[start_ms, end_ms)`` and drain
+    every event before ``end_ms`` — the one segment loop for solo
+    devices, leaders and followers — dispatching through
+    ``dispatch_fn`` (``None``: the machine's own ``dispatch``)."""
+    scheduler.dispatch_fn = dispatch_fn
+    try:
+        scheduler.seed_events(end_ms, start_ms)
+        while scheduler.step(before_ms=end_ms) is not None:
+            pass
+    finally:
+        scheduler.dispatch_fn = None
 
 
 def record_segment(machine: AmuletMachine, scheduler,
@@ -443,20 +395,15 @@ def record_segment(machine: AmuletMachine, scheduler,
                    stats: CohortStats,
                    pre_sha: Optional[str] = None) -> SegmentTrace:
     """Run ``[start_ms, end_ms)`` as the cohort leader, returning the
-    trace followers replay.  Event seeding and draining are exactly
-    :func:`repro.fleet.device.simulate_device`'s segment loop."""
+    trace followers replay.  ``pre_sha`` (the leader's
+    already-computed segment-start digest) skips recomputing it."""
     trace = SegmentTrace(
         base_sha=machine.base_sha, start_ms=start_ms, end_ms=end_ms,
         pre_sha=state_digest(machine) if pre_sha is None else pre_sha,
         timer_modulus=machine.timer.divider << 16)
     stats.leads += 1
-    scheduler.dispatch_fn = CohortRecorder(machine, trace, stats)
-    try:
-        scheduler.seed_events(end_ms, start_ms)
-        while scheduler.step(before_ms=end_ms) is not None:
-            pass
-    finally:
-        scheduler.dispatch_fn = None
+    run_segment(scheduler, start_ms, end_ms,
+                CohortRecorder(machine, trace, stats))
     return trace
 
 
@@ -468,11 +415,6 @@ def replay_segment(machine: AmuletMachine, scheduler,
 
     ``pre_sha`` (the follower's already-computed segment-start digest)
     skips recomputing the handshake."""
-    scheduler.dispatch_fn = CohortFollower(machine, scheduler, trace,
-                                           stats, pre_sha=pre_sha)
-    try:
-        scheduler.seed_events(end_ms, start_ms)
-        while scheduler.step(before_ms=end_ms) is not None:
-            pass
-    finally:
-        scheduler.dispatch_fn = None
+    run_segment(scheduler, start_ms, end_ms,
+                CohortFollower(machine, scheduler, trace, stats,
+                               pre_sha=pre_sha))

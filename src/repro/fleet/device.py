@@ -20,7 +20,7 @@ from repro.aft.phases import AppSource
 from repro.apps.catalog import load_app, load_suite
 from repro.errors import ReproError
 from repro.fleet.cohort import CohortStats, SegmentTrace, \
-    record_segment, replay_segment, state_digest
+    record_segment, replay_segment, run_segment, state_digest
 from repro.fleet.population import ANALYTICS_APP, DeviceSpec, \
     ROGUE_APP, ROGUE_HANDLER, ROGUE_SOURCE
 from repro.fleet.snapshot import restore_device, snapshot_device
@@ -137,9 +137,7 @@ def simulate_device(spec: DeviceSpec, model: IsolationModel,
     t = start_ms
     while t < sim_ms:
         end = min(t + checkpoint_every_ms, sim_ms)
-        scheduler.seed_events(end, t)
-        while scheduler.step(before_ms=end) is not None:
-            pass
+        run_segment(scheduler, t, end)
         t = end
         if on_checkpoint is not None and t < sim_ms:
             on_checkpoint(t, snapshot_device(machine, scheduler, t))
@@ -161,18 +159,17 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
     firmware and state coincide (see :mod:`repro.fleet.cohort`).
 
     Devices advance segment by segment, interleaved: all devices at
-    the earliest pending segment run it before anyone moves on.  The
-    first device to run a ``(firmware, segment)`` pair *from a given
-    pre-state* records a trace; every later same-firmware device at
-    that segment whose state digest matches replays it.  A device
-    matching nothing executes normally (recording its own variant
-    when the persistent ``tier`` — a
-    :class:`repro.fleet.tracetier.TraceTier` — is attached, so a
-    rerun, a sibling unit, or a remote worker replays it next time),
-    and a mid-segment divergence can re-enter lockstep at a later
-    dispatch boundary.  In-memory traces die as
-    soon as no device can still use them, bounding trace memory to
-    roughly the resume-point spread.
+    the earliest pending segment run it before anyone moves on.  One
+    rule per (device, segment), checked by one :func:`state_digest`:
+    a trace for the same firmware, segment and pre-state — recorded
+    earlier this round or found in the persistent ``tier`` (a
+    :class:`repro.fleet.tracetier.TraceTier`) — is replayed;
+    otherwise the device records one, published to the tier when
+    one is attached so a rerun, a sibling unit, or a remote worker
+    replays it next time.  A follower that diverges mid-segment
+    forks and executes the rest of that segment.  In-memory traces
+    die as soon as no device can still use them, bounding trace
+    memory to roughly the resume-point spread.
 
     ``on_checkpoint(device_id, sim_ms, snapshot)`` fires at every
     interior segment boundary (note the extra leading ``device_id``
@@ -198,8 +195,8 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
         position[spec.device_id] = start_ms
 
     order = [spec.device_id for spec in specs]
-    #: (base_sha, start_ms) -> {pre-state digest: trace}
-    traces: Dict[tuple, Dict[str, SegmentTrace]] = {}
+    #: (base_sha, start_ms, pre-state digest) -> trace
+    traces: Dict[tuple, SegmentTrace] = {}
     while True:
         pending = [p for p in position.values() if p < sim_ms]
         if not pending:
@@ -210,36 +207,26 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
             if position[device_id] != t:
                 continue
             spec, machine, scheduler, _rogue = devices[device_id]
-            key = (machine.base_sha, t)
-            bucket = traces.setdefault(key, {})
             pre_sha = state_digest(machine)
-            trace = bucket.get(pre_sha)
+            key = (machine.base_sha, t, pre_sha)
+            trace = traces.get(key)
             if trace is None and tier is not None:
                 trace = tier.load(machine.base_sha, t, end, pre_sha)
                 if trace is not None:
-                    bucket[pre_sha] = trace
                     stats.trace_hits += 1
                 else:
                     stats.trace_misses += 1
             if trace is not None:
                 replay_segment(machine, scheduler, trace, t, end,
                                stats, pre_sha=pre_sha)
-            elif not bucket or tier is not None:
+            else:
                 # lead this (segment, state): record — and persist,
                 # so the next unit/process/worker replays instead
                 trace = record_segment(machine, scheduler, t, end,
                                        stats, pre_sha=pre_sha)
-                bucket[pre_sha] = trace
                 if tier is not None and tier.publish(trace):
                     stats.trace_published += 1
-            else:
-                # no tier and a leader already recorded this segment
-                # from a different state: the handshake rejects and
-                # the device executes (rejoining mid-segment if its
-                # state converges onto the leader's)
-                first = next(iter(bucket.values()))
-                replay_segment(machine, scheduler, first, t, end,
-                               stats, pre_sha=pre_sha)
+            traces[key] = trace
             position[device_id] = end
             if on_checkpoint is not None and end < sim_ms:
                 on_checkpoint(device_id, end,

@@ -288,7 +288,6 @@ class UnitStats:
     cohort_replayed: int = 0
     cohort_executed: int = 0
     cohort_forks: int = 0
-    cohort_rejoins: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
     trace_published: int = 0
@@ -462,7 +461,6 @@ def _run_unit(config: FleetConfig, model_key: str,
         cohort_replayed=cohort_stats.replayed,
         cohort_executed=cohort_stats.executed,
         cohort_forks=cohort_stats.forks,
-        cohort_rejoins=cohort_stats.rejoins,
         trace_hits=cohort_stats.trace_hits,
         trace_misses=cohort_stats.trace_misses,
         trace_published=cohort_stats.trace_published)

@@ -291,7 +291,7 @@ class SocketTransport:
         return rows
 
     def _status_snapshot(self) -> dict:
-        """The live campaign view served to ``status_req`` observers
+        """The live campaign view served to ``status``-role observers
         and mirrored into ``status.json``."""
         with self._lock:
             st = self._state
@@ -637,8 +637,6 @@ class SocketTransport:
                     self._handle_batch(message, blob, peer)
                 elif mtype == "profile":
                     self._store_profile(message, blob)
-                elif mtype == "status_req":
-                    channel.send(self._status_snapshot())
                 else:
                     raise WireError(
                         f"unexpected message type {mtype!r}")

@@ -53,9 +53,8 @@ profile   w -> c      one unit's cProfile dump (blob follows) when the
                       campaign runs with ``--profile``
 batch     w -> c      several coalesced frames in one: ``frames`` holds
                       the sub-messages, one concatenated blob follows
-status_req any -> c   one-shot observer: report live campaign state
-status    c -> any    the report (workers, queue, rates); also the
-                      reply to a ``status``-role hello
+status    c -> any    the live campaign view (workers, queue, rates):
+                      the reply to a ``status``-role hello
 ping      w -> c      heartbeat (any frame refreshes the deadline)
 pong      c -> w      heartbeat echo
 ========  ==========  ===================================================

@@ -25,6 +25,7 @@ silently resuming wrong.
 
 from __future__ import annotations
 
+import io
 import pickle
 from typing import Dict
 
@@ -114,11 +115,20 @@ def checkpoint_bytes(config_key: str, device_id: int,
                      snapshot: dict) -> bytes:
     """Serialize one device's checkpoint for the executor's async
     writer — stamped with the campaign key and device id so a resume
-    can never apply it to the wrong campaign or device."""
-    return pickle.dumps({"config_key": config_key,
-                         "device": device_id,
-                         "snapshot": snapshot},
-                        protocol=pickle.HIGHEST_PROTOCOL)
+    can never apply it to the wrong campaign or device.
+
+    The encoding is canonical: equal snapshots give equal bytes.
+    Pickle's memo is keyed on object identity, so a device replayed
+    from a warm trace tier (whose app-name strings are equal to, but
+    not the same objects as, a cold run's) would otherwise pickle
+    differently; a memo-free pickler writes every value out in full.
+    Snapshots are trees of primitives, never self-referential."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump({"config_key": config_key, "device": device_id,
+                  "snapshot": snapshot})
+    return buffer.getvalue()
 
 
 def parse_checkpoint(data: bytes, config_key: str,

@@ -25,10 +25,12 @@ Trust model — identical to the exec tier's, one layer up:
   fault origins that exist — before a follower ever applies it.
 * **Adoption is verified by content.**  A trace replays into a device
   only when the device's own :func:`repro.fleet.cohort.state_digest`
-  equals the record's ``pre_sha`` (checked per segment *and* per
-  rejoin boundary).  A rogue device's published write-sets are inert
-  for clean siblings — their digests never match — and byte-identity
-  holds with the tier cold, warm, poisoned, or disabled.
+  at segment start equals the record's ``pre_sha``; past that, each
+  entry's key and ``cycles_mod`` guards fork a diverging follower
+  into real execution.  A rogue device's published write-sets are
+  inert for clean siblings — their digests never match — and
+  byte-identity holds with the tier cold, warm, poisoned, or
+  disabled.
 * **The wire adds nothing to trust.**  Store files cross the fleet
   only through the existing content-addressed blob channel (sha
   pinned at offer time, verified on receipt, re-scanned frame by
@@ -49,7 +51,7 @@ from repro.fleet.cohort import SegmentTrace, TraceEntry
 from repro.framestore import AppendStore, FrameFormat, StoreLayout
 
 #: bump when the record payload layout changes
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 #: traces are orders of magnitude bigger than compiled blocks (every
 #: dirtied page of every dispatch in a segment); anything claiming to
@@ -129,10 +131,6 @@ def _revive_entry(data: dict) -> TraceEntry:
             and isinstance(key[3], tuple) and len(key[3]) == 7):
         raise ValueError("entry key has the wrong shape")
     entry.key = key
-    pre_sha = data["pre_sha"]
-    if not isinstance(pre_sha, str):
-        raise ValueError("entry pre_sha is not a string")
-    entry.pre_sha = pre_sha
     cycles_mod = data["cycles_mod"]
     if cycles_mod is not None and not isinstance(cycles_mod, int):
         raise ValueError("cycles_mod is neither None nor an int")

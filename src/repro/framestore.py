@@ -17,7 +17,8 @@ The safety model is identical for every family:
 
 * **Framing is self-checking.**  A torn tail from a killed writer, a
   corrupted length field, bit-rot in a payload — all are detected by
-  the magic/length/digest walk and skipped, never acted on.
+  the magic/length/digest walk and skipped, never acted on; the walk
+  resumes at the next magic, so damage costs only the frames it hit.
 * **Deserialization never executes.**  Payloads are deserialized
   with the restricted :func:`repro.safeload.safe_loads`; a payload
   referencing any global outside the family's allowlist (empty for
@@ -88,53 +89,48 @@ class FrameFormat:
 
 
 def walk_frames(data: bytes, fmt: FrameFormat
-                ) -> Tuple[List[Tuple[bytes, bytes, bool]], int, str]:
-    """Parse ``data`` as consecutive frames of ``fmt``.
+                ) -> Tuple[List[Tuple[bytes, bytes]], int, int]:
+    """Parse ``data`` as consecutive frames of ``fmt``, resynchronising
+    past damage.
 
-    Returns ``(events, consumed, tail)``: ``events`` is one
-    ``(payload, raw frame bytes, digest_ok)`` per structurally
-    complete frame, in order; ``consumed`` is the offset just past the
-    last complete frame; ``tail`` classifies why the walk stopped —
-
-    ========   ======================================================
-    tail       meaning
-    ========   ======================================================
-    clean      every byte consumed
-    fragment   trailing bytes shorter than a frame header
-    torn       a frame header whose payload runs past the data
-    sync       bad magic — lost sync, the rest is unparseable
-    oversize   a length field past ``max_record`` — corrupt header
-    ========   ======================================================
-
-    ``fragment``/``torn`` mean "an appender may still be writing";
-    ``sync``/``oversize`` mean the remaining bytes are garbage.  The
-    caller decides what each means for its counters and its offset.
+    Returns ``(frames, damaged, consumed)``: ``frames`` is one
+    ``(payload, raw frame bytes)`` per intact frame, in order.  A frame
+    that fails its magic, length or digest check starts a damaged
+    span: the walk scans forward to the next magic and keeps reading,
+    and ``damaged`` counts those spans.  Frames are self-checking, so
+    a false magic inside a damaged payload fails in turn and the scan
+    goes on.  ``consumed`` is where the walk stopped; it falls short
+    of ``len(data)`` only at a tail an appender may still be writing
+    — too few bytes for a header, or a header whose payload runs past
+    the data.  Such a torn frame hides what follows it only until the
+    data grows past its declared end; it then fails its digest and
+    the walk resyncs.
     """
-    events: List[Tuple[bytes, bytes, bool]] = []
+    frames: List[Tuple[bytes, bytes]] = []
+    damaged = 0
+    in_damage = False
     view = memoryview(data)
+    magic = fmt.magic
+    header = len(magic) + HEADER.size
     pos = 0
-    frame = len(fmt.magic) + HEADER.size
-    tail = "clean"
-    while pos + frame <= len(view):
-        if bytes(view[pos:pos + len(fmt.magic)]) != fmt.magic:
-            tail = "sync"
-            break
-        length, digest = HEADER.unpack_from(view, pos + len(fmt.magic))
-        if length > fmt.max_record:
-            tail = "oversize"
-            break
-        start = pos + frame
-        if start + length > len(view):
-            tail = "torn"
-            break
-        payload = bytes(view[start:start + length])
-        ok = hashlib.sha256(payload).digest()[:16] == digest
-        events.append((payload, bytes(view[pos:start + length]), ok))
-        pos = start + length
-    else:
-        if pos < len(view):
-            tail = "fragment"
-    return events, pos, tail
+    while pos + header <= len(data):
+        length, digest = HEADER.unpack_from(view, pos + len(magic))
+        start = pos + header
+        if data.startswith(magic, pos) and length <= fmt.max_record:
+            if start + length > len(data):
+                break                  # torn: wait for the appender
+            payload = bytes(view[start:start + length])
+            if hashlib.sha256(payload).digest()[:16] == digest:
+                frames.append((payload, bytes(view[pos:start + length])))
+                pos = start + length
+                in_damage = False
+                continue
+        if not in_damage:
+            damaged += 1
+            in_damage = True
+        found = data.find(magic, pos + 1)
+        pos = len(data) if found < 0 else found
+    return frames, damaged, pos
 
 
 def scan_store(data: bytes, fmt: FrameFormat,
@@ -151,12 +147,8 @@ def scan_store(data: bytes, fmt: FrameFormat,
     for more"."""
     kept = bytearray()
     records = 0
-    rejected = 0
-    events, _consumed, tail = walk_frames(data, fmt)
-    for payload, raw, ok in events:
-        if not ok:
-            rejected += 1
-            continue
+    frames, rejected, consumed = walk_frames(data, fmt)
+    for payload, raw in frames:
         try:
             validate(safe_loads(payload))
         except Exception:
@@ -164,9 +156,7 @@ def scan_store(data: bytes, fmt: FrameFormat,
             continue
         kept += raw
         records += 1
-    if tail in ("sync", "oversize", "torn"):
-        rejected += 1
-    elif tail == "fragment" and not rejected:
+    if consumed < len(data):
         rejected += 1
     return bytes(kept), records, rejected
 
@@ -348,14 +338,14 @@ class StoreLayout:
             data = path.read_bytes()
         except OSError:
             return None
-        events, _consumed, tail = walk_frames(data, self.fmt)
-        if tail != "clean" or len(events) != 1 or not events[0][2]:
+        frames, damaged, consumed = walk_frames(data, self.fmt)
+        if consumed < len(data) or damaged or len(frames) != 1:
             return None
         try:
             os.utime(path)
         except OSError:
             pass                       # raced with a prune: still valid
-        return events[0][0]
+        return frames[0][0]
 
     def _install(self, path: Path, data: bytes) -> bool:
         """Atomically (temp file, then rename) write ``data`` at
@@ -420,11 +410,12 @@ class AppendStore:
 
     def _ingest(self, data: bytes) -> bool:
         new = False
-        events, consumed, tail = walk_frames(data, self.layout.fmt)
-        for payload, _raw, ok in events:
-            if not ok:
-                self.corrupt += 1      # bit-rot: skip this frame only
-                continue
+        # damaged spans are skipped, never truncated: another process
+        # may be mid-append, and a torn tail stays unconsumed to wait
+        # for its appender
+        frames, damaged, consumed = walk_frames(data, self.layout.fmt)
+        self.corrupt += damaged
+        for payload, _raw in frames:
             try:
                 record = safe_loads(payload)
                 accepted = self._accept(record)
@@ -434,15 +425,6 @@ class AppendStore:
             if accepted:
                 self.loaded += 1
                 new = True
-        if tail in ("sync", "oversize"):
-            # lost sync (corrupt length field, or garbage from an
-            # interleaved write): stop consuming — the remaining tail
-            # is re-examined on the next refresh only if the file
-            # grows past it, so count it corrupt and give up on this
-            # file's tail
-            self.corrupt += 1
-            consumed = len(data)
-        # torn/fragment tails stay unconsumed: wait for the appender
         self._offset += consumed
         return new
 

@@ -33,7 +33,7 @@ from repro.msp430.execcache import (
     shared_execution_cache,
 )
 from repro.pool import worker_pool
-from tests.tier_matrix import HostileInputMatrix
+from tests.tier_matrix import AppendTierMatrix
 
 #: long enough that hot superblocks pass the tier-up threshold and
 #: are code-generated — which is what gets published to disk
@@ -149,11 +149,17 @@ class TestPrune:
         assert tier.published == 8
 
 
-class TestFailClosedIngestion(HostileInputMatrix):
+class TestFailClosedIngestion(AppendTierMatrix):
     _PCS = (0x4400, 0x4402)
 
     def fmt(self):
         return LAYOUT.fmt
+
+    def open_store(self, path):
+        return DiskTier(path)
+
+    def record(self, n):
+        return _record(0x4400 + 2 * n, bytes([n]) * 2)
 
     def populate(self, tmp_path):
         path = tmp_path / "s.sbx"

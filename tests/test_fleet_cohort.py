@@ -3,7 +3,7 @@
 The cohort layer's contract mirrors ``--jobs``: it is an execution
 detail.  A campaign run with ``--cohort on`` must produce the same
 bytes as one run with it off — whether the fleet is homogeneous (full
-lockstep), heterogeneous (mostly rejects), or killed and resumed
+lockstep), heterogeneous (mostly leads), or killed and resumed
 mid-flight.  The unit tests additionally pin the sharp edge: the
 cycle-timer port returns *absolute* quantized cycles, so a follower
 whose absolute cycle count differs may only replay a timer-reading
@@ -16,7 +16,7 @@ from repro.aft.cache import build_firmware
 from repro.aft.models import IsolationModel
 from repro.aft.phases import AppSource
 from repro.fleet.cohort import CohortStats, record_segment, \
-    replay_segment
+    replay_segment, state_digest
 from repro.fleet.device import simulate_cohort, simulate_device
 from repro.fleet.executor import FleetConfig, plan_cohort_units, \
     run_campaign
@@ -149,6 +149,28 @@ class TestSimulateCohort:
                                6000) == \
             snapshot_device(solo.machine, solo.scheduler, 6000)
 
+    def test_state_digest_once_per_device_and_segment(self,
+                                                       monkeypatch):
+        # the segment-start handshake is cohort lockstep's only state
+        # check: recording and replaying never digest per dispatch
+        calls = []
+
+        def counting(machine):
+            calls.append(machine)
+            return state_digest(machine)
+
+        monkeypatch.setattr("repro.fleet.cohort.state_digest", counting)
+        monkeypatch.setattr("repro.fleet.device.state_digest", counting)
+        model = MODELS_BY_KEY["mpu"]
+        specs = generate_population(3, 4, rogue_fraction=0.5,
+                                    homogeneous=True)
+        stats = CohortStats()
+        simulate_cohort(specs, model, sim_ms=6000,
+                        checkpoint_every_ms=2500, stats=stats)
+        segments = 3                     # 0-2500, 2500-5000, 5000-6000
+        assert stats.executed > segments
+        assert len(calls) == len(specs) * segments
+
 
 #: reads the Timer_A counter port each dispatch and folds it into a
 #: global — state that diverges the moment a timer read differs
@@ -249,69 +271,26 @@ class TestTimerSensitivity:
         assert stats.executed == len(trace.entries)
 
 
-class TestDispatchBoundaryRejoin:
-    """A forked follower re-handshakes at every later dispatch
-    boundary (key + cycles-mod pre-filter, state digest to verify) and
-    resumes delta replay the moment its live state matches a recorded
-    entry again."""
-
-    def _trace(self):
+class TestMidSegmentFork:
+    def test_fork_runs_rest_of_segment_to_leader_state(self):
+        # one unmatchable entry forces a fork mid-segment; the follower
+        # executes every dispatch from there on for real (no rejoin)
+        # and, deterministically, ends where the leader ended
         leader, leader_sched = _ticker_machine()
-        stats = CohortStats()
         trace = record_segment(leader, leader_sched, 0, _SEGMENT_MS,
-                               stats)
+                               CohortStats())
         assert len(trace.entries) >= 4
-        return leader, trace
-
-    def test_rejected_handshake_rejoins_at_first_boundary(self):
-        # a bogus segment digest rejects the handshake, but the
-        # follower's state *is* the leader's — the first boundary
-        # re-handshake matches entry 0 and the whole segment replays
-        leader, trace = self._trace()
-        trace.pre_sha = "0" * 64
-        follower, follower_sched = _ticker_machine()
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.rejects == 1 and stats.joins == 0
-        assert stats.rejoins == 1
-        assert stats.replayed == len(trace.entries)
-        assert stats.executed == 0
-        assert follower.cpu.memory.image_equals(
-            leader.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            leader.cpu.regs.snapshot()
-
-    def test_mid_trace_fork_rejoins_at_next_boundary(self):
-        # one unmatchable entry forces a fork mid-segment; the forked
-        # dispatch executes for real (deterministically, to the same
-        # state the leader reached), so the next boundary rejoins
-        leader, trace = self._trace()
         broken = len(trace.entries) // 2
         trace.entries[broken].key = ("rogue", "nope", (), ())
         follower, follower_sched = _ticker_machine()
         stats = CohortStats()
         replay_segment(follower, follower_sched, trace, 0,
                        _SEGMENT_MS, stats)
-        assert stats.joins == 1
-        assert stats.forks == 1 and stats.rejoins == 1
-        assert stats.executed == 1
-        assert stats.replayed == len(trace.entries) - 1
+        assert stats.joins == 1 and stats.forks == 1
+        assert stats.replayed == broken
+        assert stats.executed == len(trace.entries) - broken
         assert follower.cpu.memory.image_equals(
             leader.cpu.memory.image_bytes())
         assert follower.cpu.regs.snapshot() == \
             leader.cpu.regs.snapshot()
         assert follower.cpu.cycles == leader.cpu.cycles
-
-    def test_persistent_divergence_never_rejoins(self):
-        # a follower whose environment differs can never match a
-        # recorded key: every boundary stays a cheap pre-filter miss
-        _leader, trace = self._trace()
-        follower, follower_sched = _ticker_machine()
-        follower.services.env._state += 1
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.rejects == 1
-        assert stats.rejoins == 0 and stats.replayed == 0
-        assert stats.executed == len(trace.entries)

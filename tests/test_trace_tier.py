@@ -35,7 +35,7 @@ from repro.kernel.events import EventType, PeriodicSource
 from repro.kernel.machine import AmuletMachine
 from repro.kernel.scheduler import AppSchedule, Scheduler
 from repro.kernel.services import SensorEnvironment
-from tests.tier_matrix import HostileInputMatrix
+from tests.tier_matrix import AppendTierMatrix
 
 _COUNTER = """
 int total = 0;
@@ -120,9 +120,16 @@ class TestRoundTrip:
         assert trace_tier() is None
 
 
-class TestFailClosedIngestion(HostileInputMatrix):
+class TestFailClosedIngestion(AppendTierMatrix):
     def fmt(self):
         return LAYOUT.fmt
+
+    def open_store(self, path):
+        return TraceStore(path)
+
+    def record(self, n):
+        return dict(trace_record(_recorded_trace()[1]),
+                    pre_sha=f"{n:064x}")
 
     def populate(self, tmp_path):
         path = tmp_path / "s.tbx"
@@ -234,11 +241,11 @@ _CAMPAIGN = dict(devices=6, hours=0.003, models=("mpu",), seed=7,
                  checkpoint_minutes=0.05, rogue_fraction=0.5)
 
 
-def _campaign(tmp_path, name, **kwargs):
+def _campaign(tmp_path, name, **overrides):
     out = tmp_path / name
-    summary = run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=1,
-                           cohort=True, profile_dir=out / "profiles",
-                           **kwargs)
+    summary = run_campaign(FleetConfig(**{**_CAMPAIGN, **overrides}),
+                           out, jobs=1, cohort=True,
+                           profile_dir=out / "profiles")
     return out, summary
 
 
@@ -283,6 +290,19 @@ class TestCampaignByteIdentity:
         assert _bytes(disabled) == _bytes(cold)
         assert _model_profile(disabled)["trace_hits"] == 0
         assert _model_profile(disabled)["trace_misses"] == 0
+
+    def test_checkpoint_bytes_equal_cold_and_warm(self, tmp_path):
+        # a warm replay leaves app-name strings equal to, but not the
+        # same objects as, a cold run's; checkpoints must not notice
+        cold, _ = _campaign(tmp_path, "cold", homogeneous=True)
+        tracetier.clear_tier()
+        warm, _ = _campaign(tmp_path, "warm", homogeneous=True)
+        cold_profile, warm_profile = (_model_profile(out)
+                                      for out in (cold, warm))
+        assert warm_profile["trace_hits"] > 0
+        assert warm_profile["cohort_executed"] == 0
+        assert cold_profile["ckpt_flushes"] > 0
+        assert warm_profile["ckpt_bytes"] == cold_profile["ckpt_bytes"]
 
     def test_warm_tier_survives_kill_and_resume(self, tmp_path,
                                                 monkeypatch):

@@ -16,6 +16,12 @@ run against all three:
 In every case the tier must serve nothing from the damaged bytes and
 fall back to rebuilding, re-translating or re-recording, and the
 exploit's marker must never appear.
+
+The append-only tiers (``.sbx`` and ``.tbx``) subclass
+:class:`AppendTierMatrix` instead, which adds a sixth case: a writer
+killed halfway through an append, or a frame whose payload hides a
+false magic, followed by later appends, must cost only the damaged
+record.
 """
 
 import os
@@ -94,3 +100,37 @@ class HostileInputMatrix:
                              else exploit)
             self.assert_recovers(path, intact=0, corrupt=True)
             assert not marker.exists()
+
+
+class AppendTierMatrix(HostileInputMatrix):
+    """Mix-in: the five hostile inputs plus damage followed by later
+    appends, for one append-only tier.
+
+    Subclasses also implement ``open_store(path)`` — the tier's
+    :class:`~repro.framestore.AppendStore` over ``path``, opened as a
+    fresh process would — and ``record(n)``, the ``n``-th of four
+    distinct records of about the same size."""
+
+    def test_appends_after_damage_are_read(self, tmp_path):
+        frame = self.fmt().frame(pickle.dumps(
+            self.record(1), protocol=pickle.HIGHEST_PROTOCOL))
+        half = len(frame) // 2
+        false_header = self.fmt().magic + HEADER.pack(8, bytes(16))
+        damages = {
+            # a writer killed halfway through its append
+            "torn": frame[:half],
+            # bit-rot that plants a false magic inside the payload
+            "false-magic": frame[:half] + false_header
+            + frame[half + len(false_header):],
+        }
+        for name, damage in damages.items():
+            path = tmp_path / (name + self.fmt().suffix)
+            assert self.open_store(path).publish_record(self.record(0))
+            with path.open("ab") as handle:
+                handle.write(damage)
+            later = self.open_store(path)
+            assert later.publish_record(self.record(2))
+            assert later.publish_record(self.record(3))
+            fresh = self.open_store(path)
+            counts = (fresh.loaded, fresh.corrupt)
+            assert counts == (3, 1), (name, counts)
