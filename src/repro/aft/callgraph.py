@@ -57,16 +57,6 @@ class CallGraph:
                     return cycle
         return None
 
-    @property
-    def has_recursion(self) -> bool:
-        if self.find_cycle() is not None:
-            return True
-        # A function-pointer call whose target set includes a function
-        # that (transitively) reaches the call site is also recursion;
-        # we conservatively flag any address-taken function reachable
-        # from itself through indirect call sites.
-        return False
-
     def reachable_from(self, roots: Sequence[str]) -> Set[str]:
         seen: Set[str] = set()
         work = [r for r in roots if r in self.functions]

@@ -35,10 +35,6 @@ class AppLayout:
     def code_bytes(self) -> int:
         return self.code_hi - self.code_lo
 
-    @property
-    def data_bytes(self) -> int:
-        return self.seg_hi - self.stack_top
-
     def contains(self, address: int) -> bool:
         return self.code_lo <= address < self.seg_hi
 

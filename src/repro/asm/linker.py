@@ -110,9 +110,6 @@ class Image:
             raise LinkError("no sections matched bounds query")
         return lo, hi
 
-    def sections_named(self, name: str) -> List[Section]:
-        return [s for _o, s in self.placed if s.name == name]
-
     def load_into(self, memory) -> None:
         for address, blob in self.segments:
             memory.load(address, blob)
@@ -142,15 +139,6 @@ class Linker:
                                                   section.align)
         self._placed = True
         return self
-
-    def section_address(self, object_name: str, section_name: str) -> int:
-        for obj in self._objects:
-            if obj.name == object_name and section_name in obj.sections:
-                address = obj.sections[section_name].address
-                if address is None:
-                    raise LinkError("sections not yet placed")
-                return address
-        raise LinkError(f"no section {section_name!r} in {object_name!r}")
 
     # -- stage 2 ---------------------------------------------------------------
     def resolve(self, extra_symbols: Optional[Dict[str, int]] = None

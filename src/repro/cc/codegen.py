@@ -128,10 +128,6 @@ class _RegStack:
             self.emitter.emit(f"POP {value.reg}")
             revived.spilled = False
 
-    @property
-    def live_regs(self) -> List[str]:
-        return [v.reg for v in self.stack if not v.spilled]
-
     def assert_empty(self, line: int) -> None:
         if self.stack:
             raise CompileError(

@@ -35,7 +35,7 @@ SITES: Dict[str, str] = {
     "merge.after_replace": "devices-<model>.jsonl written, shards remain",
     "summary.before_replace": "every model merged, no summary.json yet",
     "status.after_replace": "the socket coordinator's status.json written",
-    "store.after_append": "a record appended to a .sbx or .tbx store",
+    "store.after_append": "a record appended to a .sbx store",
     "wire.after_ckpt": "a worker shipped a ckpt frame, reports flushed",
 }
 

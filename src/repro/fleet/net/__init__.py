@@ -22,7 +22,7 @@ Robustness is the design center, not an afterthought:
   reconnecting worker re-handshakes (campaign key, ``STATE_VERSION``,
   protocol version) so a stale worker can never feed results into the
   wrong campaign;
-* every blob (checkpoint, ``.tbx`` trace store) is requested by
+* every blob (checkpoint, ``.tbx`` trace entry) is requested by
   content hash and verified on receipt — fail-closed, exactly like
   the disk tiers' ingestion — and nothing executable is ever shipped:
   ``.sbx`` translation stores stay on the host that compiled them;

@@ -39,21 +39,21 @@ checkpoint frames are deserialized with the restricted
 :func:`~repro.fleet.snapshot.parse_checkpoint`, which also checks the
 campaign key + device stamp) before touching disk, blob names are
 validated against the model registry before becoming paths, and blobs
-served to workers (checkpoint payloads, ``.tbx`` trace stores, which
+served to workers (checkpoint payloads, ``.tbx`` trace entries, which
 hold only primitive values) go out content-addressed so the other end
 can verify them.  Nothing executable is served: ``.sbx`` translation
 stores hold generated bytecode, so they never leave this host.  On top of
-that, a shared ``secret`` turns the handshake into HMAC
+that, a shared ``secret`` turns the handshake into a mutual HMAC
 challenge/response — required for any non-loopback bind, because
 checkpoint *content* and ``dev_done`` records still shape campaign
-output and must come from trusted workers.
+output and must come from trusted workers, and a worker holding the
+secret in turn takes configs, leases and trace entries only from a
+coordinator that proves it holds it too.
 """
 
 from __future__ import annotations
 
-import hmac
 import json
-import os
 import queue
 import socket
 import threading
@@ -68,8 +68,9 @@ from repro.errors import ReproError
 from repro.fleet import tracetier
 from repro.fleet.executor import FileSink, UnitStats, _atomic_write, \
     _ckpt_path, _shards_dir, land_checkpoint
-from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
-    auth_mac, blob_sha, unpack_batch
+from repro.fleet.net.protocol import COORDINATOR_MAC, Channel, \
+    PROTO_VERSION, WORKER_MAC, WireError, auth_mac, blob_sha, \
+    is_nonce, mac_matches, new_nonce, unpack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
 from repro.fleet.telemetry import MODELS_BY_KEY
 
@@ -197,7 +198,7 @@ class SocketTransport:
     def open_campaign(self, campaign: dict) -> None:
         self._campaign = campaign
         # trace segments only replay inside cohort lockstep, so a
-        # cohort-off campaign would hash and ship .tbx stores that no
+        # cohort-off campaign would hash and ship .tbx entries that no
         # worker can use
         self._trace_offers = (
             tracetier.LAYOUT.list_store_files() if campaign.get("cohort")
@@ -558,12 +559,17 @@ class SocketTransport:
                     "key and re-handshake")})
             return None
         if self.secret is not None:
-            nonce = os.urandom(32).hex()
-            channel.send({"type": "challenge", "nonce": nonce})
+            nonce = new_nonce()
+            challenge = {"type": "challenge", "nonce": nonce}
+            # a worker holding the secret checks this proof before it
+            # answers; a malformed nonce gets none
+            if is_nonce(hello.get("nonce")):
+                challenge["proof"] = auth_mac(
+                    self.secret, COORDINATOR_MAC, hello["nonce"])
+            channel.send(challenge)
             reply, _ = channel.recv(timeout=10.0)
-            if reply.get("type") != "auth" or not hmac.compare_digest(
-                    str(reply.get("mac", "")),
-                    auth_mac(self.secret, nonce)):
+            if reply.get("type") != "auth" or not mac_matches(
+                    reply.get("mac"), self.secret, WORKER_MAC, nonce):
                 channel.send({
                     "type": "reject", "kind": "auth",
                     "reason": (

@@ -4,7 +4,7 @@ Every message on a coordinator/worker connection is one **frame**: a
 4-byte big-endian length followed by exactly that many bytes of
 canonical JSON (sorted keys, no whitespace — one JSON line).  A frame
 whose message carries ``blob_len`` is immediately followed by that
-many raw bytes (checkpoint payloads, ``.tbx`` trace stores — things
+many raw bytes (checkpoint payloads, ``.tbx`` trace entries — things
 JSON would bloat by a third in base64), and the message's
 ``blob_sha`` must be the blob's sha-256: the receiver verifies it and
 rejects the frame on mismatch, so the blob channel is
@@ -24,13 +24,16 @@ type      direction   meaning
 ========  ==========  ===================================================
 hello     w -> c      handshake: proto + STATE_VERSION + campaign key
                       (None on first contact) + worker id + role
-                      (``worker``, or ``status`` for an observer)
+                      (``worker``, or ``status`` for an observer);
+                      a worker holding a secret adds its own nonce
 challenge c -> w      a secret is configured: prove you hold it —
-                      reply with ``auth`` over the fresh nonce
-auth      w -> c      HMAC-SHA256(secret, nonce) for the challenge
+                      reply with ``auth`` over the fresh nonce; the
+                      ``proof`` over the hello's nonce shows this
+                      coordinator holds it too
+auth      w -> c      the worker's MAC of the challenge's nonce
 welcome   c -> w      handshake accepted: campaign key, config, cohort
                       and profile flags, heartbeat, ``.tbx``
-                      trace-store offers (nothing executable: no
+                      trace-entry offers (nothing executable: no
                       ``.sbx`` translation store is ever offered)
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
@@ -80,6 +83,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import os
+import re
 import socket
 import struct
 import threading
@@ -89,16 +94,25 @@ from typing import List, Optional, Tuple
 from repro.errors import ReproError
 
 #: bump on any incompatible message/framing change; exchanged (and
-#: required equal) in the hello/welcome handshake.  5: ``.sbx``
-#: translation stores no longer ship, and ``DISK_FORMAT`` left hello
-PROTO_VERSION = 5
+#: required equal) in the hello/welcome handshake.  6: authentication
+#: is mutual — a secret-holding worker's hello carries a nonce, and
+#: the challenge carries the coordinator's proof over it
+PROTO_VERSION = 6
+
+#: MAC labels: a worker's ``auth`` answers the coordinator's nonce
+#: under one, the coordinator's ``proof`` answers the worker's under
+#: the other, so neither side's MAC can be replayed as the other's
+WORKER_MAC = "worker"
+COORDINATOR_MAC = "coordinator"
+
+_NONCE = re.compile(r"[0-9a-f]{64}")
 
 #: JSON payloads are small (records, leases); anything bigger than
 #: this is a corrupt length field or garbage on the port
 MAX_FRAME = 4 * 1024 * 1024
 
-#: blobs carry checkpoints (a few KB) and whole ``.tbx`` stores
-#: (bounded by the trace-tier LRU budget)
+#: blobs carry checkpoints (a few KB) and ``.tbx`` entries (one
+#: recorded segment each, within the trace tier's record bound)
 MAX_BLOB = 256 * 1024 * 1024
 
 #: blobs smaller than this are not worth a deflate round-trip
@@ -118,11 +132,33 @@ def blob_sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def auth_mac(secret: bytes, nonce: str) -> str:
-    """The ``auth`` frame's proof: HMAC-SHA256 of the coordinator's
-    per-connection nonce under the shared secret.  A fresh nonce per
-    connection means a recorded handshake replays to nothing."""
-    return hmac.new(secret, nonce.encode(), hashlib.sha256).hexdigest()
+def new_nonce() -> str:
+    """A fresh per-connection handshake nonce: 64 hex digits."""
+    return os.urandom(32).hex()
+
+
+def is_nonce(value) -> bool:
+    """Whether a peer's value has :func:`new_nonce`'s shape — checked
+    before a nonce from the wire is MACed."""
+    return isinstance(value, str) and _NONCE.fullmatch(value) is not None
+
+
+def auth_mac(secret: bytes, label: str, nonce: str) -> str:
+    """HMAC-SHA256 of ``label:nonce`` under the shared secret: a
+    worker's ``auth`` (:data:`WORKER_MAC`, the coordinator's nonce) or
+    a coordinator's ``proof`` (:data:`COORDINATOR_MAC`, the worker's
+    nonce).  A fresh nonce per connection means a recorded handshake
+    replays to nothing."""
+    return hmac.new(secret, f"{label}:{nonce}".encode(),
+                    hashlib.sha256).hexdigest()
+
+
+def mac_matches(mac, secret: bytes, label: str, nonce: str) -> bool:
+    """Whether a peer's ``mac`` — any JSON value — is
+    :func:`auth_mac` of ``nonce``, compared in constant time."""
+    return isinstance(mac, str) and hmac.compare_digest(
+        mac.encode(errors="replace"),
+        auth_mac(secret, label, nonce).encode())
 
 
 class Channel:

@@ -1,15 +1,15 @@
 """The remote fleet worker: ``repro fleet worker --connect host:port``.
 
 A worker is a loop around one connection: handshake (protocol,
-``STATE_VERSION``, campaign key, and — when the coordinator is
-configured with a shared secret — an HMAC challenge/response proving
-this worker holds it too), import any warm ``.tbx`` trace stores the
-coordinator offers, then lease units until the coordinator says
-shutdown.  Nothing executable crosses the wire: ``.sbx`` translation
-stores hold generated bytecode, so a worker always translates
-locally.  Each lease runs through the one unit runner a local pool
-worker uses, :func:`~repro.fleet.executor._run_unit`; only the sink
-differs, a :class:`WireSink` in place of the pool's ``FileSink``:
+``STATE_VERSION``, campaign key, and — when the worker holds a shared
+secret — an HMAC exchange in which each side proves it holds it),
+import any warm ``.tbx`` trace entries the coordinator offers, then
+lease units until the coordinator says shutdown.  Nothing executable
+crosses the wire: ``.sbx`` translation stores hold generated
+bytecode, so a worker always translates locally.  Each lease runs
+through the one unit runner a local pool worker uses,
+:func:`~repro.fleet.executor._run_unit`; only the sink differs, a
+:class:`WireSink` in place of the pool's ``FileSink``:
 
 * checkpoints are serialized on the simulating thread and shipped as
   ``ckpt`` frames by the writer thread, keeping the local path's
@@ -56,8 +56,9 @@ from repro.errors import ReproError
 from repro.fleet import tracetier
 from repro.fleet.executor import FleetConfig, UnitStats, _run_unit, \
     profiled
-from repro.fleet.net.protocol import Channel, PROTO_VERSION, WireError, \
-    auth_mac, blob_sha, pack_batch
+from repro.fleet.net.protocol import COORDINATOR_MAC, Channel, \
+    PROTO_VERSION, WORKER_MAC, WireError, auth_mac, blob_sha, \
+    mac_matches, new_nonce, pack_batch
 from repro.fleet.snapshot import STATE_VERSION
 
 # unused here — the runner calls executor's copies — but
@@ -246,8 +247,9 @@ def _import_stores(batcher: FrameBatcher, channel: Channel,
                    offers: List[dict], say: Callable[[str], None]
                    ) -> None:
     """Warm this host's trace tier from the coordinator's ``.tbx``
-    store offers; every store is fetched by content hash and
-    re-validated frame-by-frame on import."""
+    entry offers; every entry is fetched by content hash and
+    re-validated on import."""
+    imported = 0
     for offer in offers:
         name = str(offer.get("name", ""))
         sha = offer.get("sha")
@@ -255,11 +257,11 @@ def _import_stores(batcher: FrameBatcher, channel: Channel,
                 tracetier.LAYOUT.have_store_file(name):
             continue
         blob = _fetch_blob(batcher, channel, f"tbx:{name}", sha)
-        if blob is None:
-            continue
-        records = tracetier.import_store_file(name, blob)
-        if records:
-            say(f"imported trace store {name} ({records} records)")
+        if blob is not None and tracetier.import_store_file(name, blob):
+            imported += 1
+    if offers:
+        say(f"imported trace store: {imported} of {len(offers)} "
+            "entries")
 
 
 class WireSink:
@@ -328,22 +330,40 @@ def handshake(channel: Channel, campaign_key: Optional[str],
     workers (answered by ``welcome``) and ``repro fleet status``
     observers (``role="status"``, answered by the ``status`` view);
     returns that reply, raising :class:`HandshakeRejected` on a
-    refusal."""
-    channel.send({"type": "hello", "proto": PROTO_VERSION,
-                  "state_version": STATE_VERSION,
-                  "campaign": campaign_key, "role": role,
-                  "worker": worker_id,
-                  "host": socket.gethostname()})
+    refusal.
+
+    Holding a secret makes authentication mutual: the hello carries a
+    fresh nonce, and only a challenge whose ``proof`` is that nonce's
+    coordinator MAC gets an answer.  A reply that skips the challenge,
+    or a wrong proof, means whoever answered ``--connect`` does not
+    hold the secret; it is refused with kind ``auth`` before any of
+    its offers are taken."""
+    hello = {"type": "hello", "proto": PROTO_VERSION,
+             "state_version": STATE_VERSION,
+             "campaign": campaign_key, "role": role,
+             "worker": worker_id, "host": socket.gethostname()}
+    if secret is not None:
+        hello["nonce"] = nonce = new_nonce()
+    channel.send(hello)
     message, _ = channel.recv(timeout=REPLY_TIMEOUT_S)
     if message["type"] == "challenge":
         if secret is None:
             raise HandshakeRejected(
                 "auth", "coordinator requires a shared secret — "
                 "pass --secret-file or set REPRO_FLEET_SECRET")
+        if not mac_matches(message.get("proof"), secret,
+                           COORDINATOR_MAC, nonce):
+            raise HandshakeRejected(
+                "auth", "coordinator failed to prove it holds the "
+                "fleet secret")
         channel.send({"type": "auth",
-                      "mac": auth_mac(secret,
+                      "mac": auth_mac(secret, WORKER_MAC,
                                       str(message.get("nonce", "")))})
         message, _ = channel.recv(timeout=REPLY_TIMEOUT_S)
+    elif secret is not None and message["type"] != "reject":
+        raise HandshakeRejected(
+            "auth", f"coordinator sent {message['type']!r} without a "
+            "challenge — it does not hold the fleet secret")
     if message["type"] == "reject":
         raise HandshakeRejected(str(message.get("kind", "version")),
                                 str(message.get("reason", "rejected")))

@@ -1,28 +1,31 @@
-"""Persistent cohort trace tier: ``.tbx`` stores of segment traces.
+"""Persistent cohort trace tier: one ``.tbx`` entry per recorded segment.
 
 Cohort lockstep (:mod:`repro.fleet.cohort`) records one leader's
 dispatch trace per ``(firmware, segment)`` and replays it into
 state-identical siblings — but those traces used to die with the work
 unit, so every unit, process, and remote worker re-recorded them.
-This tier persists them the way the ``.sbx`` exec-cache tier persists
-compiled blocks: one append-only, self-checking store file per
-firmware image (``.cache/trace/<identity>.tbx``), records
-content-addressed by ``(base_sha, segment window, pre-state digest)``,
-published once and adopted by every later reader — including remote
-fleet workers, via the sha-verified blob channel (which never carries
+This tier persists them the way the firmware build cache persists
+builds: each recorded segment is its own one-frame entry file,
+``.cache/trace/<identity>.tbx``, named by its key ``(base_sha,
+start_ms, end_ms, pre_sha)``, written by temp file and rename and
+read back by whoever looks that key up — including remote fleet
+workers, via the sha-verified blob channel (which never carries
 ``.sbx`` stores: those hold bytecode; trace records hold only
-primitive values).
+primitive values).  The file system is the index: a lookup is one
+read of one file, and nothing is held in memory between lookups.
 
 Trust model — identical to the exec tier's, one layer up:
 
 * **The local cache dir is trusted** exactly as much as for ``.sbx``
   stores (whoever can write it can already poison compiled code).
-  Ingestion is still fail-closed against *corruption*: framing is
-  magic/length/digest-checked, payloads are deserialized with the
-  restricted :func:`repro.safeload.safe_loads` (a crafted pickle
-  raises instead of executing), and a record must pass a full shape
-  validation — page offsets in range, register files the right width,
-  fault origins that exist — before a follower ever applies it.
+  Ingestion is still fail-closed against *corruption*: an entry must
+  be exactly one intact frame (magic, length, digest), the payload is
+  deserialized with the restricted :func:`repro.safeload.safe_loads`
+  (a crafted pickle raises instead of executing), and the record must
+  pass a full shape validation — page offsets in range, register
+  files the right width, fault origins that exist — and carry the
+  very key it was looked up by (entry names are 64-bit hashes) before
+  a follower ever applies it.
 * **Adoption is verified by content.**  A trace replays into a device
   only when the device's own :func:`repro.fleet.cohort.state_digest`
   at segment start equals the record's ``pre_sha``; past that, each
@@ -31,40 +34,36 @@ Trust model — identical to the exec tier's, one layer up:
   inert for clean siblings — their digests never match — and
   byte-identity holds with the tier cold, warm, poisoned, or
   disabled.
-* **The wire adds nothing to trust.**  Store files cross the fleet
-  only through the existing content-addressed blob channel (sha
-  pinned at offer time, verified on receipt, re-scanned frame by
-  frame before import).
+* **The wire adds nothing to trust.**  Entries cross the fleet only
+  through the existing content-addressed blob channel (sha pinned at
+  offer time, verified on receipt), and an imported entry is
+  installed only if it passes every check a load applies, under the
+  name its own key hashes to.
 
 Knobs mirror the exec tier: ``REPRO_TRACE_CACHE=0`` disables,
 ``REPRO_TRACE_CACHE_DIR`` relocates, ``REPRO_TRACE_CACHE_MAX_MB``
 bounds the LRU budget (``REPRO_NO_CACHE`` still kills everything);
-:data:`LAYOUT` names, lists, serves and prunes the store files.
+:data:`LAYOUT` names, lists, serves and prunes the entry files.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+import pickle
+from typing import Optional
 
 from repro.fleet.cohort import SegmentTrace, TraceEntry
-from repro.framestore import AppendStore, FrameFormat, StoreLayout
+from repro.framestore import FrameFormat, StoreLayout
+from repro.safeload import safe_loads
 
-#: bump when the record payload layout changes
-TRACE_FORMAT = 2
+#: bump when the record payload layout changes (3: one entry file per
+#: segment instead of one append store per firmware image)
+TRACE_FORMAT = 3
 
 #: traces are orders of magnitude bigger than compiled blocks (every
 #: dirtied page of every dispatch in a segment); anything claiming to
 #: be bigger than this is a corrupt length field — and a legitimate
 #: trace past it simply isn't published (fail-soft: re-recorded)
 _MAX_RECORD = 1 << 26
-
-#: distinct pre-state variants kept per segment window.  Every
-#: distinct device state that leads a segment publishes one variant
-#: (a jittered fleet publishes one per phase), so the cap is roomier
-#: than the exec tier's per-pc one; past it, new variants just stay
-#: process-local.  Bounds what a self-modifying rogue can grow.
-MAX_SEGMENT_VARIANTS = 64
 
 _FORMAT = FrameFormat(b"TBX1", _MAX_RECORD, ".tbx")
 LAYOUT = StoreLayout(_FORMAT, "TRACE_CACHE", "trace", default_mb=256,
@@ -90,29 +89,6 @@ def trace_record(trace: SegmentTrace) -> dict:
             {name: getattr(entry, name) for name in _ENTRY_SLOTS}
             for entry in trace.entries],
     }
-
-
-def _validate_record_shape(record) -> None:
-    """Cheap top-level shape check (raise on failure) — applied at
-    ingest/scan time to every frame; the expensive per-entry
-    validation runs once, at :func:`revive_trace` time."""
-    if not isinstance(record, dict):
-        raise ValueError("trace record is not a dict")
-    for key in _RECORD_KEYS:
-        if key not in record:
-            raise ValueError(f"trace record lacks {key!r}")
-    if not isinstance(record["base_sha"], str) or \
-            not isinstance(record["pre_sha"], str):
-        raise ValueError("trace identity fields are not strings")
-    if not isinstance(record["start_ms"], int) or \
-            not isinstance(record["end_ms"], int):
-        raise ValueError("trace window fields are not ints")
-    modulus = record["timer_modulus"]
-    if not isinstance(modulus, int) or modulus <= 0:
-        raise ValueError("timer modulus is not a positive int")
-    entries = record["entries"]
-    if not isinstance(entries, list):
-        raise ValueError("trace entries is not a list")
 
 
 def _revive_entry(data: dict) -> TraceEntry:
@@ -198,121 +174,77 @@ def _revive_entry(data: dict) -> TraceEntry:
     return entry
 
 
-def revive_trace(record: dict) -> Optional[SegmentTrace]:
+def revive_trace(record) -> Optional[SegmentTrace]:
     """A stored record back to a :class:`SegmentTrace`, or ``None``
-    when any entry fails validation (fail-closed: the whole trace is
-    refused, the follower just executes)."""
+    when it or any entry fails validation (fail-closed: the whole
+    trace is refused, the follower just executes)."""
     try:
-        _validate_record_shape(record)
+        if not isinstance(record, dict):
+            raise ValueError("trace record is not a dict")
+        for key in _RECORD_KEYS:
+            if key not in record:
+                raise ValueError(f"trace record lacks {key!r}")
+        if not isinstance(record["base_sha"], str) or \
+                not isinstance(record["pre_sha"], str):
+            raise ValueError("trace identity fields are not strings")
+        if not isinstance(record["start_ms"], int) or \
+                not isinstance(record["end_ms"], int):
+            raise ValueError("trace window fields are not ints")
+        modulus = record["timer_modulus"]
+        if not isinstance(modulus, int) or modulus <= 0:
+            raise ValueError("timer modulus is not a positive int")
+        if not isinstance(record["entries"], list):
+            raise ValueError("trace entries is not a list")
         return SegmentTrace(
             base_sha=record["base_sha"],
             start_ms=record["start_ms"], end_ms=record["end_ms"],
-            pre_sha=record["pre_sha"],
-            timer_modulus=record["timer_modulus"],
+            pre_sha=record["pre_sha"], timer_modulus=modulus,
             entries=[_revive_entry(data)
                      for data in record["entries"]])
     except Exception:
         return None
 
 
-# -- the persistent store ----------------------------------------------------
+# -- the persistent tier -----------------------------------------------------
 
-class TraceStore(AppendStore):
-    """Append-only ``.tbx`` store for one firmware image's traces,
-    indexed by ``(start_ms, end_ms)`` window then pre-state digest.
-    Same concurrency model as the exec tier: single ``O_APPEND``
-    writes, incremental self-checking reads, content-level dedup."""
+def _key(trace: SegmentTrace) -> tuple:
+    return (trace.base_sha, trace.start_ms, trace.end_ms, trace.pre_sha)
 
-    __slots__ = ("_index",)
 
-    def __init__(self, path: Path):
-        #: (start_ms, end_ms) -> {pre_sha: raw record dict}
-        self._index: Dict[Tuple[int, int], Dict[str, dict]] = {}
-        super().__init__(path, LAYOUT)
-
-    def stats(self) -> dict:
-        return {"path": str(self.path), "loaded": self.loaded,
-                "published": self.published, "corrupt": self.corrupt,
-                "segments": len(self._index)}
-
-    def _accept(self, record) -> bool:
-        _validate_record_shape(record)  # wrong shape raises -> corrupt
-        window = (record["start_ms"], record["end_ms"])
-        variants = self._index.setdefault(window, {})
-        pre_sha = record["pre_sha"]
-        if pre_sha in variants:
-            return False
-        if len(variants) >= MAX_SEGMENT_VARIANTS:
-            return False               # variant cap, on disk too
-        variants[pre_sha] = record
-        return True
-
-    def get(self, start_ms: int, end_ms: int, pre_sha: str
-            ) -> Optional[SegmentTrace]:
-        """The revived trace for one ``(window, pre-state)``, or
-        ``None``.  Misses refresh once (cheap ``stat``) to pick up
-        traces another process published since."""
-        record = self._index.get((start_ms, end_ms), {}).get(pre_sha)
-        if record is None and self.refresh():
-            record = self._index.get((start_ms, end_ms),
-                                     {}).get(pre_sha)
-        if record is None:
-            return None
-        trace = revive_trace(record)
-        if trace is None:
-            self.corrupt += 1          # passed framing, failed revive
-        return trace
-
-    def put(self, trace: SegmentTrace) -> bool:
-        """Publish one recorded segment; returns whether it was
-        appended (False: duplicate, over-cap, unwritable dir)."""
-        window = (trace.start_ms, trace.end_ms)
-        variants = self._index.setdefault(window, {})
-        if trace.pre_sha in variants or \
-                len(variants) >= MAX_SEGMENT_VARIANTS:
-            return False
-        record = trace_record(trace)
-        if not self.publish_record(record):
-            return False
-        variants[trace.pre_sha] = record
-        return True
+def _revive(payload: bytes) -> Optional[SegmentTrace]:
+    """An entry's payload back to a trace, or ``None``."""
+    try:
+        record = safe_loads(payload)
+    except Exception:
+        return None
+    return revive_trace(record)
 
 
 class TraceTier:
-    """Process-wide facade: one :class:`TraceStore` per firmware
-    image, opened lazily, memory-only degradation on an unwritable
-    cache dir."""
-
-    def __init__(self):
-        self._stores: Dict[str, Optional[TraceStore]] = {}
-
-    def _store(self, base_sha: str) -> Optional[TraceStore]:
-        if base_sha not in self._stores:
-            try:
-                self._stores[base_sha] = TraceStore(
-                    LAYOUT.store_path(base_sha))
-            except OSError:
-                self._stores[base_sha] = None    # unwritable: no tier
-        return self._stores[base_sha]
+    """Process-wide facade over the entry files: one entry per
+    ``(base_sha, start_ms, end_ms, pre_sha)``; an unwritable cache dir
+    just means every lookup misses."""
 
     def load(self, base_sha: str, start_ms: int, end_ms: int,
              pre_sha: str) -> Optional[SegmentTrace]:
-        store = self._store(base_sha)
-        if store is None:
+        """The trace recorded for this key, or ``None`` (absent,
+        damaged, invalid, or filed under a colliding name)."""
+        key = (base_sha, start_ms, end_ms, pre_sha)
+        payload = LAYOUT.read_entry(LAYOUT.store_path(*key))
+        trace = None if payload is None else _revive(payload)
+        if trace is None or _key(trace) != key:
             return None
-        return store.get(start_ms, end_ms, pre_sha)
+        return trace
 
     def publish(self, trace: SegmentTrace) -> bool:
+        """Write one recorded segment's entry, replacing whatever
+        (damaged) entry held its name; returns whether it landed."""
         if trace.truncated:
             return False               # never persist a partial trace
-        store = self._store(trace.base_sha)
-        if store is None:
-            return False
-        return store.put(trace)
-
-    def stats(self) -> List[dict]:
-        return [store.stats() for store in self._stores.values()
-                if store is not None]
+        return LAYOUT.write_entry(
+            LAYOUT.store_path(*_key(trace)),
+            pickle.dumps(trace_record(trace),
+                         protocol=pickle.HIGHEST_PROTOCOL))
 
 
 #: the process-wide tier, or None when disabled (tests clear it to
@@ -338,11 +270,15 @@ def clear_tier() -> None:
     _TIER_READY = False
 
 
-# -- store export/import (the fleet blob channel) ---------------------------
+# -- entry export/import (the fleet blob channel) ---------------------------
 
-def import_store_file(name: str, data: bytes) -> int:
-    """Install a ``.tbx`` store fetched from a peer; returns records
-    kept.  Fail-closed: every frame is re-walked (magic, length,
-    digest), payloads pass through the restricted unpickler, and only
-    shape-valid trace records are written."""
-    return LAYOUT.import_store_file(name, data, _validate_record_shape)
+def import_store_file(name: str, data: bytes) -> bool:
+    """Install a ``.tbx`` entry fetched from a peer; returns whether
+    it was installed.  Fail-closed: ``data`` must be exactly one
+    intact frame whose payload revives, and ``name`` must be the name
+    its own key hashes to."""
+    def _accept(payload: bytes) -> bool:
+        trace = _revive(payload)
+        return trace is not None and \
+            LAYOUT.store_path(*_key(trace)).name == name
+    return LAYOUT.import_store_file(name, data, _accept)

@@ -3,22 +3,25 @@
 Three persistent cache tiers share one on-disk grammar: the firmware
 build cache (:mod:`repro.aft.cache`, one ``.pkl`` entry per build),
 the ``.sbx`` execution-cache tier (:mod:`repro.msp430.execcache`) and
-the ``.tbx`` cohort trace tier (:mod:`repro.fleet.tracetier`).  All
-persist pickled payloads as **frames** — a 4-byte magic, a
-little-endian length, a 16-byte sha-256 payload prefix, then the
-payload — in files named by a 16-hex-digit identity hash.  This
-module holds the format-agnostic machinery: frame packing and
-walking, the import-time scan, one-frame entry files, the LRU file
-prune, store naming, the env-knob plumbing
-(``REPRO_<FAMILY>[_DIR|_MAX_MB]``), and the incremental append-only
-reader the ``.sbx`` and ``.tbx`` tiers subclass.
+the ``.tbx`` cohort trace tier (:mod:`repro.fleet.tracetier`, one
+``.tbx`` entry per recorded segment).  All persist pickled payloads
+as **frames** — a 4-byte magic, a little-endian length, a 16-byte
+sha-256 payload prefix, then the payload — in files named by a
+16-hex-digit identity hash.  This module holds the format-agnostic
+machinery: frame packing and walking, one-frame entry files and
+their import, the LRU file prune, store naming, the env-knob
+plumbing (``REPRO_<FAMILY>[_DIR|_MAX_MB]``), and the incremental
+append-only reader the ``.sbx`` tier subclasses for its many small
+records.
 
 The safety model is identical for every family:
 
 * **Framing is self-checking.**  A torn tail from a killed writer, a
   corrupted length field, bit-rot in a payload — all are detected by
-  the magic/length/digest walk and skipped, never acted on; the walk
-  resumes at the next magic, so damage costs only the frames it hit.
+  the magic/length/digest walk and skipped, never acted on; in an
+  append store the walk resumes at the next magic, so damage costs
+  only the frames it hit, and an entry file is used only when it
+  holds exactly one intact frame.
 * **Deserialization never executes.**  Payloads are deserialized
   with the restricted :func:`repro.safeload.safe_loads`; a payload
   referencing any global outside the family's allowlist (empty for
@@ -27,7 +30,7 @@ The safety model is identical for every family:
   "fewer warm frames" or a rebuild.  (A ``.sbx`` record's ``fn`` is
   generated bytecode that *revival* runs, so ``.sbx`` stores are
   trusted local state, like ``__pycache__``, and never cross the
-  fleet wire; only ``.tbx`` stores are exported.)
+  fleet wire; only ``.tbx`` entries are exported.)
 * **Frame digests prove framing, not provenance.**  An attacker
   controls magic, length, and digest of frames it writes; every
   family therefore re-validates record *content* on ingest (shape
@@ -133,34 +136,6 @@ def walk_frames(data: bytes, fmt: FrameFormat
     return frames, damaged, pos
 
 
-def scan_store(data: bytes, fmt: FrameFormat,
-               validate: Callable[[object], None]
-               ) -> Tuple[bytes, int, int]:
-    """Walk ``data`` and keep only fully valid frames (import path).
-
-    Returns ``(valid frame bytes, records kept, frames rejected)``.
-    Applies every check ingestion applies — magic, length bound,
-    payload digest, globals-free restricted unpickling, then the
-    family's ``validate`` (which raises on a bad record shape) — and,
-    being an import-time scan of a complete transfer, also treats a
-    torn or trailing-fragment tail as a rejection rather than "wait
-    for more"."""
-    kept = bytearray()
-    records = 0
-    frames, rejected, consumed = walk_frames(data, fmt)
-    for payload, raw in frames:
-        try:
-            validate(safe_loads(payload))
-        except Exception:
-            rejected += 1
-            continue
-        kept += raw
-        records += 1
-    if consumed < len(data):
-        rejected += 1
-    return bytes(kept), records, rejected
-
-
 class StoreLayout:
     """One family's on-disk layout: directory, budget, naming and
     files — all tunable through ``REPRO_<FAMILY>_DIR`` and
@@ -260,10 +235,10 @@ class StoreLayout:
             removed += 1
         return removed
 
-    # -- store export/import (the fleet blob channel) -------------------
+    # -- entry export/import (the fleet blob channel) -------------------
 
     def list_store_files(self) -> List[dict]:
-        """Offerable stores in this family's cache dir:
+        """Offerable entries in this family's cache dir:
         ``[{"name", "sha", "size"}, ...]`` — the coordinator's side of
         the blob-channel handshake."""
         directory = self.directory()
@@ -283,7 +258,7 @@ class StoreLayout:
         return offers
 
     def read_store_file(self, name: str) -> Optional[bytes]:
-        """The raw bytes of one offerable store, or ``None`` (bad
+        """The raw bytes of one offerable entry, or ``None`` (bad
         name, vanished file)."""
         if not self.valid_name(name):
             return None
@@ -293,33 +268,31 @@ class StoreLayout:
             return None
 
     def have_store_file(self, name: str) -> bool:
-        """Whether this host already has (any version of) the named
-        store — an importer skips those; append-only publishing means
-        the local copy converges on its own."""
+        """Whether this host already has the named entry — an
+        importer skips those: an entry's name fixes its content."""
         return self.valid_name(name) and \
             (self.directory() / name).exists()
 
     def import_store_file(self, name: str, data: bytes,
-                          validate: Callable[[object], None]) -> int:
-        """Install a store fetched from a peer; returns records kept.
+                          accept: Callable[[bytes], bool]) -> bool:
+        """Install an entry fetched from a peer; returns whether it
+        was installed.
 
-        No-ops (returns 0) when this family is disabled, the name is
-        not a valid store name, the store already exists locally, or
-        no frame survives :func:`scan_store`.  The validated frames
-        are written atomically under the peer's name — the name
-        encodes the store identity, so a store from a peer with a
-        different environment simply never gets opened here."""
+        No-op when this family is disabled, the name is not a valid
+        entry name, the entry already exists locally, ``data`` is not
+        exactly one intact frame (what :meth:`read_entry` would
+        accept), or ``accept(payload)`` refuses the payload."""
         if not self.enabled() or not self.valid_name(name):
-            return 0
+            return False
         path = self.directory() / name
         if path.exists():
-            return 0
-        kept, records, _rejected = scan_store(data, self.fmt, validate)
-        if not records or not self._install(path, kept):
-            return 0
-        return records
+            return False
+        payload = self._payload(data)
+        if payload is None or not accept(payload):
+            return False
+        return self._install(path, data)
 
-    # -- one-frame entry files (the firmware build cache) ---------------
+    # -- one-frame entry files (the firmware and trace tiers) -----------
 
     def write_entry(self, path: Path, payload: bytes) -> bool:
         """Write ``payload`` as a file holding exactly one frame;
@@ -335,16 +308,22 @@ class StoreLayout:
         garbage, trailing bytes).  A hit refreshes the file's mtime,
         so hot entries survive LRU sweeps."""
         try:
-            data = path.read_bytes()
+            payload = self._payload(path.read_bytes())
         except OSError:
             return None
+        if payload is not None:
+            try:
+                os.utime(path)
+            except OSError:
+                pass                   # raced with a prune: still valid
+        return payload
+
+    def _payload(self, data: bytes) -> Optional[bytes]:
+        """The payload of ``data`` if it is exactly one intact frame,
+        else ``None``."""
         frames, damaged, consumed = walk_frames(data, self.fmt)
         if consumed < len(data) or damaged or len(frames) != 1:
             return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass                       # raced with a prune: still valid
         return frames[0][0]
 
     def _install(self, path: Path, data: bytes) -> bool:
@@ -370,12 +349,15 @@ class AppendStore:
     other processes pick up appended frames incrementally (cheap
     ``stat`` + read from the last consumed offset) and skip anything
     torn or corrupt.  No locks, no coordination: the worst race is a
-    duplicate record, which each family's content-level dedup absorbs.
+    duplicate record, which the subclass's content-level dedup
+    absorbs.
 
-    Subclasses implement :meth:`_accept`, which indexes one
-    deserialized record and returns whether it was new (``False`` for
-    duplicates and over-cap variants); a record of the wrong shape
-    raises and is counted ``corrupt``.
+    Subclasses (the ``.sbx`` tier's
+    :class:`~repro.msp430.execcache.DiskTier`) implement
+    :meth:`_accept`, which indexes one deserialized record and returns
+    whether it was new (``False`` for duplicates and over-cap
+    variants); a record of the wrong shape raises and is counted
+    ``corrupt``.
     """
 
     __slots__ = ("path", "layout", "_offset",

@@ -42,13 +42,13 @@ memory" summary: **pure** blocks (register-only thunks, optionally a
 final jump) skip *all* per-instruction bookkeeping — the PC, cycle and
 instruction counters are written once per block — while **memory**
 blocks keep the architectural counters and PC exact around every
-thunk, so I/O read handlers (the cycle timer), fault PCs, and pending
-service faults observe bit-identical state to ``step()``.
+thunk, so I/O read and write handlers (the cycle timer, the kernel
+gates) and fault PCs observe bit-identical state to ``step()``.
 
 ``run()`` only dispatches blocks when nothing needs per-instruction
 observability: a ``trace_hook`` (debugger), a memory observer
-(watchpoints, profilers), a pending fault, or a cycle/instruction
-budget within one block of expiring all fall back to ``step()``, as
+(watchpoints, profilers), or a cycle/instruction budget within one
+block of expiring all fall back to ``step()``, as
 does setting :attr:`Cpu.block_mode` to ``False``: that step-only
 mode runs the per-opcode ``_op_*`` handlers for every instruction,
 the independent oracle the differential tests compare the table
@@ -157,8 +157,8 @@ class _Block:
     * **memory** — anything that touches memory: ``fn(cpu, r, m)``
       maintains PC and both counters per instruction (so I/O read
       handlers such as the cycle timer observe exactly the state
-      ``step()`` would show) and re-checks halt/pending-fault/
-      invalidation/observability after every store.
+      ``step()`` would show) and re-checks halt/invalidation/
+      observability after every store.
 
     ``cycles`` and ``count`` are the *full-path* totals (every step
     executed, nothing skipped) — upper bounds used for budget guards.
@@ -334,8 +334,8 @@ def _codegen(blk: _Block):
     else:
         # Memory-touching block: exact architectural state around
         # every step that can observe it.  A store may halt the
-        # machine (DONE port), post a fault (FAULT port / service
-        # handler), invalidate cached code — possibly this very block
+        # machine (DONE and FAULT ports, a faulting service handler),
+        # invalidate cached code — possibly this very block
         # (self-modifying code) — stale the permission bitmap (MPU
         # register), or attach an observer — each check mirrors what
         # ``step()`` + ``run()`` would do at that boundary.
@@ -402,10 +402,6 @@ def _codegen(blk: _Block):
                     # every post-dispatch guard unchanged, because
                     # only write handlers have side effects
                     emit(f"{ind}if c.halted: return 1")
-                    emit(f"{ind}f = c._pending_fault")
-                    emit(f"{ind}if f is not None:")
-                    emit(f"{ind}    c._pending_fault = None")
-                    emit(f"{ind}    raise f")
                     emit(f"{ind}if (c._code_version != _v"
                          " or m._perm_stale"
                          " or c.trace_hook is not None"
@@ -458,10 +454,6 @@ def _interp_block(c, blk: _Block, r, m) -> None:
         elif s[4] == _STORE:              # store boundary: exact checks
             if c.halted:
                 return
-            f = c._pending_fault
-            if f is not None:
-                c._pending_fault = None
-                raise f
             if (c._code_version != _v or m._perm_stale
                     or c.trace_hook is not None or m._observers):
                 return
@@ -556,9 +548,6 @@ class Cpu:
         self.instructions = 0
         self.halted = False
         self.trace_hook: Optional[Callable[[int, Instruction], None]] = None
-        # Raised mid-instruction by service handlers that must stop the
-        # world (used by the kernel fault path).
-        self._pending_fault: Optional[CpuFault] = None
         # Decoded-instruction cache, keyed by 64-byte page then PC.
         # Any memory write invalidates the entries it touches (so
         # self-modifying code and re-loads stay correct); firmware
@@ -708,11 +697,6 @@ class Cpu:
         self.cycles = state["cycles"]
         self.instructions = state["instructions"]
         self.halted = state["halted"]
-        self._pending_fault = None
-
-    def post_fault(self, fault: CpuFault) -> None:
-        """Queue a fault to be raised at the end of the current step."""
-        self._pending_fault = fault
 
     # -- operand evaluation ------------------------------------------------
     def _read_reg(self, n: int, byte: bool) -> int:
@@ -889,9 +873,6 @@ class Cpu:
 
         self.cycles += insn_cycles
         self.instructions += 1
-        if self._pending_fault is not None:
-            fault, self._pending_fault = self._pending_fault, None
-            raise fault
         return insn
 
     def run(self, max_cycles: int = 10_000_000,
@@ -901,8 +882,8 @@ class Cpu:
         The loop dispatches compiled superblocks whenever exact
         per-instruction observability is not required, and falls back
         to :meth:`step` when a trace hook or memory observer is
-        installed, a fault is pending, a budget is within one block of
-        expiring, or :attr:`block_mode` is off.  Architectural state —
+        installed, a budget is within one block of expiring, or
+        :attr:`block_mode` is off.  Architectural state —
         cycles, instructions, fault PCs, halt points, budget errors —
         is bit-identical either way.
         """
@@ -921,7 +902,6 @@ class Cpu:
             # drops out of the tight loop as soon as a memory block
             # (or an inline step) does.
             if (self.block_mode and self.trace_hook is None
-                    and self._pending_fault is None
                     and not memory._observers):
                 if memory._perm_stale:
                     memory._refresh_permissions()
@@ -977,8 +957,6 @@ class Cpu:
                                     blk.pc_map[regs[0]],
                                     exc.address, exc.kind) from exc
                             if (self.halted
-                                    or self._pending_fault
-                                    is not None
                                     or self.trace_hook is not None
                                     or memory._observers):
                                 break
@@ -1043,7 +1021,6 @@ class Cpu:
                             blk.pc_map[regs[0]],
                             exc.address, exc.kind) from exc
                     if (self.halted
-                            or self._pending_fault is not None
                             or self.trace_hook is not None
                             or memory._observers):
                         break
@@ -1252,7 +1229,7 @@ class Cpu:
                 # Gate/MPU/timer port operand: absorb it as the
                 # block's *final* instruction.  Marking it a store
                 # boundary makes the generated code emit the full
-                # halt/pending-fault check suite right after the
+                # halt/invalidation check suite right after the
                 # access, and ending the block here hands control back
                 # to ``run``'s guard re-checks — exactly the boundary
                 # ``step()`` would give.  (Syscall gates and timer

@@ -12,8 +12,6 @@ costs the paper reports.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.msp430.isa import (
     AddressingMode,
     Instruction,
@@ -112,13 +110,3 @@ def instruction_cycles(insn: Instruction) -> int:
     if column == 2 and op in _ONE_LESS_TO_MEMORY:
         cycles -= 1
     return cycles
-
-
-def sequence_cycles(instructions, taken_jumps: Optional[int] = None) -> int:
-    """Sum of cycle counts for a straight-line sequence.
-
-    Useful for static cost estimates (the profiler uses it); jumps cost
-    the same taken or not, so ``taken_jumps`` exists only for clarity at
-    call sites and is ignored.
-    """
-    return sum(instruction_cycles(i) for i in instructions)

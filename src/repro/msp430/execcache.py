@@ -178,7 +178,7 @@ LAYOUT = StoreLayout(_FORMAT, "EXEC_CACHE", "exec", default_mb=64,
 # a ``.sbx`` store is executable, trusted local state, like
 # ``__pycache__``: it is written and read only by processes on this
 # host and is never shipped to or accepted from a peer (fleet workers
-# translate locally; only ``.tbx`` trace stores, which hold primitive
+# translate locally; only ``.tbx`` trace entries, which hold primitive
 # values, cross the wire).  Record payloads are still deserialized
 # with the restricted :func:`~repro.safeload.safe_loads`, so a corrupt
 # frame is skipped, not executed, and adoption-time byte-verification

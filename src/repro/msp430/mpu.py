@@ -331,13 +331,6 @@ class Mpu:
             return 2
         return 3
 
-    def permissions_for(self, segment: int) -> SegmentPermissions:
-        if segment == 0:
-            return SegmentPermissions.from_bits((self.sam >> 12) & 0xF)
-        return SegmentPermissions.from_bits(
-            (self.sam >> (4 * (segment - 1))) & 0xF
-        )
-
     # -- permission-bitmap fast path -------------------------------------------------
     def permission_signature(self) -> tuple:
         """Hashable summary of everything :meth:`check` depends on;

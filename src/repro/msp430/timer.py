@@ -50,9 +50,6 @@ class CycleTimer:
         self.reads += 1
         return (self.cpu.cycles // self.divider) & 0xFFFF
 
-    def ticks_to_cycles(self, ticks: int) -> int:
-        return ticks * self.divider
-
     class Measurement:
         """Result holder filled in when the context exits."""
 

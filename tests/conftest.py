@@ -1,10 +1,10 @@
 """Shared fixtures: keep the persistent trace tier test-local.
 
-The trace tier is append-only and persistent by design; without
-isolation one test's published traces would warm another's "cold"
-run.  Results stay byte-identical either way — only the
-executed/replayed split moves — but the profile tests pin that
-split, so every test gets a private tier directory.
+The trace tier is persistent by design; without isolation one
+test's published traces would warm another's "cold" run.  Results
+stay byte-identical either way — only the executed/replayed split
+moves — but the profile tests pin that split, so every test gets a
+private tier directory.
 """
 
 import pytest

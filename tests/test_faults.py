@@ -3,9 +3,10 @@ test.
 
 ``REPRO_FAULT=site:N`` kills a process at the Nth hit of a named commit
 point (:mod:`repro.faults`).  :class:`TestEverySite` enumerates
-:data:`repro.faults.SITES`: for each site it kills a small campaign
-through the real CLI (so ``os._exit`` never lands in pytest), resumes
-it with the variable unset, and compares ``summary.json`` and every
+:data:`repro.faults.SITES`: for each of a site's kill plans it kills a
+small campaign through the real CLI (so ``os._exit`` never lands in
+pytest), proves the kill happened, resumes the campaign with the
+variable unset, and compares ``summary.json`` and every
 ``devices-*.jsonl`` with a serial reference byte for byte.  A site
 registered without a kill plan here fails the suite.
 """
@@ -32,18 +33,26 @@ _ARGS = ["--devices", "2", "--hours", "0.002", "--model", "mpu",
          "--rogue-fraction", "0.5"]
 
 #: how each site is killed, and at which hit: ``local`` arms a serial
-#: ``fleet run``; ``coordinator`` arms a ``fleet run --listen`` served
-#: by one worker; ``worker`` arms that worker
+#: ``fleet run``; ``pool`` arms a ``fleet run --jobs 2``, whose pool
+#: child dies; ``coordinator`` arms a ``fleet run --listen`` served by
+#: one worker; ``worker`` arms that worker.  Sites whose commit point
+#: sits on a code path several transports share get a plan per path.
 _PLANS = {
-    "ckpt.before_replace": ("local", 3),
-    "ckpt.after_replace": ("local", 3),
-    "record.after_append": ("local", 1),
-    "merge.after_replace": ("local", 1),
-    "summary.before_replace": ("local", 1),
-    "store.after_append": ("local", 20),
-    "status.after_replace": ("coordinator", 2),
-    "wire.after_ckpt": ("worker", 2),
+    "ckpt.before_replace": [("local", 3)],
+    "ckpt.after_replace": [("local", 3)],
+    "record.after_append": [("local", 1)],
+    "merge.after_replace": [("local", 1), ("coordinator", 1)],
+    "summary.before_replace": [("local", 1), ("coordinator", 1)],
+    "store.after_append": [("local", 20), ("pool", 20)],
+    "status.after_replace": [("coordinator", 2)],
+    "wire.after_ckpt": [("worker", 2)],
 }
+
+#: one test per plan; a site's first plan is named by the site alone
+_CASES = [pytest.param(site, where, count,
+                       id=site if index == 0 else f"{site}-{where}")
+          for site, plans in _PLANS.items()
+          for index, (where, count) in enumerate(plans)]
 
 
 @pytest.fixture(scope="module")
@@ -125,20 +134,30 @@ class TestEverySite:
                                      path.read_text()))
         assert called == set(faults.SITES)
 
-    @pytest.mark.parametrize("site", list(faults.SITES))
+    @pytest.mark.parametrize("site, where, count", _CASES)
     def test_kill_at_site_then_resume_is_byte_identical(
-            self, site, tmp_path, reference, firmware_dir):
-        where, count = _PLANS[site]
+            self, site, where, count, tmp_path, reference,
+            firmware_dir):
         armed = _env(tmp_path, firmware_dir, f"{site}:{count}")
         plain = _env(tmp_path, firmware_dir)
         out = tmp_path / "out"
-        if where == "local":
+        if where in ("local", "pool"):
+            jobs = ["--jobs", "2"] if where == "pool" else []
             killed = subprocess.run(
-                _command("run", *_ARGS, "--out", str(out)),
-                env=armed, capture_output=True, timeout=120)
-            assert killed.returncode == faults.EXIT_CODE, killed.stderr
+                _command("run", *_ARGS, *jobs, "--out", str(out)),
+                env=armed, capture_output=True, text=True,
+                timeout=120)
+            if where == "local":
+                assert killed.returncode == faults.EXIT_CODE, \
+                    killed.stderr
+            else:
+                # the pool child died at the site, and the run failed
+                # for that reason and no other
+                assert killed.returncode == 2, killed.stderr
+                assert "terminated abruptly" in killed.stderr, \
+                    killed.stderr
             resumed = subprocess.run(
-                _command("run", *_ARGS, "--out", str(out)),
+                _command("run", *_ARGS, *jobs, "--out", str(out)),
                 env=plain, capture_output=True, timeout=120)
             assert resumed.returncode == 0, resumed.stderr
         elif where == "coordinator":

@@ -5,7 +5,9 @@ The network layer's contract has two halves.  The wire half is
 fail-closed framing and hostile-input hardening: torn, oversized,
 garbage, or digest-mismatched frames raise :class:`WireError` and are
 never acted on; a handshake with a stale campaign key, skewed
-versions, or a failed shared-secret challenge is refused; payloads
+versions, or a failed shared-secret challenge is refused, and a
+worker holding the secret refuses a coordinator that cannot prove it
+holds it too; payloads
 that *deserialize* (checkpoints, disk-tier records) are loaded with a
 restricted unpickler, so a crafted pickle is rejected instead of
 executed; and nothing executable crosses the wire — a worker never
@@ -32,11 +34,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError
+from repro.fleet import tracetier
+from repro.fleet.cohort import SegmentTrace
 from repro.fleet.executor import FleetConfig, run_campaign, _ckpt_path
 from repro.fleet.net.coordinator import SocketTransport
-from repro.fleet.net.protocol import Channel, MAX_FRAME, \
-    PROTO_VERSION, WireError, auth_mac, blob_sha, pack_batch, \
-    unpack_batch
+from repro.fleet.net.protocol import COORDINATOR_MAC, Channel, \
+    MAX_FRAME, PROTO_VERSION, WORKER_MAC, WireError, auth_mac, \
+    blob_sha, pack_batch, unpack_batch
 from repro.fleet.net.worker import FrameBatcher, parse_endpoint, \
     run_worker
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
@@ -855,7 +859,6 @@ class TestSinksCountAlike:
         over loopback (WireSink): the runner is shared, so checkpoint
         and lockstep counters must agree.  The trace tier is off so
         the second run cannot replay the first one's traces."""
-        from repro.fleet import tracetier
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         tracetier.clear_tier()
         local = tmp_path / "local"
@@ -899,10 +902,12 @@ class TestSharedSecret:
                       "host": "test"})
         reply, _ = channel.recv(timeout=10)
         assert reply["type"] == "challenge"
+        assert "proof" not in reply         # the hello sent no nonce
         nonce = reply["nonce"]
-        assert auth_mac(secret, nonce) != auth_mac(b"guess", nonce)
+        assert auth_mac(secret, WORKER_MAC, nonce) != \
+            auth_mac(b"guess", WORKER_MAC, nonce)
         channel.send({"type": "auth",
-                      "mac": auth_mac(b"guess", nonce)})
+                      "mac": auth_mac(b"guess", WORKER_MAC, nonce)})
         reply, _ = channel.recv(timeout=10)
         assert (reply["type"], reply["kind"]) == ("reject", "auth")
         channel.close()
@@ -928,6 +933,100 @@ class TestSharedSecret:
             (reference / "summary.json").read_bytes()
         assert (out / "devices-mpu.jsonl").read_bytes() == \
             (reference / "devices-mpu.jsonl").read_bytes()
+
+
+def _tbx_entry():
+    """A valid ``.tbx`` entry (an empty segment trace) and its name."""
+    trace = SegmentTrace(base_sha="0" * 64, start_ms=0, end_ms=200,
+                         pre_sha="0" * 64, timer_modulus=1)
+    name = tracetier.LAYOUT.store_path(
+        trace.base_sha, trace.start_ms, trace.end_ms,
+        trace.pre_sha).name
+    return name, tracetier.LAYOUT.fmt.frame(
+        pickle.dumps(tracetier.trace_record(trace)))
+
+
+class TestWorkersAuthenticateTheCoordinator:
+    """Whoever answers a secret-holding worker's ``--connect`` must
+    prove it holds the secret before the worker takes anything from
+    it: a fake coordinator that skips the challenge, or challenges
+    with a wrong proof, gets a worker that exits 2 having fetched no
+    blob and written no ``.tbx`` entry."""
+
+    def _run_against(self, tmp_path, monkeypatch, challenge):
+        """Run a secret-holding worker against a fake coordinator that
+        answers its hello with ``challenge(hello)`` (``None``: no
+        challenge at all), then welcomes it with a valid ``.tbx``
+        entry on offer; returns the exit code and every frame the
+        fake received."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR",
+                           str(tmp_path / "worker-trace"))
+        name, entry = _tbx_entry()
+        config = FleetConfig(**_CAMPAIGN)
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+        received = []
+
+        def _fake_coordinator():
+            connection, _ = listener.accept()
+            channel = Channel(connection)
+            try:
+                hello, _ = channel.recv(timeout=10)
+                received.append(hello)
+                message = challenge(hello)
+                if message is not None:
+                    channel.send(message)
+                    received.append(channel.recv(timeout=10)[0])
+                channel.send({
+                    "type": "welcome", "campaign": config.key(),
+                    "config": asdict(config), "cohort": True,
+                    "heartbeat_s": 5.0,
+                    "trace_stores": [{"name": name,
+                                      "sha": blob_sha(entry),
+                                      "size": len(entry)}]})
+                while True:
+                    message, _ = channel.recv(timeout=10)
+                    received.append(message)
+                    if message["type"] == "blob_get":
+                        channel.send({"type": "blob",
+                                      "name": message["name"]},
+                                     blob=entry)
+                    elif message["type"] == "lease_req":
+                        channel.send({"type": "shutdown"})
+                        break
+            except (WireError, OSError):
+                pass                    # the worker hung up
+            finally:
+                channel.close()
+
+        server = threading.Thread(target=_fake_coordinator, daemon=True)
+        server.start()
+        code = run_worker(f"{host}:{port}", worker_id="w0",
+                          retry_limit=0, secret=b"fleet-secret-7")
+        server.join(timeout=10)
+        listener.close()
+        return code, received
+
+    def test_welcome_without_a_challenge_is_refused(self, tmp_path,
+                                                    monkeypatch):
+        code, received = self._run_against(tmp_path, monkeypatch,
+                                           lambda hello: None)
+        assert code == 2
+        assert [message["type"] for message in received] == ["hello"]
+        assert not list(tmp_path.rglob("*.tbx"))
+
+    def test_wrong_coordinator_proof_is_refused(self, tmp_path,
+                                                monkeypatch):
+        def _challenge(hello):
+            return {"type": "challenge", "nonce": "ab" * 32,
+                    "proof": auth_mac(b"guess", COORDINATOR_MAC,
+                                      str(hello.get("nonce", "")))}
+
+        code, received = self._run_against(tmp_path, monkeypatch,
+                                           _challenge)
+        assert code == 2
+        assert [message["type"] for message in received] == ["hello"]
+        assert not list(tmp_path.rglob("*.tbx"))
 
 
 class TestNothingExecutableCrossesTheWire:
@@ -1211,14 +1310,15 @@ class TestBatchedCampaign:
 class TestSocketTraceTier:
     def test_warm_tier_ships_to_workers_and_matches_bytes(
             self, tmp_path):
-        from repro.fleet import tracetier
-        # a cold local cohort run publishes .tbx stores in this
+        # a cold local cohort run publishes .tbx entries in this
         # process's (test-isolated) trace dir
         reference = tmp_path / "reference"
         run_campaign(FleetConfig(**_CAMPAIGN), reference, jobs=1,
                      cohort=True)
-        assert list(tracetier.LAYOUT.directory().glob("*.tbx"))
-        # a subprocess worker starts with empty caches: the stores
+        names = sorted(path.name for path in
+                       tracetier.LAYOUT.directory().glob("*.tbx"))
+        assert names
+        # a subprocess worker starts with empty caches: every entry
         # must reach it over the sha-verified blob channel
         out = tmp_path / "sock-warm"
         coordinator = _Coordinator(out, cohort=True, profile=True)
@@ -1230,8 +1330,10 @@ class TestSocketTraceTier:
             env=env, capture_output=True, text=True, timeout=120)
         coordinator.join()
         assert worker.returncode == 0, worker.stderr
-        assert "imported trace store" in worker.stdout
-        assert list(Path(env["REPRO_TRACE_CACHE_DIR"]).glob("*.tbx"))
+        assert (f"imported trace store: {len(names)} of {len(names)} "
+                "entries") in worker.stdout
+        assert sorted(path.name for path in Path(
+            env["REPRO_TRACE_CACHE_DIR"]).glob("*.tbx")) == names
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()
         assert (out / "devices-mpu.jsonl").read_bytes() == \

@@ -1,4 +1,4 @@
-"""Persistent cohort trace tier (``.tbx`` stores).
+"""Persistent cohort trace tier (one ``.tbx`` entry per segment).
 
 Promises pinned here:
 
@@ -9,16 +9,22 @@ Promises pinned here:
   corrupted, or disabled.
 * **Fail-closed ingestion** — exploit pickles, torn tails, garbage,
   oversized length fields (:mod:`tests.tier_matrix`, shared by every
-  disk tier), and shape-invalid records are refused at the door; at
-  worst a segment is re-recorded.
+  disk tier), shape-invalid records, and records filed under another
+  key's name are refused at the door; at worst a segment is
+  re-recorded.
 * **Poison resistance** — a rogue device's published write-sets sit
-  in the same store file as a clean sibling's and are inert for it:
-  the pre-state digest never matches, the lookup misses, the sibling
+  in the same tier as a clean sibling's and are inert for it: the
+  pre-state digest never matches, the lookup misses, the sibling
   executes and stays byte-identical.
+* **No memory per record** — the file system is the index, so
+  publishing and loading traces leaves nothing behind in the process.
 """
 
+import dataclasses
+import gc
 import json
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -29,13 +35,12 @@ from repro.fleet import tracetier
 from repro.fleet.cohort import CohortStats, record_segment, \
     replay_segment, state_digest
 from repro.fleet.executor import FleetConfig, run_campaign
-from repro.fleet.tracetier import LAYOUT, MAX_SEGMENT_VARIANTS, \
-    TraceStore, trace_record, trace_tier
+from repro.fleet.tracetier import LAYOUT, trace_record, trace_tier
 from repro.kernel.events import EventType, PeriodicSource
 from repro.kernel.machine import AmuletMachine
 from repro.kernel.scheduler import AppSchedule, Scheduler
 from repro.kernel.services import SensorEnvironment
-from tests.tier_matrix import AppendTierMatrix
+from tests.tier_matrix import HostileInputMatrix
 
 _COUNTER = """
 int total = 0;
@@ -58,6 +63,10 @@ def _machine():
         app="counter", handler="on_tick",
         event_type=EventType.TIMER, period_ms=40, phase_ms=3)]))
     return machine, scheduler
+
+
+def _key(trace):
+    return (trace.base_sha, 0, _SEGMENT_MS, trace.pre_sha)
 
 
 def _recorded_trace():
@@ -99,7 +108,8 @@ class TestRoundTrip:
         _leader, trace = _recorded_trace()
         tier = trace_tier()
         assert tier.publish(trace)
-        assert not tier.publish(trace)          # dup: dropped
+        assert tier.publish(trace)              # same key, same entry
+        assert len(list(LAYOUT.directory().glob("*.tbx"))) == 1
         assert tier.load(trace.base_sha, 0, _SEGMENT_MS,
                          "0" * 64) is None      # foreign pre-state
         assert tier.load(trace.base_sha, _SEGMENT_MS,
@@ -120,89 +130,98 @@ class TestRoundTrip:
         assert trace_tier() is None
 
 
-class TestFailClosedIngestion(AppendTierMatrix):
+class TestNoMemoryPerRecord:
+    def test_publish_and_load_keep_nothing_in_memory(self):
+        _leader, trace = _recorded_trace()
+        record_bytes = len(pickle.dumps(
+            trace_record(trace), protocol=pickle.HIGHEST_PROTOCOL))
+        traces = [dataclasses.replace(trace, pre_sha=f"{n:064x}")
+                  for n in range(21)]
+        tier = trace_tier()
+
+        def _round_trip(trace):
+            assert tier.publish(trace)
+            assert tier.load(*_key(trace)) is not None
+
+        _round_trip(traces[0])          # one-time caches don't count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for trace in traces[1:]:
+                _round_trip(trace)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < record_bytes, (grown, record_bytes)
+
+
+class TestFailClosedIngestion(HostileInputMatrix):
+    records = 1
+
     def fmt(self):
         return LAYOUT.fmt
 
-    def open_store(self, path):
-        return TraceStore(path)
-
-    def record(self, n):
-        return dict(trace_record(_recorded_trace()[1]),
-                    pre_sha=f"{n:064x}")
-
     def populate(self, tmp_path):
-        path = tmp_path / "s.tbx"
-        path.unlink(missing_ok=True)
-        store, trace = self._store_with_one_trace(tmp_path)
-        assert store.publish_record(
-            dict(trace_record(trace), pre_sha="e" * 64))
-        self.pre_shas = (trace.pre_sha, "e" * 64)
-        return path
+        _leader, self.trace = _recorded_trace()
+        assert trace_tier().publish(self.trace)
+        return LAYOUT.store_path(*_key(self.trace))
 
     def assert_recovers(self, path, intact, corrupt):
-        fresh = TraceStore(path)
-        served = [pre_sha for pre_sha in self.pre_shas
-                  if fresh.get(0, _SEGMENT_MS, pre_sha) is not None]
-        # an unserved pre-state simply executes and records again
-        assert served == list(self.pre_shas[:intact])
-        if corrupt:
-            assert fresh.corrupt >= 1
+        assert intact == 0                # one frame: all or nothing
+        tracetier.clear_tier()            # as a fresh process would
+        tier = trace_tier()
+        assert tier.load(*_key(self.trace)) is None
+        # the follower executes, records again, and replaces the entry
+        assert tier.publish(self.trace)
+        assert tier.load(*_key(self.trace)) is not None
 
-    def _store_with_one_trace(self, tmp_path):
+    def test_shape_valid_pickle_wrong_content_is_refused(self):
         _leader, trace = _recorded_trace()
-        store = TraceStore(tmp_path / "s.tbx")
-        assert store.put(trace)
-        return store, trace
-
-    def test_shape_valid_pickle_wrong_content_is_refused(self,
-                                                         tmp_path):
-        store, trace = self._store_with_one_trace(tmp_path)
-        bogus = dict(trace_record(trace), pre_sha="f" * 64,
+        bogus = dict(trace_record(trace),
                      entries=[{"key": "not an entry"}])
-        with store.path.open("ab") as handle:
-            handle.write(LAYOUT.fmt.frame(pickle.dumps(bogus)))
-        fresh = TraceStore(store.path)
-        assert fresh.loaded == 2        # framing + top-level shape ok
-        assert fresh.get(0, _SEGMENT_MS, "f" * 64) is None
-        assert fresh.corrupt >= 1       # ...but revival refused it
-        # the clean sibling record still revives
-        assert fresh.get(0, _SEGMENT_MS, trace.pre_sha) is not None
+        path = LAYOUT.store_path(*_key(trace))
+        assert LAYOUT.write_entry(path, pickle.dumps(bogus))
+        assert LAYOUT.read_entry(path) is not None   # framing is fine
+        assert trace_tier().load(*_key(trace)) is None  # revival is not
 
-    def test_variant_cap_holds_on_disk(self, tmp_path):
+    def test_record_under_another_keys_name_is_refused(self):
+        # entry names are 64-bit hashes: a record the name does not
+        # belong to must not replay, whatever put it there
         _leader, trace = _recorded_trace()
-        record = trace_record(trace)
-        path = tmp_path / "s.tbx"
-        # several writers (dedup state not shared) overfill one window
-        for n in range(MAX_SEGMENT_VARIANTS + 3):
-            TraceStore(path).publish_record(
-                dict(record, pre_sha=f"{n:064x}"))
-        fresh = TraceStore(path)
-        assert fresh.loaded == MAX_SEGMENT_VARIANTS
+        record = pickle.dumps(trace_record(trace))
+        other = (trace.base_sha, 0, _SEGMENT_MS, "e" * 64)
+        assert LAYOUT.write_entry(LAYOUT.store_path(*other), record)
+        tier = trace_tier()
+        assert tier.load(*other) is None
+        assert tier.load(*_key(trace)) is None
 
     def test_import_rejects_garbage_and_bad_names(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
         _leader, trace = _recorded_trace()
-        store_bytes = LAYOUT.fmt.frame(
-            pickle.dumps(trace_record(trace)))
-        name = "ab" * 8 + ".tbx"
-        assert tracetier.import_store_file(
-            "../escape.tbx", store_bytes) == 0
-        assert tracetier.import_store_file(
-            name, b"garbage" * 100) == 0
-        assert not (tmp_path / name).exists()
-        assert tracetier.import_store_file(name, store_bytes) == 1
+        entry = LAYOUT.fmt.frame(pickle.dumps(trace_record(trace)))
+        name = LAYOUT.store_path(*_key(trace)).name
+        assert not tracetier.import_store_file("../escape.tbx", entry)
+        assert not tracetier.import_store_file(name, b"garbage" * 100)
+        # two valid frames are not an entry
+        assert not tracetier.import_store_file(name, entry + entry)
+        # a valid entry is installed only under its own key's name
+        assert not tracetier.import_store_file("ab" * 8 + ".tbx", entry)
+        assert not list(tmp_path.glob("*.tbx"))
+        assert tracetier.import_store_file(name, entry)
         assert LAYOUT.have_store_file(name)
-        assert LAYOUT.read_store_file(name) is not None
-        # re-import of an existing store is a no-op
-        assert tracetier.import_store_file(name, store_bytes) == 0
+        assert LAYOUT.read_store_file(name) == entry
+        assert trace_tier().load(*_key(trace)) is not None
+        # re-import of an existing entry is a no-op
+        assert not tracetier.import_store_file(name, entry)
 
 
 class TestPoisonResistance:
     def test_rogue_variant_is_inert_for_clean_sibling(self):
         """A rogue's trace (recorded from a diverged state, carrying
-        whatever write-set it likes) lands in the same store as the
+        whatever write-set it likes) lands in the same tier as the
         clean leader's.  The clean sibling's digest never matches it,
         so the sibling replays the clean variant — or executes — and
         ends byte-identical to a solo run."""
@@ -276,7 +295,7 @@ class TestCampaignByteIdentity:
         assert warm_profile["trace_hits"] > 0
         assert warm_profile["trace_misses"] == 0
 
-        for path in stores:                 # bit-rot every store
+        for path in stores:                 # bit-rot every entry
             data = bytearray(path.read_bytes())
             data[len(data) // 2] ^= 0xFF
             path.write_bytes(bytes(data))

@@ -3,7 +3,9 @@
 Each tier's test module subclasses :class:`HostileInputMatrix` with a
 small adapter for that tier (the firmware build cache, the ``.sbx``
 execution cache, the ``.tbx`` trace tier); the five cases below then
-run against all three:
+run against all three — against a one-frame entry file for the
+firmware and trace tiers (``records = 1``), against an append store
+of two records for ``.sbx``:
 
 * a flipped payload bit,
 * a torn tail (a writer killed mid-write),
@@ -17,11 +19,10 @@ In every case the tier must serve nothing from the damaged bytes and
 fall back to rebuilding, re-translating or re-recording, and the
 exploit's marker must never appear.
 
-The append-only tiers (``.sbx`` and ``.tbx``) subclass
-:class:`AppendTierMatrix` instead, which adds a sixth case: a writer
-killed halfway through an append, or a frame whose payload hides a
-false magic, followed by later appends, must cost only the damaged
-record.
+The append-only tier (``.sbx``) subclasses :class:`AppendTierMatrix`
+instead, which adds a sixth case: a writer killed halfway through an
+append, or a frame whose payload hides a false magic, followed by
+later appends, must cost only the damaged record.
 """
 
 import os
@@ -104,7 +105,7 @@ class HostileInputMatrix:
 
 class AppendTierMatrix(HostileInputMatrix):
     """Mix-in: the five hostile inputs plus damage followed by later
-    appends, for one append-only tier.
+    appends, for an append-only tier.
 
     Subclasses also implement ``open_store(path)`` — the tier's
     :class:`~repro.framestore.AppendStore` over ``path``, opened as a
