@@ -25,10 +25,10 @@ Cache states:
   steady state a resumed or repeated study enjoys.
 
 ``--trace`` applies the same three states to the cohort trace tier
-(the ``.tbx`` stores): ``cold`` starts from an empty tier, ``warm``
-lets an unmeasured campaign publish its dispatch traces first so the
-measured one replays instead of executing — the repeated-study number
-cross-unit trace sharing exists for.
+(the ``.tbx`` entries): ``cold`` starts from an empty tier, ``warm``
+lets an unmeasured campaign publish its segment memos first so the
+measured one restores them instead of executing — the repeated-study
+number cross-unit memo sharing exists for.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_fleet.py``)
 to append a record to ``BENCH_fleet.json`` at the repo root, or via

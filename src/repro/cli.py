@@ -292,8 +292,7 @@ def _fleet_status_text(status: dict) -> str:
         rate = status.get("trace_hit_rate")
         lines.append(
             f"  cohort: {cohort.get('cohort_replayed', 0)} replayed, "
-            f"{cohort.get('cohort_executed', 0)} executed, "
-            f"{cohort.get('cohort_forks', 0)} fork(s); "
+            f"{cohort.get('cohort_executed', 0)} executed; "
             f"trace tier {cohort.get('trace_hits', 0)} hit(s) / "
             f"{cohort.get('trace_misses', 0)} miss(es)"
             + (f" ({rate:.0%} hit rate)"
@@ -458,11 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument(
         "--cohort", default="off", choices=("on", "off"),
         help="lockstep same-firmware devices: group them into shared "
-             "work units, execute each segment once and replay the "
-             "recorded dispatch trace into state-identical siblings "
-             "(devices fork to real execution at first divergence); "
-             "an execution detail — summaries are byte-identical "
-             "on or off")
+             "work units, execute each segment once and restore the "
+             "leader's post-segment snapshot into state-identical "
+             "siblings; an execution detail — summaries are "
+             "byte-identical on or off")
     fleet_run.add_argument(
         "--homogeneous", action="store_true",
         help="clone device 0 across the whole fleet (one firmware "

@@ -19,8 +19,8 @@ from repro.aft.models import IsolationModel
 from repro.aft.phases import AppSource
 from repro.apps.catalog import load_app, load_suite
 from repro.errors import ReproError
-from repro.fleet.cohort import CohortStats, SegmentTrace, \
-    record_segment, replay_segment, run_segment, state_digest
+from repro.fleet.cohort import CohortFollower, CohortRecorder, \
+    CohortStats, run_segment, state_digest
 from repro.fleet.population import ANALYTICS_APP, DeviceSpec, \
     ROGUE_APP, ROGUE_HANDLER, ROGUE_SOURCE
 from repro.fleet.snapshot import restore_device, snapshot_device
@@ -161,15 +161,14 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
     Devices advance segment by segment, interleaved: all devices at
     the earliest pending segment run it before anyone moves on.  One
     rule per (device, segment), checked by one :func:`state_digest`:
-    a trace for the same firmware, segment and pre-state — recorded
-    earlier this round or found in the persistent ``tier`` (a
-    :class:`repro.fleet.tracetier.TraceTier`) — is replayed;
-    otherwise the device records one, published to the tier when
-    one is attached so a rerun, a sibling unit, or a remote worker
-    replays it next time.  A follower that diverges mid-segment
-    forks and executes the rest of that segment.  In-memory traces
-    die as soon as no device can still use them, bounding trace
-    memory to roughly the resume-point spread.
+    a memo under that key — recorded earlier this round or found in
+    the persistent ``tier`` (a
+    :class:`repro.fleet.tracetier.TraceTier`) — is adopted;
+    otherwise the device executes the segment and its post-segment
+    snapshot becomes the memo, published to the tier when one is
+    attached so a rerun, a sibling unit, or a remote worker adopts it
+    next time.  A memo is usable only by devices at its segment, so
+    the round's memos die with the round.
 
     ``on_checkpoint(device_id, sim_ms, snapshot)`` fires at every
     interior segment boundary (note the extra leading ``device_id``
@@ -183,6 +182,9 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
 
     devices: Dict[int, tuple] = {}
     position: Dict[int, int] = {}
+    #: each device's snapshot at its position: the next segment's
+    #: pre-state
+    current: Dict[int, dict] = {}
     for spec in specs:
         machine, scheduler, rogue_built = make_device(
             spec, model, cache_mode=cache_mode)
@@ -193,49 +195,46 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
         devices[spec.device_id] = (spec, machine, scheduler,
                                    rogue_built)
         position[spec.device_id] = start_ms
+        current[spec.device_id] = snapshot_device(machine, scheduler,
+                                                  start_ms)
 
     order = [spec.device_id for spec in specs]
-    #: (base_sha, start_ms, pre-state digest) -> trace
-    traces: Dict[tuple, SegmentTrace] = {}
     while True:
         pending = [p for p in position.values() if p < sim_ms]
         if not pending:
             break
         t = min(pending)
         end = min(t + checkpoint_every_ms, sim_ms)
+        #: memo key -> post-segment snapshot, for segment [t, end)
+        memos: Dict[str, dict] = {}
         for device_id in order:
             if position[device_id] != t:
                 continue
             spec, machine, scheduler, _rogue = devices[device_id]
-            pre_sha = state_digest(machine)
-            key = (machine.base_sha, t, pre_sha)
-            trace = traces.get(key)
-            if trace is None and tier is not None:
-                trace = tier.load(machine.base_sha, t, end, pre_sha)
-                if trace is not None:
+            pre = current[device_id]
+            key = state_digest(model, spec, t, end, pre)
+            memo = memos.get(key)
+            if memo is None and tier is not None:
+                memo = tier.load(key)
+                if memo is not None:
                     stats.trace_hits += 1
                 else:
                     stats.trace_misses += 1
-            if trace is not None:
-                replay_segment(machine, scheduler, trace, t, end,
-                               stats, pre_sha=pre_sha)
+            adopted = memo is not None and CohortFollower(
+                machine, scheduler, stats)(memo, pre)
+            if adopted:
+                post = memo    # equals a fresh snapshot of the device
             else:
-                # lead this (segment, state): record — and persist,
-                # so the next unit/process/worker replays instead
-                trace = record_segment(machine, scheduler, t, end,
-                                       stats, pre_sha=pre_sha)
-                if tier is not None and tier.publish(trace):
+                CohortRecorder(scheduler, stats)(t, end)
+                post = snapshot_device(machine, scheduler, end)
+                # persist, so the next unit/process/worker adopts it
+                if tier is not None and tier.publish(key, post):
                     stats.trace_published += 1
-            traces[key] = trace
+            memos[key] = post
+            current[device_id] = post
             position[device_id] = end
             if on_checkpoint is not None and end < sim_ms:
-                on_checkpoint(device_id, end,
-                              snapshot_device(machine, scheduler, end))
-        # a trace is only usable by a device *at* its start segment;
-        # everyone at this round's segment has moved past it
-        horizon = min(position.values())
-        traces = {key: trace for key, trace in traces.items()
-                  if key[1] >= horizon}
+                on_checkpoint(device_id, end, post)
 
     return {
         device_id: DeviceRun(

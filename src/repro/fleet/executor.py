@@ -287,7 +287,6 @@ class UnitStats:
     ckpt_bytes: int = 0
     cohort_replayed: int = 0
     cohort_executed: int = 0
-    cohort_forks: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
     trace_published: int = 0
@@ -460,7 +459,6 @@ def _run_unit(config: FleetConfig, model_key: str,
         ckpt_bytes=writer.bytes_written,
         cohort_replayed=cohort_stats.replayed,
         cohort_executed=cohort_stats.executed,
-        cohort_forks=cohort_stats.forks,
         trace_hits=cohort_stats.trace_hits,
         trace_misses=cohort_stats.trace_misses,
         trace_published=cohort_stats.trace_published)

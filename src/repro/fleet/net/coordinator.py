@@ -69,8 +69,8 @@ from repro.fleet import tracetier
 from repro.fleet.executor import FileSink, UnitStats, _atomic_write, \
     _ckpt_path, _shards_dir, land_checkpoint
 from repro.fleet.net.protocol import COORDINATOR_MAC, Channel, \
-    PROTO_VERSION, WORKER_MAC, WireError, auth_mac, blob_sha, \
-    is_nonce, mac_matches, new_nonce, unpack_batch
+    MAX_TRACE_OFFERS, PROTO_VERSION, WORKER_MAC, WireError, auth_mac, \
+    blob_sha, is_nonce, mac_matches, new_nonce, unpack_batch
 from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
 from repro.fleet.telemetry import MODELS_BY_KEY
 
@@ -197,12 +197,12 @@ class SocketTransport:
     # -- executor-facing transport API -----------------------------------
     def open_campaign(self, campaign: dict) -> None:
         self._campaign = campaign
-        # trace segments only replay inside cohort lockstep, so a
+        # memos are only adopted inside cohort lockstep, so a
         # cohort-off campaign would hash and ship .tbx entries that no
         # worker can use
         self._trace_offers = (
-            tracetier.LAYOUT.list_store_files() if campaign.get("cohort")
-            else [])
+            tracetier.LAYOUT.list_store_files(MAX_TRACE_OFFERS)
+            if campaign.get("cohort") else [])
         self._listener = socket.create_server((self.host, self.port))
         self.address = self._listener.getsockname()[:2]
         out_dir = Path(campaign["out_dir"])

@@ -111,8 +111,13 @@ _NONCE = re.compile(r"[0-9a-f]{64}")
 #: this is a corrupt length field or garbage on the port
 MAX_FRAME = 4 * 1024 * 1024
 
-#: blobs carry checkpoints (a few KB) and ``.tbx`` entries (one
-#: recorded segment each, within the trace tier's record bound)
+#: the welcome frame offers at most this many ``.tbx`` entries, the
+#: most recently used: about 120 B of JSON each, so the offers fit
+#: in one frame with room to spare however large the trace budget is
+MAX_TRACE_OFFERS = 4096
+
+#: blobs carry checkpoints and ``.tbx`` entries (one snapshot each, a
+#: few KB, within the trace tier's record bound)
 MAX_BLOB = 256 * 1024 * 1024
 
 #: blobs smaller than this are not worth a deflate round-trip

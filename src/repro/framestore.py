@@ -4,7 +4,7 @@ Three persistent cache tiers share one on-disk grammar: the firmware
 build cache (:mod:`repro.aft.cache`, one ``.pkl`` entry per build),
 the ``.sbx`` execution-cache tier (:mod:`repro.msp430.execcache`) and
 the ``.tbx`` cohort trace tier (:mod:`repro.fleet.tracetier`, one
-``.tbx`` entry per recorded segment).  All persist pickled payloads
+``.tbx`` entry per executed cohort segment).  All persist pickled payloads
 as **frames** — a 4-byte magic, a little-endian length, a 16-byte
 sha-256 payload prefix, then the payload — in files named by a
 16-hex-digit identity hash.  This module holds the format-agnostic
@@ -91,6 +91,31 @@ class FrameFormat:
         return self.magic + HEADER.pack(len(payload), digest) + payload
 
 
+def _intact_end(data: bytes, fmt: FrameFormat, pos: int) -> int:
+    """Where the intact frame starting at ``pos`` ends, or -1 when no
+    complete frame with a matching digest starts there."""
+    start = pos + len(fmt.magic) + HEADER.size
+    if start > len(data) or not data.startswith(fmt.magic, pos):
+        return -1
+    length, digest = HEADER.unpack_from(data, pos + len(fmt.magic))
+    end = start + length
+    if length > fmt.max_record or end > len(data) or \
+            hashlib.sha256(memoryview(data)[start:end]).digest()[:16] \
+            != digest:
+        return -1
+    return end
+
+
+def _intact_frame_after(data: bytes, fmt: FrameFormat, pos: int) -> bool:
+    """Whether an intact frame starts anywhere after ``pos``."""
+    found = data.find(fmt.magic, pos + 1)
+    while found >= 0:
+        if _intact_end(data, fmt, found) >= 0:
+            return True
+        found = data.find(fmt.magic, found + 1)
+    return False
+
+
 def walk_frames(data: bytes, fmt: FrameFormat
                 ) -> Tuple[List[Tuple[bytes, bytes]], int, int]:
     """Parse ``data`` as consecutive frames of ``fmt``, resynchronising
@@ -105,29 +130,29 @@ def walk_frames(data: bytes, fmt: FrameFormat
     goes on.  ``consumed`` is where the walk stopped; it falls short
     of ``len(data)`` only at a tail an appender may still be writing
     — too few bytes for a header, or a header whose payload runs past
-    the data.  Such a torn frame hides what follows it only until the
-    data grows past its declared end; it then fails its digest and
-    the walk resyncs.
+    the data with no intact frame anywhere after it.  A torn header
+    that an intact frame follows belongs to a writer that died (each
+    append is one ``O_APPEND`` write, so a live writer's frame is
+    never overtaken): it counts as damage and the walk resyncs.
     """
     frames: List[Tuple[bytes, bytes]] = []
     damaged = 0
     in_damage = False
-    view = memoryview(data)
     magic = fmt.magic
     header = len(magic) + HEADER.size
     pos = 0
     while pos + header <= len(data):
-        length, digest = HEADER.unpack_from(view, pos + len(magic))
-        start = pos + header
-        if data.startswith(magic, pos) and length <= fmt.max_record:
-            if start + length > len(data):
-                break                  # torn: wait for the appender
-            payload = bytes(view[start:start + length])
-            if hashlib.sha256(payload).digest()[:16] == digest:
-                frames.append((payload, bytes(view[pos:start + length])))
-                pos = start + length
-                in_damage = False
-                continue
+        end = _intact_end(data, fmt, pos)
+        if end >= 0:
+            frames.append((data[pos + header:end], data[pos:end]))
+            pos = end
+            in_damage = False
+            continue
+        length = HEADER.unpack_from(data, pos + len(magic))[0]
+        if data.startswith(magic, pos) and length <= fmt.max_record \
+                and pos + header + length > len(data) \
+                and not _intact_frame_after(data, fmt, pos):
+            break                      # torn: wait for the appender
         if not in_damage:
             damaged += 1
             in_damage = True
@@ -200,6 +225,18 @@ class StoreLayout:
     def valid_name(self, name: str) -> bool:
         return bool(self._name_re.match(name))
 
+    def _by_age(self, directory: Path) -> List[tuple]:
+        """``(mtime, size, path)`` of every store file in
+        ``directory`` (none if it does not exist), oldest first."""
+        entries = []
+        for path in directory.glob("*" + self.fmt.suffix):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue               # raced with a prune
+            entries.append((stat.st_mtime, stat.st_size, path))
+        return sorted(entries)
+
     def prune(self, directory: Optional[Path] = None,
               max_bytes: Optional[int] = None,
               keep: Optional[Path] = None) -> int:
@@ -209,19 +246,11 @@ class StoreLayout:
         evicted — its mtime is refreshed by every append anyway."""
         directory = self.directory() if directory is None else directory
         limit = self.max_bytes() if max_bytes is None else max_bytes
-        if limit <= 0 or not directory.is_dir():
+        if limit <= 0:
             return 0
-        entries = []
-        total = 0
-        for path in directory.glob("*" + self.fmt.suffix):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
+        entries = self._by_age(directory)
+        total = sum(size for _mtime, size, _path in entries)
         removed = 0
-        entries.sort()                 # oldest first
         for _mtime, size, path in entries:
             if total <= limit:
                 break
@@ -237,17 +266,16 @@ class StoreLayout:
 
     # -- entry export/import (the fleet blob channel) -------------------
 
-    def list_store_files(self) -> List[dict]:
-        """Offerable entries in this family's cache dir:
-        ``[{"name", "sha", "size"}, ...]`` — the coordinator's side of
-        the blob-channel handshake."""
-        directory = self.directory()
+    def list_store_files(self, limit: int) -> List[dict]:
+        """The ``limit`` most recently used offerable entries in this
+        family's cache dir, by name: ``[{"name", "sha", "size"},
+        ...]`` — the coordinator's side of the blob-channel
+        handshake."""
+        newest = [path for _mtime, _size, path
+                  in reversed(self._by_age(self.directory()))
+                  if self.valid_name(path.name)]
         offers = []
-        if not directory.is_dir():
-            return offers
-        for path in sorted(directory.glob("*" + self.fmt.suffix)):
-            if not self.valid_name(path.name):
-                continue
+        for path in sorted(newest[:limit]):
             try:
                 data = path.read_bytes()
             except OSError:

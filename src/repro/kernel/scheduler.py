@@ -79,15 +79,6 @@ class Scheduler:
         self._suspended_until: Dict[str, int] = {}
         self.trace: List[DispatchResult] = []
         self.keep_trace = False
-        #: optional dispatch interposer ``(app, handler, args) ->
-        #: DispatchResult`` used by :meth:`step` in place of
-        #: ``machine.dispatch`` while set.  The fleet cohort layer
-        #: installs a recorder (leader) or replayer (follower) here for
-        #: the duration of one segment; it must be behaviorally
-        #: indistinguishable from ``machine.dispatch``.  Note the hook
-        #: runs *after* ``_sample_args`` — sensor argument draws have
-        #: already advanced the environment's LCG.
-        self.dispatch_fn = None
 
     # -- configuration ----------------------------------------------------------
     def add_app(self, schedule: AppSchedule) -> None:
@@ -184,8 +175,8 @@ class Scheduler:
                 self.stats.events_dropped += 1
                 continue
             args = self._sample_args(event)
-            dispatch = self.dispatch_fn or self.machine.dispatch
-            result = dispatch(event.app, event.handler, args)
+            result = self.machine.dispatch(event.app, event.handler,
+                                           args)
             self.stats.record(result)
             if self.keep_trace:
                 self.trace.append(result)

@@ -512,16 +512,7 @@ class Memory:
         if self._inv_hook is not None:
             self._inv_hook(-1, 0)
 
-    # -- whole-image helpers (checkpointing, cohort lockstep) ---------------
-    def image_bytes(self) -> bytes:
-        """An immutable copy of the full 64 KB backing image."""
-        return bytes(self._bytes)
-
-    def image_equals(self, image) -> bool:
-        """Whole-image comparison without copying (bytearray == bytes
-        compares contents)."""
-        return self._bytes == image
-
+    # -- page deltas (checkpoints) -----------------------------------------
     def delta_since(self, image) -> Dict[int, bytes]:
         """Pages of the current contents that differ from ``image``."""
         return page_delta(self._bytes, image)
@@ -529,8 +520,8 @@ class Memory:
     def apply_pages(self, pages: Dict[int, bytes]) -> None:
         """Bulk-write ``{offset: bytes}`` pages (a delta produced by
         :func:`page_delta`), bypassing permission checks, with one
-        invalidation pass at the end — the restore half of the cohort
-        replay path."""
+        invalidation pass at the end — the restore half of a delta
+        checkpoint."""
         data = self._bytes
         for offset, chunk in pages.items():
             data[offset:offset + len(chunk)] = chunk
@@ -549,10 +540,9 @@ def page_delta(image, base, page: int = 256) -> Dict[int, bytes]:
 
     Hierarchical: a 4 KB slice compare (memcmp under the hood) first,
     descending to page granularity only inside changed chunks.  On the
-    all-but-identical images the fleet sees — a dispatch dirties a few
-    stack/global pages out of 256 — this is ~8x cheaper than scanning
-    every page, which matters when the cohort recorder diffs after
-    *every* dispatch.  Output (keys, values, insertion order) is
+    all-but-identical images the fleet sees — a device dirties a few
+    dozen stack/global pages out of 256 — this is ~8x cheaper than
+    scanning every page.  Output (keys, values, insertion order) is
     identical to the flat per-page scan.
     """
     delta: Dict[int, bytes] = {}

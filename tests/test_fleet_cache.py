@@ -26,8 +26,8 @@ from repro.fleet.device import CACHE_MODES, make_device, \
     simulate_device
 from repro.fleet.executor import FleetConfig
 from repro.fleet.population import device_spec
-from repro.fleet.snapshot import DELTA_PAGE, apply_delta, \
-    checkpoint_bytes, memory_delta, restore_device, snapshot_device
+from repro.fleet.snapshot import checkpoint_bytes, restore_device, \
+    snapshot_device
 from repro.fleet.telemetry import MODELS_BY_KEY, device_record
 from repro.msp430 import execcache
 from repro.msp430.cpu import Cpu
@@ -36,6 +36,7 @@ from repro.msp430.execcache import MAX_VARIANTS, \
     SharedExecutionCache, clear_registry, image_digest, \
     shared_execution_cache
 from repro.msp430.isa import Instruction, Opcode, absolute, imm, reg
+from repro.msp430.memory import Memory
 from repro.pool import worker_pool
 from repro.ports import DONE_PORT
 
@@ -173,21 +174,32 @@ class TestSharedStoreMechanics:
         assert shared_execution_cache([0x100, 0x102]) is not a
 
 
+def _memory(image: bytes) -> Memory:
+    memory = Memory()
+    memory.load(0, image)
+    return memory
+
+
 class TestDeltaCheckpoints:
     def test_delta_round_trip_and_minimality(self):
         base = bytes(range(256)) * 256               # 64 KB
         image = bytearray(base)
         image[10] ^= 0xFF                            # page 0
-        image[DELTA_PAGE * 7 + 3] ^= 0x01            # page 7
-        image[DELTA_PAGE * 7 + 200] ^= 0x80          # page 7 again
-        delta = memory_delta(bytes(image), base)
-        assert sorted(delta) == [0, DELTA_PAGE * 7]
-        assert apply_delta(base, delta) == bytes(image)
+        page = 256                                   # page_delta's page
+        image[page * 7 + 3] ^= 0x01                  # page 7
+        image[page * 7 + 200] ^= 0x80                # page 7 again
+        delta = _memory(bytes(image)).delta_since(base)
+        assert sorted(delta) == [0, page * 7]
+        restored = _memory(base)
+        restored.apply_pages(delta)
+        assert restored.dump(0, 0x10000) == bytes(image)
 
     def test_identical_image_has_empty_delta(self):
         base = bytes(65536)
-        assert memory_delta(base, base) == {}
-        assert apply_delta(base, {}) == base
+        assert _memory(base).delta_since(base) == {}
+        restored = _memory(base)
+        restored.apply_pages({})
+        assert restored.dump(0, 0x10000) == base
 
     def test_snapshot_is_delta_form_and_small(self):
         spec = device_spec(11, 3)
@@ -210,8 +222,7 @@ class TestDeltaCheckpoints:
         snapshot = snapshot_device(run.machine, run.scheduler, 500)
         full = dict(snapshot["machine"])
         full["memory"] = {
-            "bytes": apply_delta(run.machine.base_image,
-                                 snapshot["machine"]["memory"]["delta"]),
+            "bytes": run.machine.cpu.memory.dump(0, 0x10000),
         }
         snapshot = {**snapshot, "machine": full}
         machine, scheduler, _rogue = make_device(

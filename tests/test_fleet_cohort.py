@@ -1,32 +1,32 @@
-"""Cohort lockstep execution: byte-identity, forking, and planning.
+"""Cohort lockstep execution: byte-identity, memo keys, and planning.
 
 The cohort layer's contract mirrors ``--jobs``: it is an execution
 detail.  A campaign run with ``--cohort on`` must produce the same
 bytes as one run with it off — whether the fleet is homogeneous (full
 lockstep), heterogeneous (mostly leads), or killed and resumed
-mid-flight.  The unit tests additionally pin the sharp edge: the
-cycle-timer port returns *absolute* quantized cycles, so a follower
-whose absolute cycle count differs may only replay a timer-reading
-dispatch when the counts agree modulo ``divider * 2^16``.
+mid-flight.  The property test additionally pins the memo key: a
+clone that differs from its leader in any one input a segment reads —
+its cycle counter, sensor LCG, storage, app data, a source's phase,
+its restart cooldown — executes instead of adopting the leader's
+post-segment snapshot, and ends exactly where a solo run ends.
 """
 
+import copy
 import json
+from dataclasses import replace
+from functools import lru_cache
 
-from repro.aft.cache import build_firmware
-from repro.aft.models import IsolationModel
-from repro.aft.phases import AppSource
-from repro.fleet.cohort import CohortStats, record_segment, \
-    replay_segment, state_digest
-from repro.fleet.device import simulate_cohort, simulate_device
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
+
+from repro.fleet.cohort import CohortStats, state_digest
+from repro.fleet.device import make_device, simulate_cohort, \
+    simulate_device
 from repro.fleet.executor import FleetConfig, plan_cohort_units, \
     run_campaign
 from repro.fleet.population import device_spec, generate_population
-from repro.fleet.snapshot import snapshot_device
+from repro.fleet.snapshot import checkpoint_bytes, snapshot_device
 from repro.fleet.telemetry import MODELS_BY_KEY, device_record
-from repro.kernel.events import EventType, PeriodicSource
-from repro.kernel.machine import AmuletMachine
-from repro.kernel.scheduler import AppSchedule, Scheduler
-from repro.kernel.services import SensorEnvironment
 
 _CAMPAIGN = dict(devices=6, hours=0.003, models=("mpu",), seed=7,
                  checkpoint_minutes=0.05, rogue_fraction=0.5)
@@ -63,9 +63,11 @@ class TestCohortCampaign:
         profile = json.loads(
             (on / "profiles" / "coordinator.json").read_text())
         model = profile["models"]["mpu"]
-        assert model["cohort_replayed"] > 0
         assert model["cohort_executed"] > 0
-        assert model["cohort_forks"] == 0
+        # two units of three clones: each leader's segments are
+        # adopted by both of its followers, none executes (a unit that
+        # finds the other's memos in the trace tier replays even more)
+        assert model["cohort_replayed"] >= 2 * model["cohort_executed"]
 
     def test_cohort_kill_and_resume_is_byte_identical(self, tmp_path,
                                                       monkeypatch):
@@ -142,7 +144,7 @@ class TestSimulateCohort:
         runs = simulate_cohort(specs, model, sim_ms=6000,
                                checkpoint_every_ms=2500, stats=stats)
         assert stats.replayed == 3 * stats.executed
-        assert stats.forks == 0 and stats.rejects == 0
+        assert stats.joins == 3 * stats.leads
         solo = simulate_device(specs[1], model, sim_ms=6000,
                                checkpoint_every_ms=2500)
         assert snapshot_device(runs[1].machine, runs[1].scheduler,
@@ -151,13 +153,13 @@ class TestSimulateCohort:
 
     def test_state_digest_once_per_device_and_segment(self,
                                                        monkeypatch):
-        # the segment-start handshake is cohort lockstep's only state
-        # check: recording and replaying never digest per dispatch
+        # the memo key is cohort lockstep's only state check: leading
+        # and following never digest per dispatch
         calls = []
 
-        def counting(machine):
-            calls.append(machine)
-            return state_digest(machine)
+        def counting(*args):
+            calls.append(args)
+            return state_digest(*args)
 
         monkeypatch.setattr("repro.fleet.cohort.state_digest", counting)
         monkeypatch.setattr("repro.fleet.device.state_digest", counting)
@@ -172,125 +174,98 @@ class TestSimulateCohort:
         assert len(calls) == len(specs) * segments
 
 
-#: reads the Timer_A counter port each dispatch and folds it into a
-#: global — state that diverges the moment a timer read differs
-_TICKER = """
-int last = 0;
-int on_tick(int x) {
-    int *t = (int *)0x0340;
-    last = last + *t;
-    return last;
-}
-"""
-
-_SEGMENT_MS = 200
+_MODEL = MODELS_BY_KEY["mpu"]
+#: the clones resume at _T0 and run one _SEGMENT_MS segment
+_T0, _SEGMENT_MS = 61_000, 4000
 
 
-def _ticker_machine():
-    firmware = build_firmware(
-        IsolationModel.NO_ISOLATION,
-        [AppSource("ticker", _TICKER, handlers=["on_tick"])])
-    machine = AmuletMachine(firmware, env=SensorEnvironment(5))
-    scheduler = Scheduler(machine)
-    scheduler.add_app(AppSchedule("ticker", sources=[PeriodicSource(
-        app="ticker", handler="on_tick",
-        event_type=EventType.TIMER, period_ms=40, phase_ms=3)]))
-    return machine, scheduler
+@lru_cache(maxsize=1)
+def _clone_start():
+    """A clone spec, its snapshot at ``_T0`` from a solo run, and a
+    machine built from it."""
+    spec = device_spec(5, 0, rogue_fraction=0.0)
+    at_t0 = []
+    simulate_device(spec, _MODEL, sim_ms=_T0 + 1,
+                    checkpoint_every_ms=_T0,
+                    on_checkpoint=lambda _ms, snap: at_t0.append(snap))
+    machine, _scheduler, _rogue = make_device(spec, _MODEL)
+    return spec, at_t0[0], machine
 
 
-def _run_reference(cycle_offset):
-    machine, scheduler = _ticker_machine()
-    machine.cpu.cycles += cycle_offset
-    scheduler.seed_events(_SEGMENT_MS, 0)
-    while scheduler.step(before_ms=_SEGMENT_MS) is not None:
-        pass
-    return machine
+_PERTURBATIONS = ("nothing", "cycles", "env lcg", "storage blob",
+                  "app data byte", "source phase", "restart cooldown")
 
 
-class TestTimerSensitivity:
-    def _trace(self):
-        leader, leader_sched = _ticker_machine()
+def _perturbed(kind: str, amount: int):
+    """``(spec, snapshot)`` of a clone differing from the
+    :func:`_clone_start` one in one field (by ``amount`` >= 1 where it
+    applies)."""
+    spec, snapshot, built = _clone_start()
+    snapshot = copy.deepcopy(snapshot)
+    machine = snapshot["machine"]
+    if kind == "cycles":
+        machine["cpu"]["cycles"] += amount
+    elif kind == "env lcg":
+        env = machine["services"]["env"]
+        env["state"] = (env["state"] + amount) & 0x7FFFFFFF or 1
+    elif kind == "storage blob":
+        machine["services"]["storage"][amount % 8] = \
+            bytes([amount & 0xFF]) * 4
+    elif kind == "app data byte":
+        layouts = list(built.firmware.apps.values())
+        layout = layouts[amount % len(layouts)]
+        address = layout.stack_top + amount % (layout.seg_hi
+                                               - layout.stack_top)
+        delta = machine["memory"]["delta"]
+        page = address & ~0xFF
+        data = bytearray(delta.get(
+            page, built.base_image[page:page + 256]))
+        data[address - page] ^= 1 + amount % 255
+        delta[page] = bytes(data)
+    elif kind == "source phase":
+        sources = list(spec.sources)
+        index = amount % len(sources)
+        sources[index] = replace(
+            sources[index], phase_ms=sources[index].phase_ms + amount)
+        spec = replace(spec, sources=tuple(sources))
+    elif kind == "restart cooldown":
+        spec = replace(spec, restart_cooldown_ms=spec
+                       .restart_cooldown_ms + amount)
+    return spec, snapshot
+
+
+class TestMemoKey:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(_PERTURBATIONS),
+           amount=st.integers(1, 5000))
+    @example(kind="nothing", amount=1)
+    @example(kind="cycles", amount=1)
+    @example(kind="env lcg", amount=1)
+    @example(kind="storage blob", amount=1)
+    @example(kind="app data byte", amount=1)
+    @example(kind="source phase", amount=1)
+    @example(kind="restart cooldown", amount=1)
+    def test_perturbed_clone_replays_iff_unperturbed(self, kind,
+                                                     amount):
+        leader, at_t0, _built = _clone_start()
+        spec, snapshot = _perturbed(kind, amount)
+        clone = replace(spec, device_id=1)
+        end = _T0 + _SEGMENT_MS
         stats = CohortStats()
-        trace = record_segment(leader, leader_sched, 0, _SEGMENT_MS,
-                               stats)
-        # the recorder must have seen the timer reads, else the guard
-        # under test never arms
-        assert trace.entries
-        assert all(entry.cycles_mod is not None
-                   for entry in trace.entries)
-        return leader, trace
+        runs = simulate_cohort(
+            [leader, clone], _MODEL, sim_ms=end,
+            checkpoint_every_ms=_SEGMENT_MS, stats=stats,
+            resumes={0: copy.deepcopy(at_t0), 1: snapshot})
+        assert stats.leads == (1 if kind == "nothing" else 2)
+        assert stats.joins == (1 if kind == "nothing" else 0)
 
-    def test_congruent_cycle_offset_replays(self):
-        # +divider*2^16 cycles: every 16-bit counter read is identical,
-        # so the follower may (and does) stay in lockstep
-        leader, trace = self._trace()
-        follower, follower_sched = _ticker_machine()
-        follower.cpu.cycles += trace.timer_modulus
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.joins == 1 and stats.forks == 0
-        assert stats.replayed == len(trace.entries)
-        assert follower.cpu.memory.image_equals(
-            leader.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            leader.cpu.regs.snapshot()
-
-    def test_incongruent_cycle_offset_forks(self):
-        # an offset that shifts the counter value: the handshake still
-        # passes (it does not cover absolute cycles), so only the
-        # per-entry cycles_mod guard stands between the follower and a
-        # wrong replay
-        offset = 12344
-        _leader, trace = self._trace()
-        assert offset % trace.timer_modulus != 0
-        follower, follower_sched = _ticker_machine()
-        follower.cpu.cycles += offset
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.joins == 1       # pre-state matches...
-        assert stats.forks == 1       # ...but the first timer read forks
-        assert stats.replayed == 0
-        reference = _run_reference(offset)
-        assert follower.cpu.memory.image_equals(
-            reference.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            reference.cpu.regs.snapshot()
-        assert follower.cpu.cycles == reference.cpu.cycles
-
-    def test_divergent_pre_state_rejects_handshake(self):
-        _leader, trace = self._trace()
-        follower, follower_sched = _ticker_machine()
-        follower.services.env._state += 1
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.rejects == 1 and stats.joins == 0
-        assert stats.replayed == 0
-        assert stats.executed == len(trace.entries)
-
-
-class TestMidSegmentFork:
-    def test_fork_runs_rest_of_segment_to_leader_state(self):
-        # one unmatchable entry forces a fork mid-segment; the follower
-        # executes every dispatch from there on for real (no rejoin)
-        # and, deterministically, ends where the leader ended
-        leader, leader_sched = _ticker_machine()
-        trace = record_segment(leader, leader_sched, 0, _SEGMENT_MS,
-                               CohortStats())
-        assert len(trace.entries) >= 4
-        broken = len(trace.entries) // 2
-        trace.entries[broken].key = ("rogue", "nope", (), ())
-        follower, follower_sched = _ticker_machine()
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, trace, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.joins == 1 and stats.forks == 1
-        assert stats.replayed == broken
-        assert stats.executed == len(trace.entries) - broken
-        assert follower.cpu.memory.image_equals(
-            leader.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            leader.cpu.regs.snapshot()
-        assert follower.cpu.cycles == leader.cpu.cycles
+        solo = simulate_device(clone, _MODEL, sim_ms=end,
+                               checkpoint_every_ms=_SEGMENT_MS,
+                               resume=copy.deepcopy(snapshot))
+        run = runs[1]
+        assert device_record(run, "mpu") == device_record(solo, "mpu")
+        assert checkpoint_bytes("k", 1, snapshot_device(
+            run.machine, run.scheduler, end)) == \
+            checkpoint_bytes("k", 1, snapshot_device(
+                solo.machine, solo.scheduler, end))

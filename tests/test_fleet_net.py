@@ -35,15 +35,18 @@ import pytest
 
 from repro.errors import ReproError
 from repro.fleet import tracetier
-from repro.fleet.cohort import SegmentTrace
+from repro.fleet.device import make_device
 from repro.fleet.executor import FleetConfig, run_campaign, _ckpt_path
 from repro.fleet.net.coordinator import SocketTransport
 from repro.fleet.net.protocol import COORDINATOR_MAC, Channel, \
-    MAX_FRAME, PROTO_VERSION, WORKER_MAC, WireError, auth_mac, \
-    blob_sha, pack_batch, unpack_batch
+    MAX_FRAME, MAX_TRACE_OFFERS, PROTO_VERSION, WORKER_MAC, WireError, \
+    auth_mac, blob_sha, pack_batch, unpack_batch
 from repro.fleet.net.worker import FrameBatcher, parse_endpoint, \
     run_worker
-from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint
+from repro.fleet.population import device_spec
+from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint, \
+    snapshot_device
+from repro.fleet.telemetry import MODELS_BY_KEY
 from repro.msp430 import execcache
 from repro.safeload import UnsafePayload, safe_loads
 
@@ -496,14 +499,14 @@ class TestCoordinatorHardening:
 
 # -- event-driven dispatch --------------------------------------------------
 
-def _listening(tmp_path) -> SocketTransport:
+def _listening(tmp_path, cohort=False) -> SocketTransport:
     """A coordinator that accepts workers but has queued nothing: the
     tests below queue units themselves, through ``run_units``."""
     config = FleetConfig(**_CAMPAIGN)
     transport = SocketTransport(heartbeat_s=0.5)
     transport.open_campaign({
         "config_dict": asdict(config), "config_key": config.key(),
-        "out_dir": str(tmp_path), "cohort": False,
+        "out_dir": str(tmp_path), "cohort": cohort,
         "profile_dir": None,
         "say": lambda _line: None})
     return transport
@@ -876,7 +879,7 @@ class TestSinksCountAlike:
             (out / "profiles" / "coordinator.json").read_text()
         )["models"]["mpu"] for out in (local, wire))
         for key in ("ckpt_flushes", "ckpt_bytes", "cohort_executed",
-                    "cohort_replayed", "cohort_forks"):
+                    "cohort_replayed"):
             assert local_model[key] == wire_model[key], key
         assert local_model["ckpt_flushes"] > 0
         assert local_model["cohort_replayed"] > 0
@@ -936,14 +939,15 @@ class TestSharedSecret:
 
 
 def _tbx_entry():
-    """A valid ``.tbx`` entry (an empty segment trace) and its name."""
-    trace = SegmentTrace(base_sha="0" * 64, start_ms=0, end_ms=200,
-                         pre_sha="0" * 64, timer_modulus=1)
-    name = tracetier.LAYOUT.store_path(
-        trace.base_sha, trace.start_ms, trace.end_ms,
-        trace.pre_sha).name
-    return name, tracetier.LAYOUT.fmt.frame(
-        pickle.dumps(tracetier.trace_record(trace)))
+    """A valid ``.tbx`` entry (a fresh device's snapshot, memoized
+    under a made-up key) and its name."""
+    machine, scheduler, _rogue = make_device(
+        device_spec(_CAMPAIGN["seed"], 0), MODELS_BY_KEY["mpu"])
+    key = "0" * 64
+    record = {"key": key,
+              "snapshot": snapshot_device(machine, scheduler, 0)}
+    return tracetier.LAYOUT.store_path(key).name, \
+        tracetier.LAYOUT.fmt.frame(pickle.dumps(record))
 
 
 class TestWorkersAuthenticateTheCoordinator:
@@ -1341,6 +1345,34 @@ class TestSocketTraceTier:
         profile = json.loads(
             (out / "profiles" / "coordinator.json").read_text())
         assert profile["models"]["mpu"]["trace_hits"] > 0
+
+    def test_full_tier_welcome_offers_the_newest_entries(self, tmp_path):
+        """A trace dir with more entries than one welcome frame could
+        offer still admits workers: the welcome offers only the most
+        recently used ``MAX_TRACE_OFFERS``."""
+        directory = tracetier.LAYOUT.directory()
+        directory.mkdir(parents=True, exist_ok=True)
+        entry = tracetier.LAYOUT.fmt.frame(b"\x80")
+        names = [f"{index:016x}.tbx"
+                 for index in range(MAX_FRAME // 100)]
+        for index, name in enumerate(names):
+            path = directory / name
+            path.write_bytes(entry)
+            os.utime(path, ns=(index * 10**9, index * 10**9))
+        transport = _listening(tmp_path, cohort=True)
+        try:
+            channel, welcome = _raw_connect(
+                "%s:%d" % transport.address, worker="probe")
+            channel.close()
+        finally:
+            transport.close()
+        assert welcome["type"] == "welcome"
+        offers = welcome["trace_stores"]
+        assert [offer["name"] for offer in offers] == \
+            names[-MAX_TRACE_OFFERS:]
+        # offering every entry would not have fit in one frame
+        assert len(json.dumps(offers)) * len(names) / len(offers) > \
+            MAX_FRAME
 
 
 class TestFleetStatus:

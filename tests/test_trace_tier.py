@@ -1,26 +1,27 @@
-"""Persistent cohort trace tier (one ``.tbx`` entry per segment).
+"""Persistent cohort trace tier (one ``.tbx`` memo entry per segment).
 
 Promises pinned here:
 
-* **Warm-start equivalence** — a follower that replays a trace
-  revived from disk (in a fresh tier, as a fresh process would) ends
+* **Warm-start equivalence** — a device that adopts a memo revived
+  from disk (in a fresh tier, as a fresh process would) ends
   bit-for-bit where a device that executed the segment ends, and a
   whole campaign is byte-identical with the tier cold, warm,
   corrupted, or disabled.
 * **Fail-closed ingestion** — exploit pickles, torn tails, garbage,
   oversized length fields (:mod:`tests.tier_matrix`, shared by every
-  disk tier), shape-invalid records, and records filed under another
-  key's name are refused at the door; at worst a segment is
-  re-recorded.
-* **Poison resistance** — a rogue device's published write-sets sit
-  in the same tier as a clean sibling's and are inert for it: the
-  pre-state digest never matches, the lookup misses, the sibling
-  executes and stays byte-identical.
+  disk tier), pickles that are not snapshots, snapshots with a field
+  of the wrong type or range, and records filed under another key's
+  name are refused at the door: the device executes the segment to
+  the same bytes, and ``parse_checkpoint`` refuses the same
+  snapshots.
+* **Poison resistance** — a rogue device's published memo sits in the
+  same tier as a clean sibling's and is inert for it: the memo key
+  covers the whole pre-segment state, so the lookup never finds it.
 * **No memory per record** — the file system is the index, so
-  publishing and loading traces leaves nothing behind in the process.
+  publishing and loading memos leaves nothing behind in the process.
 """
 
-import dataclasses
+import copy
 import gc
 import json
 import pickle
@@ -28,97 +29,106 @@ import tracemalloc
 
 import pytest
 
-from repro.aft.cache import build_firmware
-from repro.aft.models import IsolationModel
-from repro.aft.phases import AppSource
+from repro.errors import ReproError
 from repro.fleet import tracetier
-from repro.fleet.cohort import CohortStats, record_segment, \
-    replay_segment, state_digest
+from repro.fleet.cohort import CohortStats, state_digest
+from repro.fleet.device import make_device, simulate_cohort, \
+    simulate_device
 from repro.fleet.executor import FleetConfig, run_campaign
-from repro.fleet.tracetier import LAYOUT, trace_record, trace_tier
-from repro.kernel.events import EventType, PeriodicSource
-from repro.kernel.machine import AmuletMachine
-from repro.kernel.scheduler import AppSchedule, Scheduler
-from repro.kernel.services import SensorEnvironment
+from repro.fleet.population import device_spec
+from repro.fleet.snapshot import checkpoint_bytes, parse_checkpoint, \
+    snapshot_device
+from repro.fleet.telemetry import MODELS_BY_KEY, device_record
+from repro.fleet.tracetier import LAYOUT, trace_tier
 from tests.tier_matrix import HostileInputMatrix
 
-_COUNTER = """
-int total = 0;
-int on_tick(int x) {
-    total = total + x + 1;
-    return total;
-}
-"""
-
-_SEGMENT_MS = 200
+_MODEL = MODELS_BY_KEY["mpu"]
+_SPEC = device_spec(7, 0, rogue_fraction=1.0)
+_SEGMENT_MS = 2000
 
 
-def _machine():
-    firmware = build_firmware(
-        IsolationModel.NO_ISOLATION,
-        [AppSource("counter", _COUNTER, handlers=["on_tick"])])
-    machine = AmuletMachine(firmware, env=SensorEnvironment(5))
-    scheduler = Scheduler(machine)
-    scheduler.add_app(AppSchedule("counter", sources=[PeriodicSource(
-        app="counter", handler="on_tick",
-        event_type=EventType.TIMER, period_ms=40, phase_ms=3)]))
-    return machine, scheduler
+def _key(spec=_SPEC, env_shift=0):
+    """The memo key of ``spec``'s first segment (with its sensor LCG
+    shifted by ``env_shift``, for a diverged pre-state)."""
+    machine, scheduler, _rogue = make_device(spec, _MODEL)
+    machine.services.env._state += env_shift
+    return state_digest(_MODEL, spec, 0, _SEGMENT_MS,
+                        snapshot_device(machine, scheduler, 0))
 
 
-def _key(trace):
-    return (trace.base_sha, 0, _SEGMENT_MS, trace.pre_sha)
+def _solo():
+    return simulate_device(_SPEC, _MODEL, sim_ms=_SEGMENT_MS)
 
 
-def _recorded_trace():
-    machine, scheduler = _machine()
+def _memo():
+    """``(key, post-segment snapshot)`` of ``_SPEC``'s first segment."""
+    run = _solo()
+    return _key(), snapshot_device(run.machine, run.scheduler,
+                                   _SEGMENT_MS)
+
+
+def _entry(key, snapshot) -> bytes:
+    return pickle.dumps({"key": key, "snapshot": snapshot})
+
+
+def _through_tier():
+    """Run ``_SPEC``'s first segment as a cohort of one, through the
+    (fresh) tier: ``(run, stats)``."""
+    tracetier.clear_tier()
     stats = CohortStats()
-    trace = record_segment(machine, scheduler, 0, _SEGMENT_MS, stats)
-    assert trace.entries
-    return machine, trace
+    runs = simulate_cohort([_SPEC], _MODEL, sim_ms=_SEGMENT_MS,
+                           checkpoint_every_ms=_SEGMENT_MS,
+                           stats=stats, tier=trace_tier())
+    return runs[0], stats
+
+
+def _assert_same_bytes(run, solo):
+    assert device_record(run, "mpu") == device_record(solo, "mpu")
+    assert snapshot_device(run.machine, run.scheduler, _SEGMENT_MS) \
+        == snapshot_device(solo.machine, solo.scheduler, _SEGMENT_MS)
+
+
+def _assert_refused_then_executed(key):
+    """The entry under ``key`` is refused: the device executes the
+    segment to a solo run's bytes and replaces the entry."""
+    assert trace_tier().load(key) is None
+    run, stats = _through_tier()
+    assert (stats.trace_hits, stats.trace_misses, stats.leads,
+            stats.trace_published) == (0, 1, 1, 1)
+    _assert_same_bytes(run, _solo())
+    assert trace_tier().load(key) is not None
 
 
 class TestRoundTrip:
     def test_publish_reload_replay_byte_identical(self):
-        leader, trace = _recorded_trace()
-        tier = trace_tier()
-        assert tier is not None
-        assert tier.publish(trace)
+        key, memo = _memo()
+        assert trace_tier().publish(key, memo)
 
         # a fresh tier (what a new process sees) must revive it
         tracetier.clear_tier()
-        fresh = trace_tier()
-        revived = fresh.load(trace.base_sha, 0, _SEGMENT_MS,
-                             trace.pre_sha)
-        assert revived is not None
-        assert len(revived.entries) == len(trace.entries)
+        assert trace_tier().load(key) == memo
 
-        follower, follower_sched = _machine()
-        stats = CohortStats()
-        replay_segment(follower, follower_sched, revived, 0,
-                       _SEGMENT_MS, stats)
-        assert stats.replayed == len(trace.entries)
-        assert stats.executed == 0
-        assert follower.cpu.memory.image_equals(
-            leader.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            leader.cpu.regs.snapshot()
-        assert state_digest(follower) == state_digest(leader)
+        run, stats = _through_tier()
+        assert (stats.trace_hits, stats.joins, stats.leads,
+                stats.executed) == (1, 1, 0, 0)
+        assert stats.replayed == \
+            memo["scheduler"]["stats"]["events_delivered"] > 0
+        _assert_same_bytes(run, _solo())
 
     def test_publish_dedups_and_misses_are_none(self):
-        _leader, trace = _recorded_trace()
+        key, memo = _memo()
         tier = trace_tier()
-        assert tier.publish(trace)
-        assert tier.publish(trace)              # same key, same entry
+        assert tier.publish(key, memo)
+        assert tier.publish(key, memo)          # same key, same entry
         assert len(list(LAYOUT.directory().glob("*.tbx"))) == 1
-        assert tier.load(trace.base_sha, 0, _SEGMENT_MS,
-                         "0" * 64) is None      # foreign pre-state
-        assert tier.load(trace.base_sha, _SEGMENT_MS,
-                         2 * _SEGMENT_MS, trace.pre_sha) is None
+        assert tier.load("0" * 64) is None      # foreign key
+        assert tier.load(_key(env_shift=1)) is None
 
-    def test_truncated_trace_is_never_persisted(self):
-        _leader, trace = _recorded_trace()
-        trace.truncated = True
-        assert not trace_tier().publish(trace)
+    def test_entry_is_about_one_checkpoint(self):
+        key, memo = _memo()
+        assert trace_tier().publish(key, memo)
+        size = LAYOUT.store_path(key).stat().st_size
+        assert size < len(checkpoint_bytes("k", 0, memo)) + 200
 
     def test_disable_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
@@ -132,29 +142,47 @@ class TestRoundTrip:
 
 class TestNoMemoryPerRecord:
     def test_publish_and_load_keep_nothing_in_memory(self):
-        _leader, trace = _recorded_trace()
+        _key_, memo = _memo()
         record_bytes = len(pickle.dumps(
-            trace_record(trace), protocol=pickle.HIGHEST_PROTOCOL))
-        traces = [dataclasses.replace(trace, pre_sha=f"{n:064x}")
-                  for n in range(21)]
+            {"key": _key_, "snapshot": memo},
+            protocol=pickle.HIGHEST_PROTOCOL))
+        keys = [f"{n:064x}" for n in range(21)]
         tier = trace_tier()
 
-        def _round_trip(trace):
-            assert tier.publish(trace)
-            assert tier.load(*_key(trace)) is not None
+        def _round_trip(key):
+            assert tier.publish(key, memo)
+            assert tier.load(key) is not None
 
-        _round_trip(traces[0])          # one-time caches don't count
+        _round_trip(keys[0])            # one-time caches don't count
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for trace in traces[1:]:
-                _round_trip(trace)
+            for key in keys[1:]:
+                _round_trip(key)
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < record_bytes, (grown, record_bytes)
+
+
+def _regs_17_wide(snapshot):
+    snapshot["machine"]["cpu"]["regs"].append(0)
+
+
+def _page_past_64k(snapshot):
+    snapshot["machine"]["memory"]["delta"][0xFF80] = b"\xEE" * 256
+
+
+def _unknown_fault_origin(snapshot):
+    snapshot["machine"]["fault_log"]["records"].append(
+        {"app": "rogue", "origin": "cosmic-ray", "pc": 0x4400,
+         "address": 0, "cycle": 1, "detail": ""})
+
+
+def _float_cycle_counter(snapshot):
+    snapshot["machine"]["cpu"]["cycles"] += 0.5
 
 
 class TestFailClosedIngestion(HostileInputMatrix):
@@ -164,96 +192,112 @@ class TestFailClosedIngestion(HostileInputMatrix):
         return LAYOUT.fmt
 
     def populate(self, tmp_path):
-        _leader, self.trace = _recorded_trace()
-        assert trace_tier().publish(self.trace)
-        return LAYOUT.store_path(*_key(self.trace))
+        self.key, memo = _memo()
+        assert trace_tier().publish(self.key, memo)
+        return LAYOUT.store_path(self.key)
 
     def assert_recovers(self, path, intact, corrupt):
         assert intact == 0                # one frame: all or nothing
         tracetier.clear_tier()            # as a fresh process would
-        tier = trace_tier()
-        assert tier.load(*_key(self.trace)) is None
-        # the follower executes, records again, and replaces the entry
-        assert tier.publish(self.trace)
-        assert tier.load(*_key(self.trace)) is not None
+        _assert_refused_then_executed(self.key)
 
     def test_shape_valid_pickle_wrong_content_is_refused(self):
-        _leader, trace = _recorded_trace()
-        bogus = dict(trace_record(trace),
-                     entries=[{"key": "not an entry"}])
-        path = LAYOUT.store_path(*_key(trace))
-        assert LAYOUT.write_entry(path, pickle.dumps(bogus))
-        assert LAYOUT.read_entry(path) is not None   # framing is fine
-        assert trace_tier().load(*_key(trace)) is None  # revival is not
+        # a valid pickle that is not a snapshot
+        key = _key()
+        path = LAYOUT.store_path(key)
+        for bogus in ({"key": key, "snapshot": {"version": 2}},
+                      {"key": key}, ["not", "a", "record"]):
+            assert LAYOUT.write_entry(path, pickle.dumps(bogus))
+            assert LAYOUT.read_entry(path) is not None  # framing: fine
+            assert trace_tier().load(key) is None       # revival: not
+        _assert_refused_then_executed(key)
+        with pytest.raises(ReproError):
+            parse_checkpoint(checkpoint_bytes("k", 0, {"version": 2}),
+                             "k", 0)
+
+    @pytest.mark.parametrize("corrupt", [
+        _regs_17_wide, _page_past_64k, _unknown_fault_origin,
+        _float_cycle_counter])
+    def test_hostile_snapshot_is_refused(self, corrupt):
+        key, memo = _memo()
+        corrupt(memo)
+        assert LAYOUT.write_entry(LAYOUT.store_path(key),
+                                  _entry(key, memo))
+        _assert_refused_then_executed(key)
+        with pytest.raises(ReproError):
+            parse_checkpoint(checkpoint_bytes("k", 0, memo), "k", 0)
+
+    def test_memo_that_fails_to_restore_is_executed(self):
+        # valid for any device, wrong for this one: without MPU state
+        # an MPU device's restore raises halfway (memory and registers
+        # already loaded), so the device reloads its own pre-segment
+        # snapshot and executes
+        key, memo = _memo()
+        del memo["machine"]["mpu"]
+        assert trace_tier().publish(key, memo)
+        assert trace_tier().load(key) == memo
+        run, stats = _through_tier()
+        assert (stats.trace_hits, stats.joins, stats.leads,
+                stats.trace_published) == (1, 0, 1, 1)
+        _assert_same_bytes(run, _solo())
+        assert "mpu" in trace_tier().load(key)["machine"]
 
     def test_record_under_another_keys_name_is_refused(self):
         # entry names are 64-bit hashes: a record the name does not
-        # belong to must not replay, whatever put it there
-        _leader, trace = _recorded_trace()
-        record = pickle.dumps(trace_record(trace))
-        other = (trace.base_sha, 0, _SEGMENT_MS, "e" * 64)
-        assert LAYOUT.write_entry(LAYOUT.store_path(*other), record)
+        # belong to must not be adopted, whatever put it there
+        key, memo = _memo()
+        other = _key(env_shift=1)
+        assert LAYOUT.write_entry(LAYOUT.store_path(key),
+                                  _entry(other, memo))
         tier = trace_tier()
-        assert tier.load(*other) is None
-        assert tier.load(*_key(trace)) is None
+        assert tier.load(other) is None
+        _assert_refused_then_executed(key)
 
     def test_import_rejects_garbage_and_bad_names(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
-        _leader, trace = _recorded_trace()
-        entry = LAYOUT.fmt.frame(pickle.dumps(trace_record(trace)))
-        name = LAYOUT.store_path(*_key(trace)).name
+        key, memo = _memo()
+        entry = LAYOUT.fmt.frame(_entry(key, memo))
+        name = LAYOUT.store_path(key).name
         assert not tracetier.import_store_file("../escape.tbx", entry)
         assert not tracetier.import_store_file(name, b"garbage" * 100)
         # two valid frames are not an entry
         assert not tracetier.import_store_file(name, entry + entry)
         # a valid entry is installed only under its own key's name
         assert not tracetier.import_store_file("ab" * 8 + ".tbx", entry)
+        # ...and only if its snapshot validates
+        hostile = copy.deepcopy(memo)
+        _regs_17_wide(hostile)
+        assert not tracetier.import_store_file(
+            name, LAYOUT.fmt.frame(_entry(key, hostile)))
         assert not list(tmp_path.glob("*.tbx"))
         assert tracetier.import_store_file(name, entry)
         assert LAYOUT.have_store_file(name)
         assert LAYOUT.read_store_file(name) == entry
-        assert trace_tier().load(*_key(trace)) is not None
+        assert trace_tier().load(key) == memo
         # re-import of an existing entry is a no-op
         assert not tracetier.import_store_file(name, entry)
 
 
 class TestPoisonResistance:
     def test_rogue_variant_is_inert_for_clean_sibling(self):
-        """A rogue's trace (recorded from a diverged state, carrying
-        whatever write-set it likes) lands in the same tier as the
-        clean leader's.  The clean sibling's digest never matches it,
-        so the sibling replays the clean variant — or executes — and
-        ends byte-identical to a solo run."""
-        leader, clean = _recorded_trace()
-
-        rogue, rogue_sched = _machine()
-        rogue.services.env._state += 7      # diverged pre-state
-        stats = CohortStats()
-        poisoned = record_segment(rogue, rogue_sched, 0, _SEGMENT_MS,
-                                  stats)
-        assert poisoned.pre_sha != clean.pre_sha
-        for entry in poisoned.entries:      # make the payload hostile
-            entry.pages = {0x2000: b"\xEE" * 256}
-            entry.regs_post = tuple([0xBAD0] + [0] * 15)
+        """A diverged device's memo (carrying whatever snapshot it
+        likes) lands in the same tier as the clean leader's.  The
+        clean sibling's key never matches it, so the sibling adopts
+        the clean memo and ends byte-identical to a solo run."""
+        key, clean = _memo()
+        rogue_key = _key(env_shift=7)       # diverged pre-state
+        assert rogue_key != key
+        poisoned = copy.deepcopy(clean)     # make the payload hostile
+        poisoned["machine"]["cpu"]["regs"][0] = 0xBAD0
+        poisoned["machine"]["memory"]["delta"][0x2000] = b"\xEE" * 256
 
         tier = trace_tier()
-        assert tier.publish(poisoned)
-        assert tier.publish(clean)
-        tracetier.clear_tier()
-        fresh = trace_tier()
-
-        follower, follower_sched = _machine()
-        pre_sha = state_digest(follower)
-        revived = fresh.load(clean.base_sha, 0, _SEGMENT_MS, pre_sha)
-        assert revived is not None
-        assert revived.pre_sha == clean.pre_sha   # not the poison
-        replay_segment(follower, follower_sched, revived, 0,
-                       _SEGMENT_MS, CohortStats())
-        assert follower.cpu.memory.image_equals(
-            leader.cpu.memory.image_bytes())
-        assert follower.cpu.regs.snapshot() == \
-            leader.cpu.regs.snapshot()
+        assert tier.publish(rogue_key, poisoned)
+        assert tier.publish(key, clean)
+        run, stats = _through_tier()
+        assert (stats.trace_hits, stats.joins) == (1, 1)
+        _assert_same_bytes(run, _solo())
 
 
 _CAMPAIGN = dict(devices=6, hours=0.003, models=("mpu",), seed=7,

@@ -21,8 +21,10 @@ exploit's marker must never appear.
 
 The append-only tier (``.sbx``) subclasses :class:`AppendTierMatrix`
 instead, which adds a sixth case: a writer killed halfway through an
-append, or a frame whose payload hides a false magic, followed by
-later appends, must cost only the damaged record.
+append (of a record like the others, or of a much bigger one whose
+declared length covers the later appends), or a frame whose payload
+hides a false magic, followed by later appends, must cost only the
+damaged record.
 """
 
 import os
@@ -120,6 +122,9 @@ class AppendTierMatrix(HostileInputMatrix):
         damages = {
             # a writer killed halfway through its append
             "torn": frame[:half],
+            # ...through a big append: the later appends fit inside
+            # its declared length, so only resync can reach them
+            "torn-big": self.fmt().frame(bytes(8192))[:100],
             # bit-rot that plants a false magic inside the payload
             "false-magic": frame[:half] + false_header
             + frame[half + len(false_header):],
