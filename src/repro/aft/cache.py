@@ -15,10 +15,19 @@ is deterministic, so every rebuild after the first is wasted work.
   compiler, assembler, linker, or kernel templates invalidates every
   cached image automatically.
 
-Two layers:
+Three layers:
 
 * an in-process dict returning the *same* :class:`Firmware` object
-  (machines only read firmware, so sharing is safe), and
+  (machines only read firmware, so sharing is safe);
+* an in-process object memo that the pipeline fills with each app's
+  phase 1–3 output (:class:`~repro.aft.phases.AppObject`: access
+  report, stack estimate, finished object file) and the runtime
+  library's object, keyed by the model, the flags and the app's name,
+  source, handlers and default stack.  Region boundaries are
+  link-time symbols, so that output does not depend on the other apps
+  of a firmware: a firmware that must be built compiles only the apps
+  no earlier build of this process compiled, and links a copy of
+  every other app's object; and
 * an on-disk layer under ``.cache/firmware/`` at the repo root, shared
   across processes — this is what makes the parallel experiment
   runner's worker processes cheap.  It is a
@@ -31,7 +40,7 @@ Two layers:
   as the only resolvable globals; anything else — bit-rot, a torn
   write, a crafted pickle — is rebuilt and overwritten.
 
-Environment knobs: ``REPRO_NO_CACHE=1`` disables both layers,
+Environment knobs: ``REPRO_NO_CACHE=1`` disables all three layers,
 ``REPRO_CACHE_DIR`` is the on-disk directory itself, and
 ``REPRO_CACHE_MAX_MB`` bounds it (default 256 MB; 0 or negative
 disables pruning).  Builds that use a custom ``policy_factory`` (e.g.
@@ -86,6 +95,9 @@ _FIRMWARE_CLASSES = allowlist(
     IntType, CharType, PointerType, FunctionType)
 
 _memory_cache: Dict[str, Firmware] = {}
+#: every app's phase 1–3 output, for the builds of this process
+#: (:class:`~repro.aft.phases.AppObject`)
+_objects: Dict[object, object] = {}
 
 
 def build_firmware(model: IsolationModel,
@@ -115,7 +127,8 @@ def build_firmware(model: IsolationModel,
         firmware = _load(path)
     if firmware is None:
         firmware = AftPipeline(model, shadow_stack=shadow_stack,
-                               optimize=optimize).build(apps)
+                               optimize=optimize,
+                               memo=_objects).build(apps)
         if persist:
             LAYOUT.write_entry(path, pickle.dumps(
                 firmware, protocol=pickle.HIGHEST_PROTOCOL))
@@ -137,5 +150,6 @@ def _load(path) -> Optional[Firmware]:
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process layer (tests use this)."""
+    """Drop the in-process layers (tests use this)."""
     _memory_cache.clear()
+    _objects.clear()

@@ -17,6 +17,12 @@ Phase mapping (see the package docstring for the paper's wording):
    of every translation unit.
 4. :meth:`_phase4_link` — placement in high FRAM, boundary-symbol
    computation, relocation patching, final image.
+
+Because phase 2 checks against placeholder boundary symbols that only
+phase 4 fills in, an app's phase 1–3 output depends on its source, the
+model and the flags alone.  A pipeline given an object ``memo`` keeps
+that output (an :class:`AppObject`) per app, so a later build of the
+same process that contains the app only links it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,22 @@ class AppSource:
     def __post_init__(self) -> None:
         if not self.name.isidentifier() or self.name.startswith("__"):
             raise ToolchainError(f"bad app name {self.name!r}")
+
+
+@dataclass(frozen=True)
+class AppObject:
+    """What phases 1–3 leave for phase 4 of one app: its access
+    report, its stack estimate and its finished object file (stack
+    bytes appended, ``__app_<n>_stack_top`` defined, sections in code <
+    stack < data order)."""
+
+    access: AccessReport
+    stack: StackEstimate
+    obj: ObjectFile
+
+
+#: an object memo's key for the runtime library's object
+_RUNTIME = "runtime"
 
 
 @dataclass
@@ -113,7 +135,8 @@ class AftPipeline:
                  layout: Optional[KernelLayout] = None,
                  policy_factory=None,
                  shadow_stack: bool = False,
-                 optimize: bool = False):
+                 optimize: bool = False,
+                 memo: Optional[Dict[object, object]] = None):
         """``policy_factory(app_name, entry_points) -> CheckPolicy``
         overrides the model's check policy; the profiler uses this to
         build counting instrumentation instead of checks.
@@ -122,7 +145,19 @@ class AftPipeline:
         stack in InfoMem (see :mod:`repro.aft.shadowstack`).
 
         ``optimize`` runs the AST optimizer over each app before
-        analysis (see :mod:`repro.cc.optimize`)."""
+        analysis (see :mod:`repro.cc.optimize`).
+
+        ``memo`` is a dict shared by the builds of one process: it maps
+        each app's key (model, flags, name, source, handlers, default
+        stack) to its :class:`AppObject`, and holds the runtime
+        library's object.  Apps found there skip phases 1–3, so their
+        :class:`AppBuild` in :attr:`report` has no ``sema``, ``graph``
+        or ``unit``.  The key does not cover a custom API table or
+        policy factory, so a memo cannot be combined with either."""
+        if memo is not None and (api is not None
+                                 or policy_factory is not None):
+            raise ToolchainError(
+                "an object memo needs the default API and policies")
         self.config: ModelConfig = model_config(model)
         self.api = api if api is not None else amulet_api_table()
         self.layout = layout if layout is not None else DEFAULT_LAYOUT
@@ -130,6 +165,7 @@ class AftPipeline:
         self.policy_factory = policy_factory
         self.shadow_stack = shadow_stack
         self.optimize = optimize
+        self.memo = memo
         self.report: Optional[AftReport] = None
 
     # -- public ------------------------------------------------------------
@@ -140,14 +176,45 @@ class AftPipeline:
         if len(set(names)) != len(names):
             raise ToolchainError(f"duplicate app names in {names}")
         builds = [AppBuild(a) for a in apps]
-        for build in builds:
+        fresh = [build for build in builds if not self._recall(build)]
+        for build in fresh:
             self._phase1_analyze(build)
             self._phase2_generate(build)
-        objects = self._phase3_sections(builds)
+        objects = self._phase3_sections(builds, fresh)
         firmware = self._phase4_link(builds, objects)
         self.report = AftReport(
             self.config.model, {b.name: b for b in builds})
         return firmware
+
+    # -- the object memo ----------------------------------------------------
+    def _key(self, app: AppSource) -> tuple:
+        return (self.config.model, self.shadow_stack, self.optimize,
+                app.name, app.source, tuple(app.handlers),
+                app.recursive_stack)
+
+    def _recall(self, build: AppBuild) -> bool:
+        """Fill ``build`` from the memo; ``False`` if it is not there.
+        The linker writes section addresses, so this firmware links a
+        copy of the remembered object."""
+        known = self.memo.get(self._key(build.source)) \
+            if self.memo is not None else None
+        if known is None:
+            return False
+        build.access, build.stack = known.access, known.stack
+        build.obj = known.obj.copy_for_link(build.name)
+        return True
+
+    def _runtime_object(self) -> ObjectFile:
+        """The runtime library's object: assembled once per memo, and
+        a copy for every later link."""
+        known = self.memo.get(_RUNTIME) if self.memo is not None \
+            else None
+        if known is not None:
+            return known.copy_for_link(_RUNTIME)
+        runtime = assemble(runtime_asm(with_fault_stub=False), _RUNTIME)
+        if self.memo is not None:
+            self.memo[_RUNTIME] = runtime
+        return runtime
 
     # -- phase 1 ----------------------------------------------------------------
     def _phase1_analyze(self, build: AppBuild) -> None:
@@ -192,15 +259,16 @@ class AftPipeline:
         build.unit = generator.generate(build.sema)
 
     # -- phase 3 ------------------------------------------------------------------
-    def _phase3_sections(self, builds: List[AppBuild]) -> List[ObjectFile]:
-        objects: List[ObjectFile] = [
-            assemble(runtime_asm(with_fault_stub=False), "runtime")
-        ]
+    def _phase3_sections(self, builds: List[AppBuild],
+                         fresh: List[AppBuild]) -> List[ObjectFile]:
+        """Assembles the runtime, the OS and every app in ``fresh`` (the
+        others came from the memo with their object)."""
+        objects: List[ObjectFile] = [self._runtime_object()]
         os_asm = generate_os_asm(
             [b.name for b in builds], self.config, self.api, self.layout)
         objects.append(assemble(os_asm, "os"))
 
-        for build in builds:
+        for build in fresh:
             build.stack = estimate_stack(
                 build.graph, build.unit.frame_sizes,
                 build.source.handlers,
@@ -235,7 +303,10 @@ class AftPipeline:
                     ordered[name] = section
             obj.sections = ordered
             build.obj = obj
-            objects.append(obj)
+            if self.memo is not None:
+                self.memo[self._key(build.source)] = AppObject(
+                    build.access, build.stack, obj)
+        objects.extend(build.obj for build in builds)
         return objects
 
     # -- phase 4 --------------------------------------------------------------------

@@ -58,7 +58,7 @@ def estimate_stack(graph: CallGraph,
             return memo[name]
         frame = frame_sizes.get(name, 0)
         deepest_call = 0
-        for callee in graph.callees(name):
+        for callee in sorted(graph.callees(name)):
             if callee in graph.functions:
                 # 2 bytes of return address plus the callee's own needs
                 deepest_call = max(deepest_call, 2 + depth(callee))
@@ -72,7 +72,7 @@ def estimate_stack(graph: CallGraph,
         if entry in graph.functions:
             total = max(total, 2 + depth(entry))
     # Unreachable-but-address-taken functions might still run.
-    for name in graph.address_taken:
+    for name in sorted(graph.address_taken):
         if name in graph.functions:
             total = max(total, 2 + depth(name))
     needed = total + MARGIN

@@ -98,6 +98,16 @@ _FORMAT2_NAMES = {op.name: op for op in Opcode if op.is_format2}
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _NUMBER_RE = re.compile(r"^-?(0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)$")
+#: a char or string literal; a backslash escapes the next character
+_QUOTED = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\""""
+#: a line up to its ``;`` or ``//`` comment; an unclosed quote keeps
+#: the rest of the line, which then fails to parse
+_CODE_RE = re.compile(rf"""(?:{_QUOTED}|[^;/'"]|/(?!/)|['"].*)*""")
+#: one operand (quoted literals, one level of parentheses) or a comma;
+#: an unclosed quote or parenthesis makes the rest of the text one
+#: operand, which then fails to parse
+_OPERAND_RE = re.compile(
+    rf"""(?:{_QUOTED}|\((?:{_QUOTED}|[^()'"])*\)|[^,()'"])+|,|.+""")
 
 
 class _Expr:
@@ -194,30 +204,8 @@ class Assembler:
     @staticmethod
     def _split_operands(text: str) -> List[str]:
         """Split on commas that are not inside quotes or parentheses."""
-        parts, depth, quote, cur = [], 0, None, []
-        for ch in text:
-            if quote:
-                cur.append(ch)
-                if ch == quote and (len(cur) < 2 or cur[-2] != "\\"):
-                    quote = None
-                continue
-            if ch in "'\"":
-                quote = ch
-                cur.append(ch)
-            elif ch == "(":
-                depth += 1
-                cur.append(ch)
-            elif ch == ")":
-                depth -= 1
-                cur.append(ch)
-            elif ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        if cur:
-            parts.append("".join(cur))
-        return [p.strip() for p in parts if p.strip()]
+        return [part.strip() for part in _OPERAND_RE.findall(text)
+                if part != "," and part.strip()]
 
     # -- emission --------------------------------------------------------------
     def _emit_instruction(self, insn: Instruction) -> None:
@@ -399,7 +387,7 @@ class Assembler:
     def assemble(self, text: str) -> ObjectFile:
         for raw_line in text.splitlines():
             self.line_number += 1
-            line = self._strip_comment(raw_line).strip()
+            line = _CODE_RE.match(raw_line).group().strip()
             while True:
                 m = _LABEL_RE.match(line)
                 if not m:
@@ -428,29 +416,6 @@ class Assembler:
             if name not in self.obj.symbols:
                 self.obj.define(name, None, value)
         return self.obj
-
-    @staticmethod
-    def _strip_comment(line: str) -> str:
-        out = []
-        quote = None
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if quote:
-                out.append(ch)
-                if ch == quote and line[i - 1] != "\\":
-                    quote = None
-            elif ch in "'\"":
-                quote = ch
-                out.append(ch)
-            elif ch == ";":
-                break
-            elif ch == "/" and i + 1 < len(line) and line[i + 1] == "/":
-                break
-            else:
-                out.append(ch)
-            i += 1
-        return "".join(out)
 
 
 def assemble(text: str, name: str = "<asm>") -> ObjectFile:

@@ -121,6 +121,17 @@ class ObjectFile:
         self.symbols[name] = symbol
         return symbol
 
+    def copy_for_link(self, name: str) -> "ObjectFile":
+        """A copy named ``name`` that one more link may place: its
+        sections are new (the linker writes their addresses) and share
+        the bytes, relocations and symbols the linker only reads."""
+        copy = ObjectFile(name)
+        copy.sections = {
+            key: Section(s.name, s.data, s.relocations, s.align)
+            for key, s in self.sections.items()}
+        copy.symbols = self.symbols
+        return copy
+
     def globals(self) -> List[Symbol]:
         return [s for s in self.symbols.values() if s.is_global]
 

@@ -1,12 +1,16 @@
-"""Hand-written lexer for MiniC.
+"""Regex-driven lexer for MiniC.
 
 Handles ``//`` and ``/* */`` comments, decimal/hex/octal/binary integer
 literals with optional ``u``/``U`` suffix, character literals with the
-usual escapes, and string literals.
+usual escapes, and string literals.  One master pattern with a named
+group per token class scans the source in a single left-to-right pass;
+the last alternatives catch what no token matches, so every lexical
+error is a :class:`CompileError` at its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import CompileError
@@ -18,166 +22,130 @@ _ESCAPES = {
     "v": "\v",
 }
 
+#: the lookahead makes a ``\x`` run take every hex digit, so a literal
+#: parses one way only and a failed match backtracks in linear time
+_ESCAPE = r"\\(?:x[0-9a-fA-F]+(?![0-9a-fA-F])|[ntr0\\'\"abfv])"
+#: one character of a literal's body: an escape or anything but ``\``
+_CHAR_BODY = re.compile(rf"{_ESCAPE}|[^\\]")
+#: a string literal's body up to its closing quote or first bad escape
+_STRING_BODY = re.compile(rf"(?:[^\"\\]|{_ESCAPE})*")
+_ESCAPE_RE = re.compile(r"\\(x[0-9a-fA-F]+|.)", re.DOTALL)
+
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<comment>//[^\n]*|/\*.*?\*/)",
+    r"(?P<open_comment>/\*)",
+    r"(?P<ident>[^\W\d]\w*)",
+    r"(?P<number>(?:0[xX][0-9a-fA-F]*|0[bB][01]*|\d+)[uUlL]*)",
+    rf"(?P<char>'(?:{_CHAR_BODY.pattern})')",
+    rf"(?P<string>\"{_STRING_BODY.pattern}\")",
+    r"(?P<bad_literal>['\"])",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+    r"(?P<stray>.)",
+]), re.DOTALL)
+
+
+def _escape(match: re.Match) -> str:
+    body = match.group(1)
+    if body[0] == "x":
+        return chr(int(body[1:], 16) & 0xFF)
+    return _ESCAPES[body]
+
+
+def _number_value(text: str) -> int:
+    """The value of an integer literal's text, or ``ValueError``."""
+    body = text.rstrip("uUlL")
+    if body[:2] in ("0x", "0X"):
+        return int(body[2:], 16)
+    if body[:2] in ("0b", "0B"):
+        return int(body[2:], 2)
+    return int(body, 8 if len(body) > 1 and body[0] == "0" else 10)
+
 
 class _Lexer:
     def __init__(self, source: str, filename: str = "<minic>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _error(self, message: str) -> CompileError:
-        return CompileError(message, self.line, self.col, self.filename)
+    def _error_at(self, message: str, offset: int) -> CompileError:
+        """An error at ``offset``, with its (line, col) counted out."""
+        line = self.source.count("\n", 0, offset) + 1
+        col = offset - self.source.rfind("\n", 0, offset)
+        return CompileError(message, line, col, self.filename)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise CompileError("unterminated comment", start_line,
-                                       0, self.filename)
-            else:
-                return
-
-    def _read_escape(self) -> str:
-        self._advance()  # consume backslash
-        ch = self._peek()
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                raise self._error("bad \\x escape")
-            return chr(int(digits, 16) & 0xFF)
-        if ch in _ESCAPES:
-            self._advance()
-            return _ESCAPES[ch]
-        raise self._error(f"unknown escape \\{ch}")
-
-    def _lex_number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        text = ""
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start:self.pos]
-            value = int(text, 16)
-        elif self._peek() == "0" and self._peek(1) in "bB":
-            self._advance(2)
-            while self._peek() and self._peek() in "01":
-                self._advance()
-            text = self.source[start:self.pos]
-            value = int(text[2:], 2)
+    def _bad_literal(self, start: int) -> CompileError:
+        """Why the char or string literal opening at ``start`` did not
+        match: a bad escape, or a missing closing quote."""
+        source = self.source
+        if source[start] == "'":
+            body = _CHAR_BODY.match(source, start + 1)
+            if body:
+                return self._error_at("unterminated char literal",
+                                      body.end())
+            kind, end = "char", start + 1
         else:
-            while self._peek().isdigit():
-                self._advance()
-            text = self.source[start:self.pos]
-            value = int(text, 8) if (len(text) > 1
-                                     and text.startswith("0")) \
-                else int(text)
-        while self._peek() and self._peek() in "uUlL":  # skip suffixes
-            text += self._peek()
-            self._advance()
-        if value > 0xFFFF:
-            raise CompileError(
-                f"integer literal {text} exceeds 16 bits", line, col,
-                self.filename)
-        return Token(TokenType.NUMBER, text, line, col, value)
+            kind = "string"
+            end = _STRING_BODY.match(source, start + 1).end()
+        if source.startswith("\\", end):
+            if source.startswith("x", end + 1):
+                return self._error_at("bad \\x escape", end + 2)
+            return self._error_at(
+                f"unknown escape \\{source[end + 1:end + 2]}", end + 1)
+        return self._error_at(f"unterminated {kind} literal", end)
 
     def tokenize(self) -> List[Token]:
         tokens: List[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                tokens.append(Token(TokenType.EOF, "", self.line, self.col))
-                return tokens
-            line, col = self.line, self.col
-            ch = self._peek()
-
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self._peek().isalnum() or self._peek() == "_":
-                    self._advance()
-                text = self.source[start:self.pos]
-                kind = (TokenType.KEYWORD if text in KEYWORDS
-                        else TokenType.IDENT)
-                tokens.append(Token(kind, text, line, col))
-                continue
-
-            if ch.isdigit():
-                tokens.append(self._lex_number())
-                continue
-
-            if ch == "'":
-                self._advance()
-                if self._peek() == "\\":
-                    value = ord(self._read_escape())
-                else:
-                    if not self._peek():
-                        raise self._error("unterminated char literal")
-                    value = ord(self._peek())
-                    self._advance()
-                if self._peek() != "'":
-                    raise self._error("unterminated char literal")
-                self._advance()
-                tokens.append(Token(TokenType.CHAR, f"'{chr(value)}'",
-                                    line, col, value & 0xFF))
-                continue
-
-            if ch == '"':
-                self._advance()
-                chars: List[str] = []
-                while self._peek() and self._peek() != '"':
-                    if self._peek() == "\\":
-                        chars.append(self._read_escape())
-                    else:
-                        chars.append(self._peek())
-                        self._advance()
-                if self._peek() != '"':
-                    raise self._error("unterminated string literal")
-                self._advance()
-                tokens.append(Token(TokenType.STRING, "".join(chars),
-                                    line, col))
-                continue
-
-            for punct in PUNCTUATORS:
-                if self.source.startswith(punct, self.pos):
-                    self._advance(len(punct))
-                    tokens.append(Token(TokenType.PUNCT, punct, line, col))
-                    break
-            else:
-                raise self._error(f"stray character {ch!r}")
+        append = tokens.append
+        filename = self.filename
+        line, line_start = 1, 0
+        for match in _TOKEN_RE.finditer(self.source):
+            kind = match.lastgroup
+            text = match.group()
+            start = match.start()
+            col = start - line_start + 1
+            if kind == "ident":
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise self._error_at(
+                        f"stray character {text[0]!r}", start)
+                append(Token(TokenType.KEYWORD if text in KEYWORDS
+                             else TokenType.IDENT, text, line, col))
+            elif kind == "punct":
+                append(Token(TokenType.PUNCT, text, line, col))
+            elif kind == "number":
+                try:
+                    value = _number_value(text)
+                except ValueError:
+                    raise CompileError(
+                        f"malformed integer literal {text}", line, col,
+                        filename) from None
+                if value > 0xFFFF:
+                    raise CompileError(
+                        f"integer literal {text} exceeds 16 bits", line,
+                        col, filename)
+                append(Token(TokenType.NUMBER, text, line, col, value))
+            elif kind == "char":
+                char = _ESCAPE_RE.sub(_escape, text[1:-1])
+                append(Token(TokenType.CHAR, f"'{char}'", line, col,
+                             ord(char) & 0xFF))
+            elif kind == "string":
+                append(Token(TokenType.STRING,
+                             _ESCAPE_RE.sub(_escape, text[1:-1]),
+                             line, col))
+            elif kind == "open_comment":
+                raise CompileError("unterminated comment", line, 0,
+                                   filename)
+            elif kind == "bad_literal":
+                raise self._bad_literal(start)
+            elif kind == "stray":
+                raise CompileError(f"stray character {text!r}", line, col,
+                                   filename)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        append(Token(TokenType.EOF, "", line,
+                     len(self.source) - line_start + 1))
+        return tokens
 
 
 def tokenize(source: str, filename: str = "<minic>") -> List[Token]:

@@ -240,3 +240,31 @@ table:  .word 0xAAAA, 0xBBBB
         code = image.segments[0][1]
         patched = code[2] | (code[3] << 8)
         assert patched == image.symbol("table") + 2
+
+
+class TestQuotedLiterals:
+    """Comment markers and commas inside char and string literals are
+    text; a quote after an escaped backslash closes the literal."""
+
+    def test_escaped_backslash_char(self):
+        insn = first_insn(assemble("MOV #'\\\\', R12"))
+        assert insn.src.value == ord("\\")
+        assert insn.dst.register == 12
+
+    def test_escaped_backslash_string_then_comment(self):
+        obj = assemble('.data\n.ascii "a\\\\" ; c')
+        assert bytes(obj.sections[".data"].data) == b"a\\"
+
+    @pytest.mark.parametrize("char", [";", "/", ","])
+    def test_marker_in_char_literal(self, char):
+        insn = first_insn(assemble(f"MOV #'{char}', R5 ; note"))
+        assert insn.src.value == ord(char)
+        assert insn.dst.register == 5
+
+    def test_markers_in_string_literal(self):
+        obj = assemble('.data\n.ascii "a;b//c,d" // note')
+        assert bytes(obj.sections[".data"].data) == b"a;b//c,d"
+
+    def test_markers_in_byte_list(self):
+        obj = assemble(".data\n.byte ';', ',', '/' ; three")
+        assert bytes(obj.sections[".data"].data) == b";,/"

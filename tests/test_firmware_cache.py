@@ -12,8 +12,13 @@ Promises pinned here:
 * **Warm means warm** — a fresh process revives every firmware the
   paper's experiments and a fleet build, without one rebuild: the
   allowlist covers everything a :class:`Firmware` is made of.
+* **The object memo changes no byte** — a firmware linked from
+  remembered per-app objects pickles exactly as an uncached build, a
+  later link leaves an earlier firmware's placement alone, and a
+  change to any key field compiles the app again.
 """
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.aft import cache
+from repro.aft import cache, phases
 from repro.aft.models import IsolationModel
 from repro.aft.phases import AftPipeline, AppSource
 from repro.framestore import HEADER
@@ -187,3 +192,93 @@ class TestWarmRevival:
         with worker_pool(2) as pool:
             revived = pool.submit(_revive_everything, tmp_path).result()
         assert revived == built > 12
+
+
+# -- the in-process object memo -----------------------------------------
+
+def _every_app(model):
+    """Every catalog app plus the rogue app (which Feature-Limited
+    rejects, as it does on a fleet device)."""
+    from repro.apps.catalog import BENCHMARK_NAMES, SUITE_NAMES, load_app
+    from repro.fleet.device import ROGUE_APP, ROGUE_HANDLER, ROGUE_SOURCE
+    names = sorted(set(SUITE_NAMES) | set(BENCHMARK_NAMES))
+    apps = [load_app(name) for name in names]
+    if model is not IsolationModel.FEATURE_LIMITED:
+        apps.append(AppSource(ROGUE_APP, ROGUE_SOURCE,
+                              handlers=[ROGUE_HANDLER]))
+    return apps
+
+
+@pytest.fixture
+def private_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "firmware"))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    cache.clear_memory_cache()
+    yield monkeypatch
+    cache.clear_memory_cache()
+
+
+class TestObjectMemo:
+    @pytest.mark.parametrize("model", list(IsolationModel),
+                             ids=lambda model: model.name)
+    def test_memo_builds_pickle_like_uncached(self, model,
+                                              private_cache):
+        apps = _every_app(model)
+        firmwares = [[app] for app in apps] + [apps, apps[::-1]]
+        for shadow_stack in (False, True):
+            for optimize in (False, True):
+                flags = dict(shadow_stack=shadow_stack,
+                             optimize=optimize)
+                private_cache.delenv("REPRO_NO_CACHE", raising=False)
+                memo = [pickle.dumps(cache.build_firmware(
+                    model, chosen, **flags)) for chosen in firmwares]
+                # each app compiled once: both suites only linked
+                # remembered objects (and the remembered runtime)
+                assert len(cache._objects) == len(apps) + 1
+                private_cache.setenv("REPRO_NO_CACHE", "1")
+                for chosen, built in zip(firmwares, memo):
+                    assert built == pickle.dumps(cache.build_firmware(
+                        model, chosen, **flags)), \
+                        ([app.name for app in chosen], flags)
+                cache.clear_memory_cache()
+
+    def test_linking_again_leaves_earlier_placement(self,
+                                                    private_cache):
+        from repro.apps.catalog import load_suite
+        first, second = load_suite(["clock", "hr"])
+        earlier = cache.build_firmware(IsolationModel.MPU,
+                                       [first, second])
+        placed = [(owner, section.name, section.address)
+                  for owner, section in earlier.image.placed]
+        # ``hr`` is a memo hit that lands at another address
+        later = cache.build_firmware(IsolationModel.MPU, [second])
+        assert later.apps["hr"].code_lo != earlier.apps["hr"].code_lo
+        assert [(owner, section.name, section.address)
+                for owner, section in earlier.image.placed] == placed
+
+    def test_each_key_field_misses(self, private_cache):
+        parsed = []
+        parse = phases.parse
+
+        def counting_parse(source, filename):
+            parsed.append(filename)
+            return parse(source, filename=filename)
+
+        private_cache.setattr(phases, "parse", counting_parse)
+        app = _apps()[0]
+        helper = AppSource("helper", APP_SRC, handlers=["on_tick"])
+        model = IsolationModel.MPU
+        cache.build_firmware(model, [app])
+        cache.build_firmware(model, [app, helper])     # a hit
+        assert parsed == ["demo", "helper"]
+        for changed_model, changed, flags in [
+                (model, dataclasses.replace(app, handlers=["on_tick"]),
+                 {}),
+                (model, dataclasses.replace(app, recursive_stack=256),
+                 {}),
+                (IsolationModel.SOFTWARE_ONLY, app, {}),
+                (model, app, {"shadow_stack": True}),
+                (model, app, {"optimize": True})]:
+            parsed.clear()
+            cache.build_firmware(changed_model, [changed], **flags)
+            assert parsed == ["demo"], (changed_model, changed, flags)
