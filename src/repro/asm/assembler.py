@@ -140,8 +140,11 @@ class Assembler:
         text = text.strip()
         if len(text) >= 3 and text[0] == "'" and text[-1] == "'":
             body = text[1:-1]
-            unescaped = {"\\n": "\n", "\\t": "\t", "\\0": "\0",
-                         "\\'": "'", "\\\\": "\\"}.get(body, body)
+            # a backslash starts an escape: a lone or unknown one is
+            # an error, not the backslash character
+            unescaped = ({"\\n": "\n", "\\t": "\t", "\\0": "\0",
+                          "\\'": "'", "\\\\": "\\"}.get(body, "")
+                         if body[0] == "\\" else body)
             if len(unescaped) != 1:
                 raise self._error(f"bad character literal {text}")
             return ord(unescaped)

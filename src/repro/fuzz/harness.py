@@ -1,12 +1,20 @@
 """Lockstep differential execution: the template table vs. ``_op_*``.
 
 A :class:`FuzzProgram` is assembled, linked at its code base and loaded
-into two identical machines — one with the superblock engine enabled
-(the production configuration: template thunks and generated block
-code), one in step-only mode (``block_mode = False``), which runs the
-per-opcode ``Cpu._op_*`` handlers for every instruction, the
-independent reference.  Both run in lockstep chunks; at every chunk boundary (a *divergence checkpoint*)
-the full architectural state is compared bit for bit:
+into three identical machines:
+
+* **block** — the production configuration: superblocks tier from
+  interpreted thunks to generated code after their first dispatches;
+* **codegen** — the same engine with every block marked hot as it is
+  compiled, so code that runs once (most of a fuzz program outside its
+  loops) still runs as generated code;
+* **step** — step-only mode (``block_mode = False``), which runs the
+  per-opcode ``Cpu._op_*`` handlers for every instruction, the
+  independent reference.
+
+All three run in lockstep chunks; at every chunk boundary (a
+*divergence checkpoint*) each engine machine is compared with the
+reference bit for bit:
 
 * all sixteen registers,
 * the cycle and retired-instruction counters,
@@ -61,15 +69,35 @@ def build_image(program: FuzzProgram):
             f"seed {program.seed}: {error}") from error
 
 
-class FuzzMachine:
-    """One bare CPU + bus + MPU instance running a fuzz program."""
+def mark_blocks_hot(cpu: Cpu) -> Cpu:
+    """Make every superblock ``cpu`` compiles hot, so its first
+    dispatch already runs generated code (code that runs once is
+    otherwise only ever interpreted)."""
+    compile_block = cpu._compile_block
 
-    def __init__(self, program: FuzzProgram, image, step_only: bool):
+    def compile_hot(pc):
+        blk = compile_block(pc)
+        if blk is not None:
+            blk.execs = 2
+        return blk
+
+    cpu._compile_block = compile_hot
+    return cpu
+
+
+class FuzzMachine:
+    """One bare CPU + bus + MPU instance running a fuzz program;
+    ``hot`` applies :func:`mark_blocks_hot` to its CPU."""
+
+    def __init__(self, program: FuzzProgram, image, step_only: bool,
+                 hot: bool = False):
         self.memory = Memory()
         self.mpu = Mpu()
         self.mpu.attach(self.memory)
         self.cpu = Cpu(self.memory)
         self.cpu.block_mode = not step_only
+        if hot:
+            mark_blocks_hot(self.cpu)
         self.memory.add_io(DONE_PORT,
                            write=lambda _a, _v: self.cpu.halt())
         # deterministic prefill: scratch FRAM and the SRAM stack area
@@ -134,10 +162,13 @@ class Divergence:
     field: str
     block_value: object
     step_value: object
+    #: which engine machine differs from the reference
+    machine: str
 
     def describe(self) -> str:
-        return (f"checkpoint {self.checkpoint}: {self.field} differs — "
-                f"block={self.block_value!r} step={self.step_value!r}")
+        return (f"checkpoint {self.checkpoint}: {self.machine} "
+                f"{self.field} differs — {self.machine}="
+                f"{self.block_value!r} step={self.step_value!r}")
 
 
 @dataclass
@@ -162,51 +193,53 @@ class DiffResult:
 
 
 def _compare(block: FuzzMachine, step: FuzzMachine,
-             checkpoint: int) -> Optional[Divergence]:
+             checkpoint: int, machine: str) -> Optional[Divergence]:
     snap_a, snap_b = block.snapshot(), step.snapshot()
     for name, a, b in zip(_SNAPSHOT_FIELDS, snap_a, snap_b):
         if a != b:
-            return Divergence(checkpoint, name, a, b)
+            return Divergence(checkpoint, name, a, b, machine)
     if block.memory._bytes != step.memory._bytes:
         address = next(i for i in range(0x10000)
                        if block.memory._bytes[i] != step.memory._bytes[i])
         return Divergence(
             checkpoint, "memory",
             f"[0x{address:04X}]=0x{block.memory._bytes[address]:02X}",
-            f"[0x{address:04X}]=0x{step.memory._bytes[address]:02X}")
+            f"[0x{address:04X}]=0x{step.memory._bytes[address]:02X}",
+            machine)
     return None
 
 
 def run_differential(program: FuzzProgram, chunk: int = 256,
                      max_instructions: int = 20_000) -> DiffResult:
-    """Execute ``program`` in both modes, comparing at every
-    checkpoint.  ``chunk`` is the checkpoint spacing in instructions;
+    """Execute ``program`` on the three machines, comparing each
+    engine machine with the step-only reference at every checkpoint.
+    ``chunk`` is the checkpoint spacing in instructions;
     ``max_instructions`` the total budget per run (the backstop for
     programs that fuzz themselves into an endless shape)."""
     image = build_image(program)
     block = FuzzMachine(program, image, step_only=False)
+    engines = (("block", block),
+               ("codegen", FuzzMachine(program, image, step_only=False,
+                                       hot=True)))
     step = FuzzMachine(program, image, step_only=True)
 
     checkpoint = 0
     outcome_a: tuple = ("running",)
     while True:
         checkpoint += 1
-        outcome_a = block.advance(chunk)
         outcome_b = step.advance(chunk)
-        if outcome_a != outcome_b:
-            return DiffResult(
-                program.seed, ok=False, outcome=outcome_a,
-                checkpoints=checkpoint,
-                instructions=block.cpu.instructions,
-                divergence=Divergence(checkpoint, "outcome",
-                                      outcome_a, outcome_b))
-        divergence = _compare(block, step, checkpoint)
-        if divergence is not None:
-            return DiffResult(
-                program.seed, ok=False, outcome=outcome_a,
-                checkpoints=checkpoint,
-                instructions=block.cpu.instructions,
-                divergence=divergence)
+        for name, machine in engines:
+            outcome_a = machine.advance(chunk)
+            divergence = (
+                Divergence(checkpoint, "outcome", outcome_a, outcome_b,
+                           name) if outcome_a != outcome_b
+                else _compare(machine, step, checkpoint, name))
+            if divergence is not None:
+                return DiffResult(
+                    program.seed, ok=False, outcome=outcome_a,
+                    checkpoints=checkpoint,
+                    instructions=machine.cpu.instructions,
+                    divergence=divergence)
         if outcome_a[0] != "running":
             break
         if block.cpu.instructions >= max_instructions:

@@ -37,13 +37,13 @@ starts at a hot PC and extends until the first
   ``step()``, or
 * the 64-instruction block-size cap.
 
-Blocks come in two flavours, decided by a compile-time "may touch
-memory" summary: **pure** blocks (register-only thunks, optionally a
-final jump) skip *all* per-instruction bookkeeping — the PC, cycle and
-instruction counters are written once per block — while **memory**
-blocks keep the architectural counters and PC exact around every
-thunk, so I/O read and write handlers (the cycle timer, the kernel
-gates) and fault PCs observe bit-identical state to ``step()``.
+Every block batches its bookkeeping: the PC, cycle and instruction
+counters are written once per block.  A block accesses memory inline
+through the permission bitmap and calls the bus for real only on a
+slow path that first makes the PC and counters exact, so I/O read
+and write handlers (the cycle timer, the kernel gates) and fault PCs
+observe bit-identical state to ``step()``.  A register-only block
+whose final jump targets its own start iterates in place.
 
 ``run()`` only dispatches blocks when nothing needs per-instruction
 observability: a ``trace_hook`` (debugger), a memory observer
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import enum
 import marshal
+import re
 import string
 import types
 from typing import Callable, Dict, Optional, Tuple
@@ -142,23 +143,22 @@ class _Block:
     ``("exit", cond, target)`` — compiled to an inline early return —
     or ``("skip", cond, n, cycles, count, target)`` — a forward jump
     re-joining the trace, compiled to a structured ``if`` around the
-    ``n`` skipped steps.  Three flavors of ``fn``:
+    ``n`` skipped steps.  Two shapes of ``fn``:
 
-    * **pure** — register-only steps (plus inline jumps and an
-      optional final jump): ``fn(cpu, r, m)`` sets the PC once, runs
-      the steps back to back, and adds the cycle/instruction totals
+    * **straight-line** — ``fn(cpu, r, m)`` runs the steps back to
+      back, writes the PC once and adds the cycle/instruction totals
       in one batch (skip/exit paths adjust the batch with compile-time
-      prefix constants).
-    * **loop** — a pure block whose final jump targets its own start:
-      ``fn(cpu, r, m, limit)`` iterates the whole block up to ``limit``
-      times (the caller derives ``limit`` from the remaining budget),
-      exiting as soon as the back-edge falls through or an inline exit
-      is taken.
-    * **memory** — anything that touches memory: ``fn(cpu, r, m)``
-      maintains PC and both counters per instruction (so I/O read
-      handlers such as the cycle timer observe exactly the state
-      ``step()`` would show) and re-checks halt/invalidation/
-      observability after every store.
+      prefix constants).  It probes the permission bitmap inline for
+      each memory access; the slow path makes PC and both counters
+      exact before it calls the bus (so I/O handlers such as the
+      cycle timer observe exactly the state ``step()`` would show)
+      and re-checks halt/invalidation/observability after a store,
+      returning 1 when one fired.
+    * **loop** — register-only steps whose final jump targets the
+      block's own start: ``fn(cpu, r, m, limit)`` iterates the whole
+      block up to ``limit`` times (the caller derives ``limit`` from
+      the remaining budget), exiting as soon as the back-edge falls
+      through or an inline exit is taken.
 
     ``cycles`` and ``count`` are the *full-path* totals (every step
     executed, nothing skipped) — upper bounds used for budget guards.
@@ -180,18 +180,17 @@ class _Block:
     """
 
     __slots__ = ("start", "end", "end_pc", "steps", "cycles", "count",
-                 "pure", "loop", "perm_ok", "perm_ok2", "fn", "pc_map",
+                 "loop", "perm_ok", "perm_ok2", "fn", "pc_map",
                  "code", "execs", "proto")
 
     def __init__(self, start: int, end: int, end_pc: int,
-                 steps: tuple, pure: bool, loop: bool):
+                 steps: tuple, loop: bool):
         self.start = start
         self.end = end                  # one past the last code byte
         self.end_pc = end_pc            # pc after the last instruction
         self.steps = steps
         self.cycles = sum(s[3] for s in steps)
         self.count = len(steps)
-        self.pure = pure
         self.loop = loop
         self.perm_ok = None
         self.perm_ok2 = None            # previous validation (see run)
@@ -220,7 +219,6 @@ class _Block:
         nb.steps = self.steps
         nb.cycles = self.cycles
         nb.count = self.count
-        nb.pure = self.pure
         nb.loop = self.loop
         nb.perm_ok = None
         nb.perm_ok2 = None
@@ -232,14 +230,97 @@ class _Block:
         return nb
 
 
+#: a bus call in a template line; superblock codegen expands each one
+#: into the inline permission probe (thunks keep calling the bus)
+_BUS_CALL = re.compile(r"m\.(read|write)_(word|byte)\(")
+
+
+def _call_args(line: str, start: int) -> Tuple[list, int]:
+    """The top-level arguments of the call whose ``(`` ends at
+    ``start``, and the index just past its ``)``."""
+    args = []
+    depth = 0
+    mark = start
+    for i in range(start, len(line)):
+        ch = line[i]
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            if not depth:
+                args.append(line[mark:i].strip())
+                return args, i + 1
+            depth -= 1
+        elif ch == "," and not depth:
+            args.append(line[mark:i].strip())
+            mark = i + 1
+    raise ValueError(f"unbalanced bus call: {line!r}")
+
+
+def _probe(line: str, at: str, cost: int) -> list:
+    """A template line with its bus call expanded into the inline probe.
+
+    An access at or above the bus's highest I/O port that the
+    permission bitmap ``_p`` allows touches the bytearray ``_b``
+    directly; a store must also land on a page the code mask ``_k``
+    says holds no cached code.  Anything else calls the bus through
+    the CPU's slow-path helper with ``at`` (the instruction's deferred
+    PC, and the cycles and instructions the block retired before it).
+    A load stays an expression; a store (always a whole line) becomes
+    ``if <probe>: <write>`` plus the ``elif <slow call>:`` header whose
+    body the caller fills with the block's early end."""
+    call = _BUS_CALL.search(line)
+    if call is None:
+        return [line]
+    op, width = call.groups()
+    args, end = _call_args(line, call.end())
+    byte = width == "byte"
+    address = args[0] if byte else f"({args[0]}) & 0xFFFE"
+    if op == "read":
+        fast = "_b[_a]" if byte else "_b[_a] | _b[_a + 1] << 8"
+        out = (f"{line[:call.start()]}({fast} if (_a := {address}) >= _t"
+               f" and _p[_a] & 1 else c._rd(_a, {byte:d}, {at})){line[end:]}")
+        if _BUS_CALL.search(out) is not None:
+            raise ValueError(f"two bus calls in one line: {line!r}")
+        return [out]
+    if call.start() or line[end:].strip():
+        raise ValueError(f"a store must be a whole line: {line!r}")
+    value = args[1]
+    fast = f"_b[_a] = ({value}) & 0xFF"
+    if not byte:
+        fast += f"; _b[_a + 1] = ({value}) >> 8 & 0xFF"
+    return [f"if (_a := {address}) >= _t and _p[_a] & 2"
+            f" and not _k[_a >> 6]: {fast}",
+            f"elif c._wr(_a, {value}, {byte:d}, {at}, {cost}):"]
+
+
 def _codegen(blk: _Block):
     """Fuse a block's steps into one compiled Python function.
 
     The generated code pastes every step's table template with the
-    instruction's constants, PC values and cycle counts as literals,
-    so executing a block costs one Python call — the per-instruction
-    interpreter loop (thunk calls, tuple unpacking, index bookkeeping,
-    budget and halt polling) is gone.
+    instruction's constants as literals, so executing a block costs
+    one Python call — the per-instruction interpreter loop (thunk
+    calls, tuple unpacking, index bookkeeping, budget and halt
+    polling) is gone.  Bookkeeping is batched: nothing inside the
+    block writes the PC or the counters, and the block adds its
+    cycle and instruction totals once, at its end.  Only what can
+    observe them gets them exact:
+
+    * a step that reads the PC (an R0 source) gets its deferred PC
+      first, and the last step gets the block's end PC;
+    * every bus call is expanded by :func:`_probe`: a permitted RAM
+      access reads or writes the bytearray inline, and everything
+      else goes through :meth:`Cpu._rd`/:meth:`Cpu._wr`, which write
+      the exact PC and counters before the bus call, so I/O handlers
+      and faults observe the state ``step()`` shows.  A slow store
+      that halts, invalidates code, stales the permission bitmap or
+      installs an observer ends the block after that instruction
+      (the block returns 1).
+
+    The bitmap, bytearray and code mask are loaded once at entry and
+    stay valid for the whole block: ``run`` refreshes the bitmap
+    before every dispatch, only a slow store can stale it (and that
+    ends the block), and the inline path cannot fault, halt, reach
+    an I/O handler, invalidate code or touch the MPU.
 
     Conditional jumps inside the trace are emitted as their bare flag
     test:
@@ -253,168 +334,106 @@ def _codegen(blk: _Block):
       accumulators so batched bookkeeping stays exact on both paths.
 
     Jumps that *close* a block (an unconditional JMP, or the loop
-    back-edge) paste their template, which sets the target PC.
+    back-edge) paste their template, which sets the target PC.  A
+    **loop** block (register-only, its final jump targets its own
+    start) iterates in place: ``fn(c, r, m, limit)`` runs the body
+    up to ``limit`` times (the caller derives ``limit`` from the
+    remaining budget), exiting as soon as the back-edge falls through
+    or an inline exit is taken.
     """
     steps = blk.steps
-    has_diamond = any(s[5] is not None and s[5][0] == "skip"
-                      for s in steps)
-    pre_cyc = []                 # inclusive prefix sums for exits
-    acc = 0
-    for s in steps:
-        acc += s[3]
-        pre_cyc.append(acc)
+    loop = blk.loop
+    skips = any(s[5] is not None and s[5][0] == "skip" for s in steps)
+    # what skipped arms took off the full path: zero until an arm is
+    # skipped, and in a loop it spans the finished iterations too
+    sk, skn = (" - _sk", " - _skn") if skips else ("", "")
+    # a loop iterates in place: its body is indented one level more,
+    # and an exit's bookkeeping counts the finished iterations
+    base = "        " if loop else "    "
+    cyc_n = f"{blk.cycles} * n + " if loop else ""
+    cnt_n = f"{blk.count} * n + " if loop else ""
     lines = []
     emit = lines.append
-    if blk.pure:
-        sk = " - _sk" if has_diamond else ""
-        skn = " - _skn" if has_diamond else ""
-        if blk.loop:
-            # Pure self-loop (division inner loops, delay spins):
-            # re-dispatching the same few-instruction block through
-            # ``run()`` would cost more than the block body, so
-            # iterate in place.  ``limit`` is the number of full
-            # iterations the remaining cycle/instruction budget
-            # allows (>= 1); the back-edge falling through — or any
-            # inline exit taken — ends the loop early.
-            emit("def _fn(c, r, m, limit):")
-            emit("    n = 0")
-            if has_diamond:
-                emit("    _sk = 0")
-                emit("    _skn = 0")
-            emit("    while True:")
-            base = "        "
-            cyc_n = f"{blk.cycles} * n + "
-            cnt_n = f"{blk.count} * n + "
-        else:
-            # Register-only straight line: no step can fault, halt,
-            # or observe PC/counters, so set the PC once and batch
-            # the bookkeeping after the fact.
-            emit("def _fn(c, r, m):")
-            if has_diamond:
-                emit("    _sk = 0")
-                emit("    _skn = 0")
-            base = "    "
-            cyc_n = cnt_n = ""
-        emit(f"{base}r[0] = {blk.end_pc}")
-        ind = base
-        arm = 0                  # steps left in an open diamond arm
-        for i, s in enumerate(steps):
-            info = s[5]
-            if info is None:
-                for ln in s[6]:
-                    emit(f"{ind}{ln}")
-            elif info[0] == "skip":
-                _, cond, nskip, skc, sks, _target = info
-                emit(f"{ind}if {cond}:")
-                emit(f"{ind}    _sk += {skc}")
-                emit(f"{ind}    _skn += {sks}")
-                emit(f"{ind}else:")
-                ind += "    "
-                arm = nskip
-                continue
-            else:                # ("exit", cond, target)
-                emit(f"{ind}if {info[1]}:")
-                emit(f"{ind}    c.cycles += {cyc_n}{pre_cyc[i]}{sk}")
-                emit(f"{ind}    c.instructions += {cnt_n}{i + 1}{skn}")
-                emit(f"{ind}    r[0] = {info[2]}")
-                emit(f"{ind}    return")
-            if arm:
-                arm -= 1
-                if arm == 0:
-                    ind = ind[:-4]
-        if blk.loop:
-            emit(f"{base}n += 1")
-            emit(f"{base}if r[0] != {blk.start} or n >= limit:")
-            emit(f"{base}    break")
-            emit(f"    c.cycles += {blk.cycles} * n{sk}")
-            emit(f"    c.instructions += {blk.count} * n{skn}")
-        else:
-            emit(f"    c.cycles += {blk.cycles}{sk}")
-            emit(f"    c.instructions += {blk.count}{skn}")
+    ind = base
+    arm = 0                      # steps left in an open diamond arm
+    done = 0                     # full-path cycles of the steps so far
+    pc_set = False               # the end PC is written
+    last = len(steps) - 1
+    for i, (_, next_pc, _, cyc_i, _, info, inline) in enumerate(steps):
+        if i == last and not arm:
+            # the end PC, unless the step sets the PC before reading
+            # it (JMP, BR, RET)
+            first = next((ln for ln in inline if "r[0]" in ln), "")
+            if not (first.startswith("r[0] = ")
+                    and first.count("r[0]") == 1):
+                emit(f"{ind}r[0] = {blk.end_pc}")
+            pc_set = True
+        if info is None:
+            # an R0 read sees the step's deferred PC; a block-ending
+            # step inside an arm gets it here, not the end PC above
+            if not pc_set and any("r[0]" in ln for ln in inline):
+                emit(f"{ind}r[0] = {next_pc}")
+            at = f"{next_pc}, {done}{sk}, {i}{skn}"
+            for j, ln in enumerate(inline):
+                probe = _probe(ln, at, cyc_i)
+                for out in probe:
+                    emit(f"{ind}{out}")
+                if len(probe) == 2:
+                    # the slow store fired a guard: finish this
+                    # instruction and end the block (the helper made
+                    # the PC and counters exact)
+                    for rest in inline[j + 1:]:
+                        emit(f"{ind}    {rest}")
+                    emit(f"{ind}    return 1")
+        elif info[0] == "skip":
+            _, cond, nskip, skc, sks, _target = info
+            emit(f"{ind}if {cond}:")
+            emit(f"{ind}    _sk += {skc}")
+            emit(f"{ind}    _skn += {sks}")
+            emit(f"{ind}else:")
+            ind += "    "
+            arm = nskip
+            done += cyc_i
+            continue
+        else:                    # ("exit", cond, target)
+            emit(f"{ind}if {info[1]}:")
+            emit(f"{ind}    c.cycles += {cyc_n}{done + cyc_i}{sk}")
+            emit(f"{ind}    c.instructions += {cnt_n}{i + 1}{skn}")
+            emit(f"{ind}    r[0] = {info[2]}")
+            emit(f"{ind}    return")
+        done += cyc_i
+        if arm:
+            arm -= 1
+            if arm == 0:
+                ind = ind[:-4]
+    if loop:
+        emit(f"{base}n += 1")
+        emit(f"{base}if r[0] != {blk.start} or n >= limit:")
+        emit(f"{base}    break")
+        emit(f"    c.cycles += {blk.cycles} * n{sk}")
+        emit(f"    c.instructions += {blk.count} * n{skn}")
     else:
-        # Memory-touching block: exact architectural state around
-        # every step that can observe it.  A store may halt the
-        # machine (DONE and FAULT ports, a faulting service handler),
-        # invalidate cached code — possibly this very block
-        # (self-modifying code) — stale the permission bitmap (MPU
-        # register), or attach an observer — each check mirrors what
-        # ``step()`` + ``run()`` would do at that boundary.
-        # Invalidation is detected through the *executing CPU's*
-        # ``_code_version`` (sampled on entry) rather than a flag on
-        # the block, so one device invalidating a block shared
-        # through the execution cache never perturbs a sibling device
-        # mid-flight.
-        emit("def _fn(c, r, m):")
-        emit("    _v = c._code_version")
-        ind = "    "
-        arm = 0
-        # Consecutive register-only steps can neither fault,
-        # halt, nor read the deferred PC, so their PC updates are
-        # unobservable and their cycle/instruction bookkeeping batches
-        # into one pending sum, flushed before the next step that can
-        # observe it (a memory access, a jump, an arm boundary, the
-        # end of the block).
-        pend_c = pend_n = 0
-
-        def flush():
-            nonlocal pend_c, pend_n
-            if pend_n:
-                emit(f"{ind}c.cycles += {pend_c}")
-                emit(f"{ind}c.instructions += {pend_n}")
-                pend_c = pend_n = 0
-
-        for _, next_pc, _, cyc_i, kind, info, inline in steps:
-            if info is not None and info[0] == "skip":
-                _, cond, nskip, _skc, _sks, target = info
-                flush()
-                emit(f"{ind}r[0] = {next_pc}")
-                emit(f"{ind}c.cycles += {cyc_i}")
-                emit(f"{ind}c.instructions += 1")
-                emit(f"{ind}if {cond}:")
-                emit(f"{ind}    r[0] = {target}")
-                emit(f"{ind}else:")
-                ind += "    "
-                arm = nskip
-                continue
-            if info is not None:             # ("exit", cond, target)
-                flush()
-                emit(f"{ind}r[0] = {next_pc}")
-                emit(f"{ind}c.cycles += {cyc_i}")
-                emit(f"{ind}c.instructions += 1")
-                emit(f"{ind}if {info[1]}:")
-                emit(f"{ind}    r[0] = {info[2]}")
-                emit(f"{ind}    return")
-            elif kind == _REG:
-                for ln in inline:
-                    emit(f"{ind}{ln}")
-                pend_c += cyc_i
-                pend_n += 1
-            else:
-                flush()
-                emit(f"{ind}r[0] = {next_pc}")
-                for ln in inline:
-                    emit(f"{ind}{ln}")
-                emit(f"{ind}c.cycles += {cyc_i}")
-                emit(f"{ind}c.instructions += 1")
-                if kind == _STORE:
-                    # a truthy return tells ``run`` a boundary event
-                    # fired; a clean fall-through (None) provably left
-                    # every post-dispatch guard unchanged, because
-                    # only write handlers have side effects
-                    emit(f"{ind}if c.halted: return 1")
-                    emit(f"{ind}if (c._code_version != _v"
-                         " or m._perm_stale"
-                         " or c.trace_hook is not None"
-                         " or m._observers): return 1")
-            if arm:
-                arm -= 1
-                if arm == 0:
-                    flush()      # arm bookkeeping stays in its arm
-                    ind = ind[:-4]
-        if pend_n:
-            emit(f"{ind}r[0] = {blk.end_pc}")
-            flush()
-    src = "\n".join(lines) + "\n"
+        if not pc_set:
+            # the last step closed a diamond arm: both paths end here
+            emit(f"    r[0] = {blk.end_pc}")
+        emit(f"    c.cycles += {blk.cycles}{sk}")
+        emit(f"    c.instructions += {blk.count}{skn}")
+    text = "\n".join(lines)
+    head = ["def _fn(c, r, m, limit):" if loop else "def _fn(c, r, m):"]
+    if loop:
+        head.append("    n = 0")
+    if skips:
+        head.append("    _sk = 0")
+        head.append("    _skn = 0")
+    if "_a :=" in text:
+        head.append("    _p = m._perm")
+        head.append("    _b = m._bytes")
+        head.append("    _t = m._io_top")
+    if "_k[" in text:
+        head.append("    _k = c._code_pages")
+    if loop:
+        head.append("    while True:")
+    src = "\n".join(head) + "\n" + text + "\n"
     ns: dict = {}
     exec(compile(src, f"<superblock@0x{blk.start:04X}>", "exec"), ns)
     return ns["_fn"]
@@ -424,10 +443,11 @@ def _interp_block(c, blk: _Block, r, m) -> None:
     """Tier-0 executor: walk a block's steps one thunk at a time.
 
     Architecturally identical to the codegen'd function — the thunks
-    are its templates, with the same per-instruction bookkeeping and
-    the same store-boundary checks — so a block's first dispatches can
-    run without paying ``compile()``; ``run`` tiers the block up to
-    generated code once it proves hot.
+    are its templates, calling the bus for every access, with exact
+    per-instruction bookkeeping and the same store-boundary checks —
+    so a block's first dispatches can run without paying
+    ``compile()``; ``run`` tiers the block up to generated code once
+    it proves hot.
     Jumps execute via their thunks: a taken jump moves ``r[0]`` off
     the recorded fallthrough, which steers the walk (skip the diamond
     arm / return early) exactly like the inline conditions in
@@ -485,7 +505,6 @@ def _block_record(blk: _Block) -> Optional[dict]:
         "pc": blk.start,
         "end": blk.end,
         "end_pc": blk.end_pc,
-        "pure": blk.pure,
         "loop": blk.loop,
         "code": blk.code,
         "steps": [(s[0], s[1], s[3], s[4], s[5]) for s in blk.steps],
@@ -522,7 +541,7 @@ def _block_from_record(record: dict) -> Optional[_Block]:
             return None
         fn = types.FunctionType(marshal.loads(record["fn"]), {}, "_fn")
         blk = _Block(start, end, record["end_pc"], tuple(steps),
-                     record["pure"], record["loop"])
+                     record["loop"])
         blk.code = bytes(code)
         blk.fn = fn
         blk.execs = 2          # already hot: skip the interp tier
@@ -578,14 +597,19 @@ class Cpu:
         #: process-wide translation store for this firmware identity
         #: (see :meth:`attach_shared_cache`); None = fully private
         self._shared = None
-        #: bumped whenever cached code is invalidated; memory-flavor
-        #: superblocks sample it on entry and stop at the next store
-        #: boundary when it moves (the in-flight half of invalidation)
+        #: bumped whenever cached code is invalidated; a slow-path
+        #: store that moves it ends the running superblock (the
+        #: in-flight half of invalidation)
         self._code_version = 0
-        #: one byte per 64-byte page, nonzero when the page holds
-        #: cached decoded code; shared by reference with the bus so
-        #: plain data writes skip the invalidator call entirely
+        #: one byte per 64-byte page, nonzero when cached decoded code
+        #: has bytes on the page (an instruction spilling over a page
+        #: edge marks both); shared by reference with the bus, and
+        #: read by generated code, so a data store tests one byte
         self._code_pages = bytearray(1024)
+        #: bus calls generated superblock code made through the slow
+        #: path (:meth:`_rd`/:meth:`_wr`): I/O ports, addresses the
+        #: permission bitmap denies, stores onto code pages
+        self.slow_bus_calls = 0
         self.memory.set_invalidator(self._on_memory_write,
                                     self._code_pages)
         # Per-opcode handler methods, bound once.
@@ -897,10 +921,10 @@ class Cpu:
         no_block = self._no_block
         while not self.halted:
             # -- superblock fast path --------------------------------
-            # Guards re-checked only here: a *pure* block cannot
-            # change any of them, and the post-dispatch check below
-            # drops out of the tight loop as soon as a memory block
-            # (or an inline step) does.
+            # Guards re-checked only here: a block changes none of
+            # them unless a slow-path store fires one, and the
+            # post-dispatch check below drops out of the tight loop
+            # as soon as a block (or an inline step) reports that.
             if (self.block_mode and self.trace_hook is None
                     and not memory._observers):
                 if memory._perm_stale:
@@ -1000,12 +1024,9 @@ class Cpu:
                                 and self.instructions + blk.count
                                 > insn_limit)):
                         break            # budget: step() raises
-                    if blk.pure:
-                        blk.fn(self, regs, memory)
-                        continue
                     try:
                         if not blk.fn(self, regs, memory):
-                            # no store-boundary event fired: reads
+                            # no slow store fired a guard: reads
                             # have no side effects, so every
                             # post-dispatch guard is provably
                             # unchanged
@@ -1052,6 +1073,60 @@ class Cpu:
                 )
         return self.cycles - start
 
+    # -- generated code's slow path -----------------------------------------
+    def _rd(self, address: int, byte: int, pc: int, cycles: int,
+            count: int) -> int:
+        """A superblock load the inline probe did not take (an I/O
+        port, an address the bitmap denies): the bus read, with the PC
+        and counters exact while it runs.  ``pc`` is the instruction's
+        deferred PC; ``cycles`` and ``count`` are what the block
+        retired before it, added back out afterwards because the
+        block adds its totals at its end.  A fault leaves them exact
+        for ``run``'s fault report."""
+        self.slow_bus_calls += 1
+        self.regs._regs[0] = pc
+        self.cycles += cycles
+        self.instructions += count
+        if byte:
+            value = self.memory.read_byte(address)
+        else:
+            value = self.memory.read_word(address)
+        self.cycles -= cycles
+        self.instructions -= count
+        return value
+
+    def _wr(self, address: int, value: int, byte: int, pc: int,
+            cycles: int, count: int, cost: int) -> bool:
+        """A superblock store the inline probe did not take (an I/O
+        port, an address the bitmap denies, a page holding cached
+        code): the bus write under exact PC and counters, as
+        :meth:`_rd`, then the post-store guards.  True when the store
+        halted the machine, invalidated code, staled the permission
+        bitmap or installed a trace hook or observer: the counters
+        then include this instruction (``cost`` cycles) and the block
+        ends after it.  Invalidation is read from this CPU's
+        ``_code_version``, not from the block, so a device sharing the
+        block through the execution cache is never stopped by it."""
+        self.slow_bus_calls += 1
+        self.regs._regs[0] = pc
+        self.cycles += cycles
+        self.instructions += count
+        version = self._code_version
+        memory = self.memory
+        if byte:
+            memory.write_byte(address, value)
+        else:
+            memory.write_word(address, value)
+        if (self.halted or self._code_version != version
+                or memory._perm_stale or self.trace_hook is not None
+                or memory._observers):
+            self.cycles += cost
+            self.instructions += 1
+            return True
+        self.cycles -= cycles
+        self.instructions -= count
+        return False
+
     # -- shared execution cache ---------------------------------------------
     def _pull_entry(self, pc: int):
         """Adopt a decoded entry from the shared store, if some
@@ -1074,6 +1149,7 @@ class Cpu:
                     self._icache[page] = entries
                     self._code_pages[page] = 1
                 entries[pc] = entry
+                self._code_pages[(pc + len(code) - 1 & 0xFFFF) >> 6] = 1
                 shared.page_pulls += 1
                 return entry
         shared.rejects += 1
@@ -1091,6 +1167,9 @@ class Cpu:
             self._icache[page] = entries
             self._code_pages[page] = 1
         entries[pc] = entry
+        # the page an instruction spills into is marked too, so a
+        # store tests one mask byte
+        self._code_pages[(pc + entry[1] - 1 & 0xFFFF) >> 6] = 1
         shared = self._shared
         if shared is not None:
             variants = shared.pages.setdefault(page, {}) \
@@ -1176,7 +1255,7 @@ class Cpu:
         icache = self._icache
         io_ports = memory.io_addresses()
         steps = []
-        pure = True
+        pure = True             # register-only so far: may close a loop
         loop = False
         cursor = pc
         end = pc
@@ -1234,7 +1313,6 @@ class Cpu:
                 # to ``run``'s guard re-checks — exactly the boundary
                 # ``step()`` would give.  (Syscall gates and timer
                 # polls dominate the step fallback otherwise.)
-                pure = False
                 steps.append((cursor, next_pc, thunk, insn_cycles,
                               _STORE, None, lines))
                 end = cursor + size
@@ -1243,8 +1321,9 @@ class Cpu:
             is_jump = opcode in _JUMP_OPCODES
             # a store needs the post-store check suite; a memory read,
             # a PC write, or a read of the deferred PC (an R0 source)
-            # needs exact PC and counters; anything else is eligible
-            # for the pure (batch-bookkeeping) executor
+            # needs exact PC and counters around it (the slow path's,
+            # or a PC write in generated code); anything else is
+            # register-only
             kind = (_STORE if template.mem == "w"
                     else _EXACT if (template.mem or template.pc
                                     or (src is not None
@@ -1328,7 +1407,7 @@ class Cpu:
                 self._block_pages.setdefault(page, set()).add(pc)
                 mask[page] = 1
             return None
-        blk = _Block(pc, end, steps[-1][1], tuple(steps), pure, loop)
+        blk = _Block(pc, end, steps[-1][1], tuple(steps), loop)
         blk.perm_ok = perm     # every byte was execute-probed above
         blk.code = bytes(memory._bytes[pc:end])
         self._blocks[pc] = blk

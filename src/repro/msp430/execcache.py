@@ -161,7 +161,7 @@ def clear_registry() -> None:
 # corrupted record is detected, skipped, and simply re-translated.
 
 #: bump when the record payload layout changes
-DISK_FORMAT = 2
+DISK_FORMAT = 3
 
 #: a single compiled block serializes to a few KB; anything claiming
 #: to be bigger is a corrupt length field

@@ -209,10 +209,10 @@ class Memory:
         self.mpu = None  # set by Cpu / kernel; avoids circular import
         self._io_read: Dict[int, ReadHandler] = {}
         self._io_write: Dict[int, WriteHandler] = {}
-        # one-past the highest registered port: lets the word access
-        # paths skip the handler-dict hash for ordinary RAM addresses
-        self._io_rmax = 0
-        self._io_wmax = 0
+        #: one past the highest registered port's word: no access at
+        #: or above it reaches a handler, so the access paths (and the
+        #: CPU's inline probe) skip the handler-dict hash there
+        self._io_top = 0
         self._observers: List[Observer] = []
         # When True, region/MPU checks are bypassed (loader, debugger).
         self._supervisor_depth = 0
@@ -222,9 +222,10 @@ class Memory:
         # but it only has work to do when the written page actually
         # holds decoded code.  It registers here with a 1024-entry
         # per-64-byte-page mask (shared by reference with the CPU,
-        # which sets bits as it caches); the write paths probe the
-        # mask and skip the Python call for the overwhelmingly common
-        # data-page write.
+        # which sets bits as it caches, for every page a cached
+        # instruction or block touches); the write paths probe the
+        # written page's byte and skip the Python call for the
+        # overwhelmingly common data-page write.
         self._inv_hook: Optional[WriteHandler] = None
         self._inv_mask: Optional[bytearray] = None
         # -- permission fast path ------------------------------------
@@ -249,12 +250,10 @@ class Memory:
             raise ValueError("I/O ports must be word aligned")
         if read is not None:
             self._io_read[address] = read
-            if address >= self._io_rmax:
-                self._io_rmax = address + 1
         if write is not None:
             self._io_write[address] = write
-            if address >= self._io_wmax:
-                self._io_wmax = address + 1
+        if address + 2 > self._io_top:
+            self._io_top = address + 2
 
     def io_addresses(self) -> frozenset:
         """Every word address with a registered I/O handler (read or
@@ -275,8 +274,9 @@ class Memory:
         """Install the CPU's code-cache invalidator with its page mask.
 
         ``mask`` has one byte per 64-byte page; a nonzero byte means
-        the page (or an instruction spilling into it from the previous
-        page) holds cached decoded code.  Per-address writes only call
+        some cached decoded code (an instruction, a block, or an
+        instruction spilling in from the previous page) has bytes on
+        that page.  Per-address writes only call
         ``hook`` when the mask says the write can touch cached code;
         bulk writes (:meth:`load`, :meth:`fill`, :meth:`load_state`)
         always call it with address ``-1``."""
@@ -394,7 +394,7 @@ class Memory:
         if self._observers:
             self._notify(address, kind, 1)
         base = address & ~1
-        if base < self._io_rmax and base in self._io_read:
+        if base < self._io_top and base in self._io_read:
             word = self._io_read[base]() & 0xFFFF
             return (word >> 8) & 0xFF if address & 1 else word & 0xFF
         return self._bytes[address]
@@ -409,21 +409,15 @@ class Memory:
         if self._observers:
             self._notify(address, WRITE, 1)
         base = address & ~1
-        if base < self._io_wmax and base in self._io_write:
+        if base < self._io_top and base in self._io_write:
             # Byte writes to I/O ports write the low byte, high byte zero,
             # matching MSP430 peripheral semantics.
             self._io_write[base](base, value & 0xFF)
             return
         self._bytes[address] = value & 0xFF
         inv = self._inv_hook
-        if inv is not None:
-            mask = self._inv_mask
-            page = address >> 6
-            # the written page, or code spilling into it from the
-            # previous page (an entry indexed there reaches at most 4
-            # bytes into this page: 6-byte max instruction)
-            if mask[page] or (address & 63 < 4 and mask[page - 1]):
-                inv(address, value)
+        if inv is not None and self._inv_mask[address >> 6]:
+            inv(address, value)
 
     # -- word access ------------------------------------------------------------
     def read_word(self, address: int, kind: str = READ) -> int:
@@ -439,7 +433,7 @@ class Memory:
                 self._check_slow(address, kind)
         if self._observers:
             self._notify(address, kind, 2)
-        if address < self._io_rmax and address in self._io_read:
+        if address < self._io_top and address in self._io_read:
             return self._io_read[address]() & 0xFFFF
         data = self._bytes
         return data[address] | (data[address + 1] << 8)
@@ -453,22 +447,15 @@ class Memory:
                 self._check_slow(address, WRITE)
         if self._observers:
             self._notify(address, WRITE, 2)
-        if address < self._io_wmax and address in self._io_write:
+        if address < self._io_top and address in self._io_write:
             self._io_write[address](address, value & 0xFFFF)
             return
         data = self._bytes
         data[address] = value & 0xFF
         data[address + 1] = (value >> 8) & 0xFF
         inv = self._inv_hook
-        if inv is not None:
-            mask = self._inv_mask
-            page = address >> 6
-            # an entry indexed under the previous page reaches at most
-            # 4 bytes into this one (6-byte max instruction, first
-            # word in the previous page), so writes past offset 3
-            # cannot hit spilled code
-            if mask[page] or (address & 63 < 4 and mask[page - 1]):
-                inv(address, value)
+        if inv is not None and self._inv_mask[address >> 6]:
+            inv(address, value)
 
     def fetch_word(self, address: int) -> int:
         """Instruction fetch: a word read with execute permission."""

@@ -251,6 +251,11 @@ class TestQuotedLiterals:
         assert insn.src.value == ord("\\")
         assert insn.dst.register == 12
 
+    @pytest.mark.parametrize("body", ["\\", "\\q"])
+    def test_lone_or_unknown_escape_is_rejected(self, body):
+        with pytest.raises(AssemblerError, match="bad character literal"):
+            assemble(f".data\n.byte '{body}'")
+
     def test_escaped_backslash_string_then_comment(self):
         obj = assemble('.data\n.ascii "a\\\\" ; c')
         assert bytes(obj.sections[".data"].data) == b"a\\"

@@ -708,3 +708,210 @@ class TestBlockStepDifferential:
             got_blocks = self._execute(insns, True, seed)
             got_step = self._execute(insns, False, seed)
             assert got_blocks == got_step, f"seed {seed} diverged"
+
+
+# -- generated code: the inline probe and its slow path ---------------------
+
+from repro.fuzz.harness import mark_blocks_hot  # noqa: E402
+from repro.msp430.mpu import Mpu, MpuConfig, SegmentPermissions  # noqa: E402
+from repro.msp430.timer import CycleTimer  # noqa: E402
+
+
+def _at(insns, index, start=CODE):
+    """The address of ``insns[index]`` once they are loaded at ``start``."""
+    return start + sum(len(encode_bytes(insn, 0)) for insn in insns[:index])
+
+
+HALT = Instruction(Opcode.MOV, src=imm(1), dst=absolute(DONE_PORT))
+
+
+class TestGeneratedCode:
+    """Block mode with every block generated on its first dispatch
+    against step-only mode: registers, counters, halt, fault and MPU
+    violation record must agree."""
+
+    def _outcomes(self, insns, setup=None):
+        outcomes = []
+        for mode in ("codegen", "block", "step"):
+            cpu = _block_cpu(mode != "step")
+            if mode == "codegen":
+                mark_blocks_hot(cpu)
+            mpu = setup(cpu) if setup else None
+            _load_insns(cpu, insns)
+            try:
+                cpu.run(max_cycles=100_000)
+                fault = None
+            except CpuFault as exc:
+                fault = (exc.kind, exc.pc, exc.address)
+            violation = None if mpu is None else (
+                mpu.ctl1, mpu.violation_address, mpu.violation_kind)
+            outcomes.append((fault, _arch_state(cpu), violation,
+                             bytes(cpu.memory._bytes)))
+            if mode == "codegen":
+                generated = cpu
+        assert outcomes[0] == outcomes[2]
+        assert outcomes[1] == outcomes[2]
+        return generated, outcomes[2]
+
+    @pytest.mark.parametrize("arm", [
+        Instruction(Opcode.MOV, src=reg(7), dst=reg(8)),
+        Instruction(Opcode.ADDC, src=reg(9), dst=reg(8)),
+        Instruction(Opcode.SUBC, src=reg(9), dst=reg(8)),
+    ], ids=["mov", "addc", "subc"])
+    def test_forward_branch_arm_ending_the_block_runs_once(self, arm):
+        # JNE skips ``arm``; DADD has no template, so the block ends
+        # where the branch rejoins.  The arm runs (R7 is zero): the
+        # block must hand run() the rejoin PC, not the jump's
+        # fall-through, or the arm runs twice.
+        loop = [
+            Instruction(Opcode.MOV, src=indirect(5), dst=reg(6)),
+            Instruction(Opcode.CMP, src=imm(0), dst=reg(7)),
+            Instruction(Opcode.JNE, offset=1),
+            arm,
+            Instruction(Opcode.DADD, src=reg(9), dst=reg(10)),
+            Instruction(Opcode.SUB, src=imm(1), dst=reg(11)),
+        ]
+        insns = [Instruction(Opcode.MOV, src=imm(5), dst=reg(11)),
+                 Instruction(Opcode.MOV, src=imm(0x2000), dst=reg(5)),
+                 Instruction(Opcode.MOV, src=imm(0x1234), dst=reg(9))]
+        back = -(sum(len(encode_bytes(i, 0)) for i in loop) + 2) // 2
+        insns += loop + [Instruction(Opcode.JNE, offset=back), HALT]
+        cpu, (fault, state, _, _) = self._outcomes(insns)
+        assert fault is None and state[3]
+        assert state[2] == 3 + 5 * 7 + 1
+
+    @pytest.mark.parametrize("arm", [
+        Instruction(Opcode.MOV, src=reg(0), dst=reg(8)),
+        Instruction(Opcode.PUSH, src=reg(0)),
+        Instruction(Opcode.MOV, src=reg(0), dst=indexed(2, 4)),
+    ], ids=["mov", "push", "store"])
+    def test_pc_read_closing_an_arm_sees_its_own_pc(self, arm):
+        # the arm's only step is the block's last (DADD has no
+        # template) and reads R0: it must see its deferred PC (the
+        # next instruction's address), not the block's entry PC
+        size = len(encode_bytes(arm, 0))
+        insns = [Instruction(Opcode.MOV, src=imm(0x2000), dst=reg(4)),
+                 Instruction(Opcode.CMP, src=imm(0), dst=reg(7)),
+                 Instruction(Opcode.JNE, offset=size // 2),
+                 arm,
+                 Instruction(Opcode.DADD, src=reg(9), dst=reg(10)),
+                 HALT]
+        cpu, (fault, state, _, memory) = self._outcomes(insns)
+        assert fault is None and state[3]
+        pc = _at(insns, 4)
+        assert pc in (state[0][8], memory[0x23FE] | memory[0x23FF] << 8,
+                      memory[0x2002] | memory[0x2003] << 8)
+
+    def test_loop_exit_before_a_diamond_nets_out_skipped_arms(self):
+        # L: SUB #1,R12; JN BACK; RRA R7; JNC S; ADD R8,R9;
+        # S: SUB #1,R11; JNE L runs in place; iteration 2 skips the
+        # ADD and iteration 3 leaves through JN, whose bookkeeping
+        # must subtract the arm the earlier iteration skipped
+        loop = [Instruction(Opcode.SUB, src=imm(1), dst=reg(12)),
+                Instruction(Opcode.JN, offset=0),
+                Instruction(Opcode.RRA, src=reg(7)),
+                Instruction(Opcode.JNC, offset=1),
+                Instruction(Opcode.ADD, src=reg(8), dst=reg(9)),
+                Instruction(Opcode.SUB, src=imm(1), dst=reg(11)),
+                Instruction(Opcode.JNE, offset=0)]
+        insns = [Instruction(Opcode.MOV, src=imm(2), dst=reg(12)),
+                 Instruction(Opcode.MOV, src=imm(0x55), dst=reg(7)),
+                 Instruction(Opcode.MOV, src=imm(10), dst=reg(11)),
+                 Instruction(Opcode.JMP, offset=2),
+                 HALT] + loop + [HALT]
+        back, start = _at(insns, 4), _at(insns, 5)
+        insns[6] = Instruction(Opcode.JN,
+                               offset=(back - _at(insns, 7)) // 2)
+        insns[11] = Instruction(Opcode.JNE,
+                                offset=(start - _at(insns, 12)) // 2)
+        cpu, (fault, state, _, _) = self._outcomes(insns)
+        assert fault is None and state[3]
+        assert state[0][11] == 8                 # three iterations
+        assert cpu._blocks[start].loop
+
+    def test_timer_read_sees_the_exact_cycle_count(self):
+        # a computed load of the cycle-timer port mid-block: the slow
+        # path must make the counters exact before the handler runs
+        def setup(cpu):
+            CycleTimer(cpu, divider=1).attach()
+
+        insns = [Instruction(Opcode.MOV, src=imm(0x0340), dst=reg(4)),
+                 Instruction(Opcode.ADD, src=imm(3), dst=reg(5)),
+                 Instruction(Opcode.MOV, src=reg(5), dst=reg(6)),
+                 Instruction(Opcode.MOV, src=indirect(4), dst=reg(7)),
+                 Instruction(Opcode.ADD, src=reg(7), dst=reg(8)),
+                 HALT]
+        cpu, (_, state, _, _) = self._outcomes(insns, setup)
+        assert state[0][7] == 2 + 2 + 1       # cycles before the load
+        assert cpu.slow_bus_calls == 2        # the timer and the halt
+
+    def test_store_halting_mid_block_ends_it(self):
+        insns = [Instruction(Opcode.MOV, src=imm(DONE_PORT), dst=reg(4)),
+                 Instruction(Opcode.ADD, src=imm(3), dst=reg(5)),
+                 Instruction(Opcode.MOV, src=reg(5), dst=reg(6)),
+                 Instruction(Opcode.MOV, src=imm(1), dst=indexed(0, 4)),
+                 Instruction(Opcode.ADD, src=imm(1), dst=reg(9)),
+                 HALT]
+        cpu, (_, state, _, _) = self._outcomes(insns)
+        assert state[3] and state[2] == 4
+        assert state[0][0] == _at(insns, 4)
+        assert cpu.slow_bus_calls == 1
+
+    def test_store_into_own_code_page_ends_the_block(self):
+        # the store patches the immediate of the very next
+        # instruction, inside the running block
+        insns = [Instruction(Opcode.MOV, src=imm(0x4000), dst=reg(4)),
+                 Instruction(Opcode.ADD, src=imm(3), dst=reg(5)),
+                 Instruction(Opcode.MOV, src=reg(5), dst=reg(6)),
+                 Instruction(Opcode.MOV, src=imm(0x2222),
+                             dst=indexed(0, 4)),
+                 Instruction(Opcode.MOV, src=imm(0x1111), dst=reg(9)),
+                 HALT]
+        insns[0] = Instruction(Opcode.MOV, src=imm(_at(insns, 4) + 2),
+                               dst=reg(4))
+        cpu, (_, state, _, _) = self._outcomes(insns)
+        assert state[0][9] == 0x2222
+        assert cpu.slow_bus_calls == 2        # the patch and the halt
+
+    def test_mpu_denied_load_faults_exactly(self):
+        # the fault PC, the counters and the MPU violation record
+        def setup(cpu):
+            mpu = Mpu()
+            mpu.attach(cpu.memory)
+            rwx = SegmentPermissions(True, True, True)
+            mpu.configure(MpuConfig(0x8000, 0x9000, rwx,
+                                    SegmentPermissions(), rwx))
+            return mpu
+
+        insns = [Instruction(Opcode.MOV, src=imm(0x8000), dst=reg(4)),
+                 Instruction(Opcode.ADD, src=imm(3), dst=reg(5)),
+                 Instruction(Opcode.MOV, src=reg(5), dst=reg(6)),
+                 Instruction(Opcode.MOV, src=indirect(4), dst=reg(7)),
+                 Instruction(Opcode.ADD, src=imm(1), dst=reg(9)),
+                 HALT]
+        cpu, (fault, state, violation, _) = self._outcomes(insns, setup)
+        assert fault == (FaultKind.MPU_VIOLATION, _at(insns, 3), 0x8000)
+        assert state[2] == 3
+        assert violation[1] == 0x8000
+        assert cpu.slow_bus_calls == 1
+
+    def test_ram_loop_makes_no_slow_bus_calls(self):
+        # loads, stores and stack traffic on SRAM all take the inline
+        # probe: a fast path that silently stopped firing fails here
+        loop = [Instruction(Opcode.MOV, src=indirect(4), dst=reg(5)),
+                Instruction(Opcode.ADD, src=imm(1), dst=reg(5)),
+                Instruction(Opcode.MOV, src=reg(5), dst=indexed(2, 4)),
+                Instruction(Opcode.MOV, src=imm(7), dst=absolute(0x2010)),
+                Instruction(Opcode.PUSH, src=reg(5)),
+                Instruction(Opcode.MOV, src=autoincrement(1), dst=reg(6))]
+        back = -(sum(len(encode_bytes(i, 0)) for i in loop) + 2) // 2
+        insns = ([Instruction(Opcode.MOV, src=imm(0x2000), dst=reg(4))]
+                 + loop + [Instruction(Opcode.JMP, offset=back)])
+        cpu = mark_blocks_hot(_block_cpu())
+        _load_insns(cpu, insns)
+        with pytest.raises(ExecutionLimitExceeded):
+            cpu.run(max_instructions=1000)
+        assert any(blk.fn is not None for blk in cpu._blocks.values())
+        assert cpu.slow_bus_calls == 0
+        assert cpu.memory.read_word(0x2002) == cpu.regs.read(6)
+

@@ -14,11 +14,16 @@ as
 * the **oracle**: step-only mode, which runs the ``Cpu._op_*``
   handlers.
 
-All sixteen registers, the 64 KB image, cycles, instructions, the MPU
-violation record and the fault's (kind, pc, address) must agree, so
-the partial-update order of a faulting access is pinned too.  Memory
+Each instance runs after one ``ADD R9, R10``, so in generated code
+the instruction shares its block with an ALU template: a generated
+local that reuses a template temporary's name (``_io``, ``_isr``, ...)
+corrupts the access after it.  All sixteen registers, the 64 KB
+image, cycles, instructions, the MPU violation record and the fault's
+(kind, pc, address) must agree, so the partial-update order of a
+faulting access is pinned too.  Memory
 operands land in in-bounds SRAM (even and odd) and FRAM, the unmapped
-hole between them, and an MPU-denied segment.  Everything after the
+hole between them, an MPU-denied segment, an MPU register and the
+instruction's own code page.  Everything after the
 instruction is zero, so each run ends with a decode fault at the next
 PC (or with the instruction budget, for a self-loop).
 """
@@ -39,8 +44,12 @@ from repro.msp430.mpu import Mpu, MpuConfig, SegmentPermissions
 
 CODE = 0x4400
 
-#: in-bounds SRAM (even, odd), FRAM, the SRAM-FRAM hole, MPU-denied
-ADDRESSES = (0x2000, 0x2001, 0x6000, 0x3000, 0x8000)
+#: in-bounds SRAM (even, odd), FRAM, the SRAM-FRAM hole, MPU-denied,
+#: a registered I/O port (MPUCTL0) and the code's own 64-byte page.
+#: Generated code accesses the in-bounds ones inline; the hole, the
+#: denied segment, the port and a store onto the code page go through
+#: its slow path to the bus
+ADDRESSES = (0x2000, 0x2001, 0x6000, 0x3000, 0x8000, 0x05A0, 0x4420)
 IMMEDIATES = (0, 1, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFFFF)
 #: register sources the decoder produces (R3 decodes as constant 0)
 SOURCES = (0, 1, 2, 4, 9, 15)
@@ -56,6 +65,9 @@ _MPU = MpuConfig(0x8000, 0x9000, _RWX, SegmentPermissions(), _RWX)
 
 #: random states per instance
 STATES = 2
+
+#: runs before every instance, binding the ALU templates' temporaries
+PREFIX = Instruction(Opcode.ADD, src=reg(9), dst=reg(10))
 
 
 def _pointer(i, address):
@@ -150,6 +162,7 @@ def _run(mode, code, presets, seed):
         cpu.memory._refresh_permissions()
         block = cpu._compile_block(CODE)
         assert block is not None and block.steps[0][0] == CODE
+        assert len(block.steps) > 1, "the instance left the block"
         block.fn = _codegen(block)
     try:
         cpu.run(max_instructions=8)
@@ -159,14 +172,16 @@ def _run(mode, code, presets, seed):
     except CpuFault as fault:
         outcome = (fault.kind, fault.pc, fault.address)
     if mode == "thunk":
-        assert cpu._icache[CODE >> 6][CODE][3] is not None, "no thunk"
+        at = CODE + len(encode_bytes(PREFIX, CODE))
+        assert cpu._icache[at >> 6][at][3] is not None, "no thunk"
     return (outcome, tuple(cpu.regs), cpu.cycles, cpu.instructions,
             mpu.ctl1, mpu.violation_address, mpu.violation_kind,
             cpu.memory._bytes)
 
 
 def _check(insn, presets, seed):
-    code = encode_bytes(insn, CODE)
+    prefix = encode_bytes(PREFIX, CODE)
+    code = prefix + encode_bytes(insn, CODE + len(prefix))
     oracle = _run("oracle", code, presets, seed)
     for mode in ("thunk", "codegen"):
         got = _run(mode, code, presets, seed)

@@ -203,7 +203,7 @@ class TestFailClosedIngestion(AppendTierMatrix):
         crash or produce a bogus block."""
         assert _block_from_record(
             {"pc": 0x4400, "end": 0x4404, "end_pc": 0x4404,
-             "pure": True, "loop": False, "code": b"\xff\xff\xff\xff",
+             "loop": False, "code": b"\xff\xff\xff\xff",
              "steps": [(0x4400, 0x4404, 4, False, None, None)],
              "fn": None}) is None
         assert _block_from_record({"pc": 0x4400}) is None
@@ -224,7 +224,7 @@ def _poison_then_sim(cache_dir, device_id, seed):
             for n in range(MAX_VARIANTS):
                 writer.publish(
                     {"pc": pc, "code": bytes([0xEE, n]) * 3,
-                     "end": pc + 6, "end_pc": pc + 6, "pure": True,
+                     "end": pc + 6, "end_pc": pc + 6,
                      "loop": False, "fn": None,
                      "steps": [(pc, pc + 6, 1, False, None, None)]})
     return _sim_in_fresh_store(cache_dir, device_id, seed)

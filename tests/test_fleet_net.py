@@ -1044,7 +1044,7 @@ class TestNothingExecutableCrossesTheWire:
         exec_dir = tmp_path / "worker-exec"
         monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(exec_dir))
         store = _sbx_frame({"pc": 0x4400, "end": 0x4402,
-                            "end_pc": 0x4402, "pure": True,
+                            "end_pc": 0x4402,
                             "loop": False, "code": b"\x03\x43",
                             "steps": [], "fn": b""})
         name = "0123456789abcdef.sbx"
