@@ -25,10 +25,11 @@ Cache states:
   steady state a resumed or repeated study enjoys.
 
 ``--trace`` applies the same three states to the cohort trace tier
-(the ``.tbx`` entries): ``cold`` starts from an empty tier, ``warm``
-lets an unmeasured campaign publish its segment memos first so the
-measured one restores them instead of executing — the repeated-study
-number cross-unit memo sharing exists for.
+(the ``.tbx`` entries every campaign publishes): ``cold`` starts from
+an empty tier, ``warm`` lets an unmeasured campaign publish its
+segment memos first so the measured one restores them instead of
+executing — the repeated-study number cross-unit memo sharing exists
+for.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_fleet.py``)
 to append a record to ``BENCH_fleet.json`` at the repo root, or via
@@ -57,24 +58,22 @@ MODEL = "mpu"
 CACHE_STATES = ("default", "cold", "warm")
 
 
-def _one_campaign(config, jobs: int, cohort: bool = False,
-                  transport: str = "local") -> float:
+def _one_campaign(config, jobs: int, transport: str = "local") -> float:
     """Wall seconds for one campaign into a throwaway directory."""
     from repro.fleet.executor import run_campaign
 
     out = Path(tempfile.mkdtemp(prefix="bench_fleet_"))
     try:
         if transport == "socket":
-            return _one_socket_campaign(config, jobs, cohort, out)
+            return _one_socket_campaign(config, jobs, out)
         start = time.perf_counter()
-        run_campaign(config, out, jobs=jobs, cohort=cohort)
+        run_campaign(config, out, jobs=jobs)
         return time.perf_counter() - start
     finally:
         shutil.rmtree(out, ignore_errors=True)
 
 
-def _one_socket_campaign(config, jobs: int, cohort: bool,
-                         out: Path) -> float:
+def _one_socket_campaign(config, jobs: int, out: Path) -> float:
     """Wall seconds for the same campaign dispatched over loopback
     TCP to ``jobs`` worker subprocesses — the measured time includes
     worker spawn and handshake, because a real socket campaign pays
@@ -95,8 +94,7 @@ def _one_socket_campaign(config, jobs: int, cohort: bool,
 
     def _campaign():
         try:
-            run_campaign(config, out, jobs=jobs, cohort=cohort,
-                         transport=transport)
+            run_campaign(config, out, jobs=jobs, transport=transport)
         except BaseException as error:
             failure.append(error)
 
@@ -123,17 +121,16 @@ def _one_socket_campaign(config, jobs: int, cohort: bool,
 
 def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
                    jobs: int = 1, seed: int = 0,
-                   cache: str = "default", cohort: bool = False,
+                   cache: str = "default",
                    homogeneous: bool = False,
                    transport: str = "local",
                    trace: str = "default") -> float:
     """Device-sim-hours per wall second for one full campaign.
 
     ``homogeneous=True`` clones device 0 fleet-wide — the one-firmware
-    fleet that is the cohort scenario's subject; ``cohort=True`` turns
-    lockstep on (the pairing with ``homogeneous=False`` measures the
-    handshake/record overhead on a fleet with nothing to share).
-    ``trace`` pins the ``.tbx`` trace-tier state exactly like
+    fleet that is the cohort scenario's subject (the jittered default
+    has nothing to share, so it measures lockstep's digest and publish
+    overhead with a cold tier).  ``trace`` pins the ``.tbx`` trace-tier state exactly like
     ``cache`` pins the ``.sbx`` one; the warm-up campaign runs with
     the same knobs as the measured one."""
     from repro.fleet import tracetier
@@ -146,8 +143,7 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
                          homogeneous=homogeneous)
 
     def _measured() -> float:
-        return devices * hours / _one_campaign(config, jobs, cohort,
-                                               transport)
+        return devices * hours / _one_campaign(config, jobs, transport)
 
     def _with_trace_tier(run):
         if trace == "default":
@@ -158,8 +154,7 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
         tracetier.clear_tier()
         try:
             if trace == "warm":
-                _one_campaign(config, jobs, cohort,
-                              transport)          # publish traces
+                _one_campaign(config, jobs, transport)    # publish traces
                 tracetier.clear_tier()    # warmth must come from disk
             return run()
         finally:
@@ -179,8 +174,7 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
     clear_registry()
     try:
         if cache == "warm":
-            _one_campaign(config, jobs, cohort,
-                          transport)              # populate disk
+            _one_campaign(config, jobs, transport)    # populate disk
             clear_registry()              # warmth must come from disk
         return _with_trace_tier(_measured)
     finally:
@@ -193,8 +187,7 @@ def bench_campaign(devices: int = DEVICES, hours: float = SIM_HOURS,
 
 
 def run_benchmarks(repeats: int = 3, jobs: int = 1,
-                   cache: str = "default", cohort: bool = False,
-                   homogeneous: bool = False,
+                   cache: str = "default", homogeneous: bool = False,
                    devices: int = DEVICES,
                    transport: str = "local",
                    trace: str = "default") -> dict:
@@ -205,8 +198,7 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
     return {
         "device_sim_hours_per_sec": round(max(
             bench_campaign(devices=devices, jobs=jobs, seed=n,
-                           cache=cache, cohort=cohort,
-                           homogeneous=homogeneous,
+                           cache=cache, homogeneous=homogeneous,
                            transport=transport, trace=trace)
             for n in range(repeats)), 4),
         "devices": devices,
@@ -214,7 +206,6 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
         "model": MODEL,
         "jobs": jobs,
         "cache": cache,
-        "cohort": cohort,
         "homogeneous": homogeneous,
         "transport": transport,
         "trace": trace,
@@ -223,27 +214,24 @@ def run_benchmarks(repeats: int = 3, jobs: int = 1,
 
 
 def record(label: str, repeats: int = 3, jobs: int = 1,
-           cache: str = "default", cohort: bool = False,
+           cache: str = "default",
            homogeneous: bool = False, devices: int = DEVICES,
            transport: str = "local",
            trace: str = "default") -> dict:
     """Append one measurement record to BENCH_fleet.json.  The stored
     label is annotated with everything that disambiguates the row —
     two rows are only comparable when jobs, cache state, population
-    shape, cohort mode, trace-tier state, and host CPU count all
-    match."""
+    shape, trace-tier state, and host CPU count all match."""
     entry = {
         "label": f"{label} [jobs={jobs} cache={cache} "
-                 f"cohort={'on' if cohort else 'off'} "
                  f"{'homogeneous' if homogeneous else 'jittered'} "
                  f"devices={devices} transport={transport} "
                  f"trace={trace} "
                  f"cpus={os.cpu_count()}]",
         "date": time.strftime("%Y-%m-%d %H:%M:%S"),
         "repeats": repeats,
-        "results": run_benchmarks(repeats, jobs, cache, cohort,
-                                  homogeneous, devices, transport,
-                                  trace),
+        "results": run_benchmarks(repeats, jobs, cache, homogeneous,
+                                  devices, transport, trace),
     }
     history = []
     if BENCH_JSON.exists():
@@ -270,14 +258,12 @@ def test_fleet_throughput_smoke():
 
 
 def test_fleet_cohort_smoke():
-    rate = bench_campaign(devices=2, hours=0.001, cohort=True,
-                          homogeneous=True)
+    rate = bench_campaign(devices=2, hours=0.001, homogeneous=True)
     assert rate > 0
 
 
 def test_fleet_warm_trace_smoke():
-    rate = bench_campaign(devices=2, hours=0.001, cohort=True,
-                          trace="warm")
+    rate = bench_campaign(devices=2, hours=0.001, trace="warm")
     assert rate > 0
 
 
@@ -299,11 +285,6 @@ def main() -> int:
                         choices=CACHE_STATES,
                         help="execution-cache state the campaign "
                              "starts from (see module docstring)")
-    parser.add_argument("--cohort", default="off",
-                        choices=("on", "off"),
-                        help="cohort lockstep execution (pair with "
-                             "--homogeneous for the one-firmware-fleet "
-                             "scenario)")
     parser.add_argument("--homogeneous", action="store_true",
                         help="clone device 0 fleet-wide instead of "
                              "the jittered population")
@@ -326,12 +307,11 @@ def main() -> int:
         help="CI mode: run without recording, exit 1 unless "
              "device-sim-hours/s >= RATE (uses the first --jobs value)")
     args = parser.parse_args()
-    cohort = args.cohort == "on"
     if args.check_floor is not None:
         results = run_benchmarks(args.repeats, args.jobs[0],
-                                 args.cache, cohort,
-                                 args.homogeneous, args.devices,
-                                 args.transport, args.trace)
+                                 args.cache, args.homogeneous,
+                                 args.devices, args.transport,
+                                 args.trace)
         rate = results["device_sim_hours_per_sec"]
         ok = rate >= args.check_floor
         print(f"fleet throughput {rate} device-sim-hours/s "
@@ -340,8 +320,8 @@ def main() -> int:
         return 0 if ok else 1
     for jobs in args.jobs:
         entry = record(args.label, args.repeats, jobs, args.cache,
-                       cohort, args.homogeneous, args.devices,
-                       args.transport, args.trace)
+                       args.homogeneous, args.devices, args.transport,
+                       args.trace)
         print(json.dumps(entry, indent=2))
     return 0
 

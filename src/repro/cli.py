@@ -209,7 +209,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             secret=_fleet_secret(args.secret_file))
     summary = run_campaign(config, Path(args.out), jobs=args.jobs,
                            report=print, profile_dir=profile_dir,
-                           cohort=args.cohort == "on",
                            transport=transport)
     print(summary_text(summary))
     print(f"summary: {Path(args.out) / 'summary.json'}")
@@ -454,13 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(<out>/profiles/<model>-uNNNNN.prof) and write the "
              "coordinator's queue-wait / checkpoint-stall breakdown "
              "to <out>/profiles/coordinator.json")
-    fleet_run.add_argument(
-        "--cohort", default="off", choices=("on", "off"),
-        help="lockstep same-firmware devices: group them into shared "
-             "work units, execute each segment once and restore the "
-             "leader's post-segment snapshot into state-identical "
-             "siblings; an execution detail — summaries are "
-             "byte-identical on or off")
     fleet_run.add_argument(
         "--homogeneous", action="store_true",
         help="clone device 0 across the whole fleet (one firmware "

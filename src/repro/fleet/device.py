@@ -1,4 +1,4 @@
-"""Simulate one fleet device, checkpoint segment by segment.
+"""Simulate fleet devices, checkpoint segment by segment.
 
 The driver advances simulated time in fixed segments: seed the
 periodic sources over ``[t, t+K)``, drain every event before the
@@ -7,6 +7,11 @@ bounded stepping deliver exactly the event sequence a single
 full-horizon run would (see ``PeriodicSource.events_until`` and
 ``Scheduler.step``), a run resumed from any checkpoint is
 byte-identical to an uninterrupted one.
+
+Fleet campaigns run every work unit through :func:`simulate_cohort`.
+:func:`simulate_device` is the plain per-device loop it must agree
+with: the reference campaign tests compare against, and the entry
+point of single-device studies (``examples/wearable_week.py``).
 """
 
 from __future__ import annotations
@@ -127,7 +132,9 @@ def simulate_device(spec: DeviceSpec, model: IsolationModel,
     boundary; ``resume`` takes a snapshot produced by such a callback
     (or by :func:`repro.fleet.snapshot.snapshot_device`).
     ``cache_mode`` (see :data:`CACHE_MODES`) trades wall-clock speed
-    only — results are identical across modes."""
+    only — results are identical across modes.  No cohort, no trace
+    tier: this is the per-device reference :func:`simulate_cohort`
+    must reproduce."""
     machine, scheduler, rogue_built = make_device(
         spec, model, cache_mode=cache_mode)
     start_ms = 0
@@ -152,11 +159,11 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
                     on_checkpoint: Optional[Callable[[int, int, dict],
                                                      None]] = None,
                     resumes: Optional[Dict[int, dict]] = None,
-                    cache_mode: str = "shared",
                     stats: Optional[CohortStats] = None,
                     tier=None) -> Dict[int, DeviceRun]:
     """Run (or resume) several devices together, lockstep where their
-    firmware and state coincide (see :mod:`repro.fleet.cohort`).
+    firmware and state coincide (see :mod:`repro.fleet.cohort`) — the
+    one execution path of every fleet work unit.
 
     Devices advance segment by segment, interleaved: all devices at
     the earliest pending segment run it before anyone moves on.  One
@@ -186,8 +193,7 @@ def simulate_cohort(specs: Sequence[DeviceSpec], model: IsolationModel,
     #: pre-state
     current: Dict[int, dict] = {}
     for spec in specs:
-        machine, scheduler, rogue_built = make_device(
-            spec, model, cache_mode=cache_mode)
+        machine, scheduler, rogue_built = make_device(spec, model)
         start_ms = 0
         resume = resumes.get(spec.device_id)
         if resume is not None:

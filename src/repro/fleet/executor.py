@@ -7,17 +7,20 @@ campaign while finished workers idled — and synchronous checkpoint
 writes serialized the rest.  This module replaces that with a
 coordinator/worker architecture:
 
-* the **coordinator** chunks the pending devices into many small work
-  units and submits them all up front; idle workers pull the next
-  unit the moment they finish one (work-stealing — no worker waits on
-  another's tail), and the coordinator folds telemetry incrementally
-  as unit results arrive (:class:`~repro.fleet.telemetry.SummaryFold`)
-  instead of in one post-hoc merge;
+* the **coordinator** groups the pending devices by firmware into
+  work units (:func:`plan_units`) and submits them all up front; idle
+  workers pull the next unit the moment they finish one
+  (work-stealing — no worker waits on another's tail), and the
+  coordinator folds telemetry incrementally as unit results arrive
+  (:class:`~repro.fleet.telemetry.SummaryFold`) instead of in one
+  post-hoc merge;
 * each **worker** runs its unit through the one unit runner,
-  :func:`_run_unit`, whatever the transport: it simulates the devices,
-  serializing the next delta checkpoint while a double-buffered
-  writer thread (:class:`~repro.fleet.ckptio.AsyncCheckpointWriter`)
-  flushes the previous one into a **sink** — :class:`FileSink`, whose
+  :func:`_run_unit`, whatever the transport: it advances the unit's
+  devices in cohort lockstep over the persistent trace tier
+  (:func:`~repro.fleet.device.simulate_cohort`), serializing the next
+  delta checkpoint while a double-buffered writer thread
+  (:class:`~repro.fleet.ckptio.AsyncCheckpointWriter`) flushes the
+  previous one into a **sink** — :class:`FileSink`, whose
   rename-into-place commit (:func:`land_checkpoint`) means a kill
   mid-write always resumes from the last *complete* checkpoint, or
   the socket worker's ``WireSink`` — and reports one
@@ -40,9 +43,9 @@ process of a campaign there and a test can resume it.
 The output directory is stamped with a config key (campaign identity:
 seed, devices, hours, models, checkpoint cadence); a rerun with
 different parameters against the same directory fails loudly instead
-of mixing campaigns.  ``--jobs``, ``--cohort``, the transport, and
-profiling are execution details and free to differ between run and
-resume.
+of mixing campaigns.  ``--jobs``, the transport, the trace tier's
+state and profiling are execution details and free to differ between
+run and resume.
 """
 
 from __future__ import annotations
@@ -61,20 +64,19 @@ from repro.aft.models import IsolationModel
 from repro.errors import ReproError
 from repro.fleet.ckptio import AsyncCheckpointWriter
 from repro.fleet.cohort import CohortStats
-from repro.fleet.device import simulate_cohort, simulate_device
+from repro.fleet.device import simulate_cohort
 from repro.fleet.population import device_spec
 from repro.fleet.snapshot import STATE_VERSION, checkpoint_bytes, \
     parse_checkpoint
 from repro.fleet.telemetry import MODELS_BY_KEY, SummaryFold, \
     device_record, record_line, worker_summary
+from repro.fleet.tracetier import trace_tier
 from repro.pool import completed as completed_futures
 from repro.pool import worker_pool
 
-#: work units the coordinator aims to keep queued per worker — enough
-#: spare units that a worker finishing a jittered-light unit steals a
-#: fresh one instead of idling, few enough that per-unit overhead
-#: (process dispatch, stream open) stays marginal
-UNITS_PER_WORKER = 4
+# unused here — the runner calls simulate_cohort — but
+# perfbench/tracer.py patches this name in this module as well
+from repro.fleet.device import simulate_device  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -136,30 +138,19 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def plan_units(device_ids: List[int], jobs: int) -> List[List[int]]:
-    """Chunk pending devices into many small work units for the
-    stealing queue: ~:data:`UNITS_PER_WORKER` units per worker, at
-    least one device each, devices in id order within a unit."""
-    if not device_ids:
-        return []
-    target = max(1, jobs) * UNITS_PER_WORKER
-    size = max(1, -(-len(device_ids) // target))
-    return [device_ids[i:i + size]
-            for i in range(0, len(device_ids), size)]
-
-
-def plan_cohort_units(config: "FleetConfig", model: IsolationModel,
-                      device_ids: List[int],
-                      jobs: int) -> List[List[int]]:
-    """Cohort-aware planning: same-firmware devices land in one unit.
+def plan_units(config: FleetConfig, model: IsolationModel,
+               device_ids: List[int], jobs: int) -> List[List[int]]:
+    """Chunk pending devices into work units: same-firmware devices
+    land in one unit.
 
     Lockstep only pays when a unit holds several devices of one
     firmware identity — ``(app subset, rogue built)``, the inputs to
     :func:`repro.fleet.device.build_device_apps` — so devices are
     grouped by that signature and each group is chunked into at most
     ``jobs`` units (big units maximize in-unit lockstep, the per-group
-    split keeps every worker fed).  Unit layout is an execution
-    detail: results are byte-identical to :func:`plan_units` layouts.
+    split keeps every worker fed); units are ordered by first device.
+    Unit layout is an execution detail: results are byte-identical
+    for any layout.
     """
     groups: Dict[tuple, List[int]] = {}
     for device_id in device_ids:
@@ -370,17 +361,14 @@ class FileSink:
 
 def run_unit(config_dict: dict, model_key: str,
              device_ids: List[int], sink: FileSink,
-             profile_dir: Optional[str] = None,
-             cohort: bool = False) -> dict:
+             profile_dir: Optional[str] = None) -> dict:
     """Pool entry point: run (or resume) one unit into ``sink``.
     Returns ``{"records": {device_id: record}, "stats":
     asdict(UnitStats)}``; with ``profile_dir`` the unit's cProfile dump
-    lands there.  ``cohort`` picks the execution strategy; like
-    ``--jobs`` it never changes results."""
+    lands there."""
     config = FleetConfig(**{**config_dict,
                             "models": tuple(config_dict["models"])})
-    run = partial(_run_unit, config, model_key, device_ids, sink,
-                  cohort)
+    run = partial(_run_unit, config, model_key, device_ids, sink)
     if profile_dir is None:
         records, stats = run()
     else:
@@ -391,13 +379,14 @@ def run_unit(config_dict: dict, model_key: str,
 
 
 def _run_unit(config: FleetConfig, model_key: str,
-              device_ids: List[int], sink,
-              cohort: bool) -> Tuple[Dict[int, dict], UnitStats]:
+              device_ids: List[int],
+              sink) -> Tuple[Dict[int, dict], UnitStats]:
     """The one unit runner, for pool and socket workers alike: run the
-    unit's devices, driving ``sink`` through ``load_resume(device)``
-    (checkpoint bytes or ``None``), ``checkpoint(device, payload)``
-    (on the writer thread), ``commit(device, record)`` and
-    ``finish(stats)``; returns the records and the stats."""
+    unit's devices in cohort lockstep over the trace tier, driving
+    ``sink`` through ``load_resume(device)`` (checkpoint bytes or
+    ``None``), ``checkpoint(device, payload)`` (on the writer thread),
+    ``commit(device, record)`` and ``finish(stats)``; returns the
+    records and the stats."""
     t_start = time.time()
     config_key = config.key()
     model = MODELS_BY_KEY[model_key]
@@ -405,11 +394,6 @@ def _run_unit(config: FleetConfig, model_key: str,
                          config.homogeneous) for device_id in device_ids]
     cohort_stats = CohortStats()
     records: Dict[int, dict] = {}
-
-    def load_resume(device_id: int) -> Optional[dict]:
-        blob = sink.load_resume(device_id)
-        return None if blob is None else \
-            parse_checkpoint(blob, config_key, device_id)
 
     def submit_checkpoint(device_id: int, sim_ms: int,
                           snapshot: dict) -> None:
@@ -423,35 +407,23 @@ def _run_unit(config: FleetConfig, model_key: str,
     # commit the record — a kill between any two steps leaves a
     # resumable state, and frames reach the coordinator in order
     with AsyncCheckpointWriter(sink.checkpoint) as writer:
-        if cohort:
-            resumes = {device_id: resume for device_id in device_ids
-                       if (resume := load_resume(device_id))
-                       is not None}
-            from repro.fleet.tracetier import trace_tier
-            runs = simulate_cohort(
-                specs, model, sim_ms=config.sim_ms,
-                checkpoint_every_ms=config.checkpoint_ms,
-                on_checkpoint=submit_checkpoint,
-                resumes=resumes, stats=cohort_stats,
-                tier=trace_tier())
-            writer.drain()
-            # records commit only once the whole cohort finished (the
-            # devices advance interleaved); a kill mid-unit resumes
-            # every member from its newest checkpoint
-            for device_id in device_ids:
-                records[device_id] = device_record(runs[device_id],
-                                                   model_key)
-                sink.commit(device_id, records[device_id])
-        else:
-            for device_id, spec in zip(device_ids, specs):
-                run = simulate_device(
-                    spec, model, sim_ms=config.sim_ms,
-                    checkpoint_every_ms=config.checkpoint_ms,
-                    on_checkpoint=partial(submit_checkpoint, device_id),
-                    resume=load_resume(device_id))
-                records[device_id] = device_record(run, model_key)
-                writer.drain()
-                sink.commit(device_id, records[device_id])
+        resumes = {device_id: parse_checkpoint(blob, config_key,
+                                               device_id)
+                   for device_id in device_ids
+                   if (blob := sink.load_resume(device_id)) is not None}
+        runs = simulate_cohort(
+            specs, model, sim_ms=config.sim_ms,
+            checkpoint_every_ms=config.checkpoint_ms,
+            on_checkpoint=submit_checkpoint, resumes=resumes,
+            stats=cohort_stats, tier=trace_tier())
+        writer.drain()
+        # records commit only once the whole unit finished (the
+        # devices advance interleaved); a kill mid-unit resumes every
+        # member from its newest checkpoint
+        for device_id in device_ids:
+            records[device_id] = device_record(runs[device_id],
+                                               model_key)
+            sink.commit(device_id, records[device_id])
     stats = UnitStats(
         devices=list(device_ids), t_start=t_start, t_end=time.time(),
         ckpt_flushes=writer.flushes,
@@ -491,8 +463,8 @@ class LocalTransport:
 
     def open_campaign(self, campaign: dict) -> None:
         """``campaign`` carries the shared context: ``config_dict``,
-        ``config_key``, ``out_dir``, ``cohort``, ``profile_dir`` and
-        the ``say`` reporter."""
+        ``config_key``, ``out_dir``, ``profile_dir`` and the ``say``
+        reporter."""
         self._campaign = campaign
 
     def run_units(self, model_key: str, units: List[List[int]]):
@@ -505,8 +477,7 @@ class LocalTransport:
                                 unit[0])
                 future = pool.submit(
                     run_unit, campaign["config_dict"], model_key,
-                    unit, sink, campaign["profile_dir"],
-                    campaign["cohort"])
+                    unit, sink, campaign["profile_dir"])
                 submitted[future] = (unit, t_submit)
             # stream the fold: consume results the moment any worker
             # finishes a unit, in completion order
@@ -528,11 +499,12 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
                  transport=None) -> dict:
     """Run (or resume) a whole campaign; returns the summary dict.
 
-    ``jobs``, ``cohort``, the transport and profiling are
-    execution details — they never change the results and are free
-    to differ between the original run and a resume.  ``transport``
-    defaults to an in-process :class:`LocalTransport` pool of
-    ``jobs`` workers; pass a
+    ``jobs``, the transport and profiling are execution details — they
+    never change the results and are free to differ between the
+    original run and a resume.  Every unit runs in cohort lockstep;
+    ``cohort`` is accepted for old callers (the benchmark harness
+    passes it) and ignored.  ``transport`` defaults to an in-process
+    :class:`LocalTransport` pool of ``jobs`` workers; pass a
     :class:`repro.fleet.net.coordinator.SocketTransport` to serve the
     same unit queue to remote ``repro fleet worker`` processes (the
     ``--listen`` path).  ``jobs`` still sizes the work units either
@@ -582,8 +554,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
     if profile_dir is not None:
         profile_dir = Path(profile_dir)
         profile_dir.mkdir(parents=True, exist_ok=True)
-        coordinator_profile = {"jobs": jobs, "cohort": cohort,
-                               "models": {}}
+        coordinator_profile = {"jobs": jobs, "models": {}}
 
     if transport is None:
         transport = LocalTransport(jobs)
@@ -591,7 +562,6 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
         "config_dict": config_dict,
         "config_key": config.key(),
         "out_dir": str(out_dir),
-        "cohort": cohort,
         "profile_dir": str(profile_dir)
         if profile_dir is not None else None,
         "say": say,
@@ -601,7 +571,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
 
     try:
         _run_models(config, out_dir, jobs, transport, fold,
-                    coordinator_profile, cohort, say)
+                    coordinator_profile, say)
     finally:
         transport.close()
 
@@ -633,7 +603,7 @@ def run_campaign(config: FleetConfig, out_dir: Path, jobs: int = 1,
 
 def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
                 transport, fold: SummaryFold,
-                coordinator_profile: Optional[dict], cohort: bool,
+                coordinator_profile: Optional[dict],
                 say: Callable[[str], None]) -> None:
     """Per-model unit planning, dispatch through the transport, and
     incremental folding — the coordinator's inner loop."""
@@ -668,15 +638,11 @@ def _run_models(config: FleetConfig, out_dir: Path, jobs: int,
             _unlink_quiet(_ckpt_path(out_dir, model_key, device_id))
         pending = [device_id for device_id in range(config.devices)
                    if device_id not in done]
-        if cohort:
-            units = plan_cohort_units(config, MODELS_BY_KEY[model_key],
-                                      pending, jobs)
-        else:
-            units = plan_units(pending, jobs)
+        units = plan_units(config, MODELS_BY_KEY[model_key], pending,
+                           jobs)
         say(f"{model_key}: {config.devices} devices "
             f"({len(pending)} pending) over {len(units)} work "
-            f"unit(s), jobs={jobs}"
-            + (", cohort lockstep" if cohort else ""))
+            f"unit(s), jobs={jobs}")
 
         unit_rows: List[dict] = []
         totals = UnitStats()

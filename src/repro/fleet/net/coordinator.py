@@ -197,12 +197,8 @@ class SocketTransport:
     # -- executor-facing transport API -----------------------------------
     def open_campaign(self, campaign: dict) -> None:
         self._campaign = campaign
-        # memos are only adopted inside cohort lockstep, so a
-        # cohort-off campaign would hash and ship .tbx entries that no
-        # worker can use
-        self._trace_offers = (
-            tracetier.LAYOUT.list_store_files(MAX_TRACE_OFFERS)
-            if campaign.get("cohort") else [])
+        self._trace_offers = tracetier.LAYOUT.list_store_files(
+            MAX_TRACE_OFFERS)
         self._listener = socket.create_server((self.host, self.port))
         self.address = self._listener.getsockname()[:2]
         out_dir = Path(campaign["out_dir"])
@@ -587,7 +583,6 @@ class SocketTransport:
             "type": "welcome",
             "campaign": config_key,
             "config": self._campaign["config_dict"],
-            "cohort": self._campaign["cohort"],
             "profile": self._campaign.get("profile_dir") is not None,
             "heartbeat_s": self.heartbeat_s,
             "lease_timeout_s": self.lease_timeout_s,

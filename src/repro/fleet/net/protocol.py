@@ -31,10 +31,10 @@ challenge c -> w      a secret is configured: prove you hold it —
                       ``proof`` over the hello's nonce shows this
                       coordinator holds it too
 auth      w -> c      the worker's MAC of the challenge's nonce
-welcome   c -> w      handshake accepted: campaign key, config, cohort
-                      and profile flags, heartbeat, ``.tbx``
-                      trace-entry offers (nothing executable: no
-                      ``.sbx`` translation store is ever offered)
+welcome   c -> w      handshake accepted: campaign key, config,
+                      profile flag, heartbeat, ``.tbx`` trace-entry
+                      offers (nothing executable: no ``.sbx``
+                      translation store is ever offered)
 reject    c -> w      handshake refused (stale campaign key, version
                       mismatch, failed auth) — the reason says which
 lease_req w -> c      give me work; answered by ``lease`` or

@@ -305,15 +305,14 @@ class WireSink:
 
 
 def _run_lease(batcher: FrameBatcher, channel: Channel, lease: dict,
-               config: FleetConfig, cohort: bool, profile: bool,
+               config: FleetConfig, profile: bool,
                worker_id: str) -> None:
     """Run one leased unit through the shared runner over a
     :class:`WireSink`; when the campaign profiles, the unit's cProfile
     dump goes home as a ``profile`` frame."""
     sink = WireSink(batcher, channel, lease, worker_id)
     run = partial(_run_unit, config, lease["model"],
-                  [int(device) for device in lease["devices"]], sink,
-                  cohort)
+                  [int(device) for device in lease["devices"]], sink)
     if not profile:
         run()
         return
@@ -377,7 +376,6 @@ def handshake(channel: Channel, campaign_key: Optional[str],
 def _work_loop(batcher: FrameBatcher, channel: Channel,
                welcome: dict, config: FleetConfig, worker_id: str,
                say: Callable[[str], None]) -> None:
-    cohort = bool(welcome.get("cohort", False))
     profile = bool(welcome.get("profile", False))
     # the coordinator parks a lease_req until work exists; meanwhile
     # only pongs arrive, one per heartbeat, so the deadline scales
@@ -390,7 +388,7 @@ def _work_loop(batcher: FrameBatcher, channel: Channel,
                                  timeout=lease_wait_s)
         say(f"lease {message['lease']}: model {message['model']}, "
             f"{len(message['devices'])} device(s)")
-        _run_lease(batcher, channel, message, config, cohort, profile,
+        _run_lease(batcher, channel, message, config, profile,
                    worker_id)
 
 

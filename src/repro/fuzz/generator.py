@@ -5,8 +5,13 @@ compiler emits), so a failing case shrinks to a human-readable,
 replayable ``.s`` file.  The generator favours the shapes that stress
 the simulator's fast paths:
 
-* straight ALU runs (superblock *pure* flavour) and tight counted
-  loops (the *self-loop* flavour),
+* straight ALU runs and tight counted loops (loop blocks), half of
+  them branching inside: a conditional exit (past the loop, or to the
+  next instruction, where generated code leaves the loop block), then
+  a forward branch over one step,
+* R0 as a source (``MOV R0, Rn``, ``PUSH R0``, R0 stored through any
+  store operand), whose value is the address of the next instruction
+  word wherever the read lands: a diamond arm, a block's last step,
 * loads/stores through absolute, indexed, indirect and autoincrement
   operands, **biased toward region and MPU-segment boundaries**
   (FRAM start, B1, B2, SRAM/InfoMem edges, the unmapped holes, the
@@ -19,10 +24,11 @@ the simulator's fast paths:
   invalidation), call/ret/push/pop traffic, and forward branches.
 
 Every program is self-terminating by construction (loops count down a
-reserved register, branches only jump forward to anchor labels, the
-body ends by writing the DONE port); the execution budget is only a
-backstop for programs that fuzz their own code into an endless shape —
-which both execution modes must then report identically.
+reserved register, every other branch only jumps forward — to an
+anchor label or to a later label of its loop — and the body ends by
+writing the DONE port); the execution budget is only a backstop for
+programs that fuzz their own code into an endless shape — which both
+execution modes must then report identically.
 
 Structure: a program is a list of *items*.  Each item is an atomic
 group of assembly lines (a loop, a pointer setup plus its dereference,
@@ -57,6 +63,7 @@ _ALU_OPS = ("MOV", "ADD", "ADDC", "SUB", "SUBC", "CMP", "BIT",
             "AND", "XOR", "BIS", "BIC", "DADD")
 _FMT2_OPS = ("RRA", "RRC", "SWPB", "SXT")
 _JCC = ("JNE", "JEQ", "JNC", "JC", "JN", "JGE", "JL", "JMP")
+_JCOND = _JCC[:-1]
 
 _MPU_REGS = (MPUCTL0, MPUCTL1, MPUSEGB1, MPUSEGB2, MPUSAM)
 
@@ -190,11 +197,12 @@ class _Generator:
         return [f"    MOV #0x{base:04X}, {pointer}",
                 f"    MOV{suffix} {offset}({pointer}), {dst}"]
 
-    def _store(self) -> List[str]:
+    def _store(self, value: str = "") -> List[str]:
         rnd = self.rnd
         address = self._address()
         suffix = self._suffix()
-        value = f"#{self._imm()}" if rnd.random() < 0.5 else self._reg()
+        value = value or (f"#{self._imm()}" if rnd.random() < 0.5
+                          else self._reg())
         mode = rnd.randrange(4)
         if mode == 0:
             return [f"    MOV{suffix} {value}, &0x{address:04X}"]
@@ -222,19 +230,45 @@ class _Generator:
             return [f"    PUSH {self._reg()}"]
         return [f"    POP {self._reg()}"]
 
+    def _pc_read(self) -> List[str]:
+        """An instruction with R0 as its source: a copy, a push, or a
+        store of the PC."""
+        roll = self.rnd.random()
+        if roll < 0.4:
+            return [f"    MOV R0, {self._reg()}"]
+        return ["    PUSH R0"] if roll < 0.6 else self._store("R0")
+
     def _loop(self) -> List[str]:
         """Counted loop on the reserved register: the superblock
-        engine compiles the body into a self-loop block."""
+        engine compiles the body into a loop block.  Half the loops
+        also branch inside: a conditional exit, then a forward branch
+        over one step (an ALU step or an R0 read).  The exit jumps
+        past the loop or to the next instruction, where generated code
+        leaves the loop block mid-iteration; testing the counter makes
+        an exit fire in a later iteration than arms were skipped in."""
         rnd = self.rnd
-        label = f"L{self.label_counter}"
+        n = self.label_counter
         self.label_counter += 1
         count = rnd.randint(1, 20)
-        lines = [f"    MOV #{count}, R{LOOP_REG}", f"{label}:"]
+        lines = [f"    MOV #{count}, R{LOOP_REG}", f"L{n}:"]
         for _ in range(rnd.randint(1, 3)):
             lines.extend(self._alu_reg())
-        lines.append(f"    DEC R{LOOP_REG}")
-        lines.append(f"    JNE {label}")
-        return lines
+        back = [f"    DEC R{LOOP_REG}", f"    JNE L{n}"]
+        if rnd.random() < 0.5:
+            return lines + back
+        if rnd.random() < 0.5:
+            tests = ([f"    CMP #{rnd.randint(1, count)}, R{LOOP_REG}"],
+                     [f"    BIT #1, R{LOOP_REG}"])
+        else:
+            tests = (self._alu_reg(), self._alu_reg())
+        arm = self._alu_reg() if rnd.random() < 0.75 \
+            else [f"    MOV R0, {self._reg()}"]
+        leave = rnd.random() < 0.5
+        return lines + [*tests[0], f"    {rnd.choice(_JCOND)} X{n}",
+                        *([] if leave else [f"X{n}:"]),
+                        *tests[1], f"    {rnd.choice(_JCOND)} S{n}",
+                        *arm, f"S{n}:", *back,
+                        *([f"X{n}:"] if leave else [])]
 
     def _mpu_write(self) -> List[str]:
         rnd = self.rnd
@@ -333,6 +367,7 @@ class _Generator:
             (self._alu_reg, 30), (self._fmt2_reg, 6), (self._load, 14),
             (self._store, 14), (self._push_pop, 8), (self._loop, 8),
             (self._mpu_write, 8), (self._selfmod, 3), (self._call, 5),
+            (self._pc_read, 4),
         )
         population = [fn for fn, weight in emitters for _ in range(weight)]
 

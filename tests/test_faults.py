@@ -7,7 +7,7 @@ point (:mod:`repro.faults`).  :class:`TestEverySite` enumerates
 small campaign through the real CLI (so ``os._exit`` never lands in
 pytest), proves the kill happened, resumes the campaign with the
 variable unset, and compares ``summary.json`` and every
-``devices-*.jsonl`` with a serial reference byte for byte.  A site
+``devices-*.jsonl`` with the per-device reference byte for byte.  A site
 registered without a kill plan here fails the suite.
 """
 
@@ -22,7 +22,8 @@ import pytest
 
 from repro import faults
 from repro.errors import ReproError
-from repro.fleet.executor import FleetConfig, run_campaign
+from repro.fleet.executor import FleetConfig
+from tests.fleet_reference import reference_campaign
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -57,9 +58,11 @@ _CASES = [pytest.param(site, where, count,
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fault-reference") / "out"
-    run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=1)
-    return out
+    # built before the per-test tier fixture: a campaign here would
+    # publish memos into the default trace tier
+    return reference_campaign(
+        FleetConfig(**_CAMPAIGN),
+        tmp_path_factory.mktemp("fault-reference") / "out")
 
 
 @pytest.fixture(scope="module")

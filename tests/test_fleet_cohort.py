@@ -1,14 +1,16 @@
 """Cohort lockstep execution: byte-identity, memo keys, and planning.
 
-The cohort layer's contract mirrors ``--jobs``: it is an execution
-detail.  A campaign run with ``--cohort on`` must produce the same
-bytes as one run with it off — whether the fleet is homogeneous (full
-lockstep), heterogeneous (mostly leads), or killed and resumed
-mid-flight.  The property test additionally pins the memo key: a
-clone that differs from its leader in any one input a segment reads —
-its cycle counter, sensor LCG, storage, app data, a source's phase,
-its restart cooldown — executes instead of adopting the leader's
-post-segment snapshot, and ends exactly where a solo run ends.
+Every fleet work unit runs in cohort lockstep, and lockstep is an
+execution detail like ``--jobs``: a campaign must produce the bytes
+the per-device reference (:func:`tests.fleet_reference.reference_campaign`,
+one plain ``simulate_device`` run per device) produces — whether the
+fleet is homogeneous (full lockstep), heterogeneous (mostly leads), or
+killed and resumed mid-flight.  The property test additionally pins
+the memo key: a clone that differs from its leader in any one input a
+segment reads — its cycle counter, sensor LCG, storage, app data, a
+source's phase, its restart cooldown — executes instead of adopting
+the leader's post-segment snapshot, and ends exactly where a solo run
+ends.
 """
 
 import copy
@@ -22,46 +24,50 @@ from hypothesis import HealthCheck, example, given, settings, \
 from repro.fleet.cohort import CohortStats, state_digest
 from repro.fleet.device import make_device, simulate_cohort, \
     simulate_device
-from repro.fleet.executor import FleetConfig, plan_cohort_units, \
-    run_campaign
+from repro.fleet.executor import FleetConfig, plan_units, run_campaign
 from repro.fleet.population import device_spec, generate_population
 from repro.fleet.snapshot import checkpoint_bytes, snapshot_device
 from repro.fleet.telemetry import MODELS_BY_KEY, device_record
+from tests.fleet_reference import reference_campaign
 
 _CAMPAIGN = dict(devices=6, hours=0.003, models=("mpu",), seed=7,
                  checkpoint_minutes=0.05, rogue_fraction=0.5)
 
 
-def _campaign(tmp_path, name, cohort, jobs=2, profile=False,
-              **overrides):
+def _campaign(tmp_path, name, jobs=2, profile=False, **overrides):
     config = FleetConfig(**{**_CAMPAIGN, **overrides})
     out = tmp_path / name
     profile_dir = out / "profiles" if profile else None
-    summary = run_campaign(config, out, jobs=jobs, cohort=cohort,
+    summary = run_campaign(config, out, jobs=jobs,
                            profile_dir=profile_dir)
     return out, summary
 
 
-class TestCohortCampaign:
-    def test_off_on_identical_heterogeneous(self, tmp_path):
-        off, _ = _campaign(tmp_path, "het-off", cohort=False)
-        on, _ = _campaign(tmp_path, "het-on", cohort=True)
-        assert (off / "summary.json").read_bytes() == \
-            (on / "summary.json").read_bytes()
-        assert (off / "devices-mpu.jsonl").read_bytes() == \
-            (on / "devices-mpu.jsonl").read_bytes()
+def _reference(tmp_path, name, **overrides):
+    return reference_campaign(FleetConfig(**{**_CAMPAIGN, **overrides}),
+                              tmp_path / name)
 
-    def test_off_on_identical_homogeneous_with_replays(self, tmp_path):
-        off, _ = _campaign(tmp_path, "hom-off", cohort=False,
+
+def _assert_same_bytes(out, reference):
+    for name in ("summary.json", "devices-mpu.jsonl"):
+        assert (out / name).read_bytes() == \
+            (reference / name).read_bytes(), name
+
+
+class TestCohortCampaign:
+    def test_matches_reference_heterogeneous(self, tmp_path):
+        out, _ = _campaign(tmp_path, "het")
+        _assert_same_bytes(out, _reference(tmp_path, "het-ref"))
+
+    def test_matches_reference_homogeneous_with_replays(self, tmp_path):
+        out, _ = _campaign(tmp_path, "hom", profile=True,
                            homogeneous=True)
-        on, _ = _campaign(tmp_path, "hom-on", cohort=True,
-                          profile=True, homogeneous=True)
-        assert (off / "summary.json").read_bytes() == \
-            (on / "summary.json").read_bytes()
+        _assert_same_bytes(out, _reference(tmp_path, "hom-ref",
+                                           homogeneous=True))
         # the profile proves lockstep actually happened: clones
-        # replayed the leader's deltas instead of executing
+        # adopted the leader's memos instead of executing
         profile = json.loads(
-            (on / "profiles" / "coordinator.json").read_text())
+            (out / "profiles" / "coordinator.json").read_text())
         model = profile["models"]["mpu"]
         assert model["cohort_executed"] > 0
         # two units of three clones: each leader's segments are
@@ -73,41 +79,30 @@ class TestCohortCampaign:
                                                       monkeypatch):
         import pytest
         from repro.errors import ReproError
-        reference, _ = _campaign(tmp_path, "creference",
-                                 cohort=False, jobs=1,
-                                 homogeneous=True)
+        reference = _reference(tmp_path, "creference",
+                               homogeneous=True)
         config = FleetConfig(**{**_CAMPAIGN, "homogeneous": True})
         out = tmp_path / "ccrashed"
         monkeypatch.setenv("REPRO_FAULT", "ckpt.after_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
-            run_campaign(config, out, jobs=2, cohort=True)
+            run_campaign(config, out, jobs=2)
         monkeypatch.delenv("REPRO_FAULT")
-        run_campaign(config, out, jobs=2, cohort=True)
-        assert (out / "summary.json").read_bytes() == \
-            (reference / "summary.json").read_bytes()
-
-    def test_cohort_is_not_campaign_identity(self, tmp_path):
-        # finish a campaign with cohorts off, reopen it with them on:
-        # same key, nothing reruns
-        out, first = _campaign(tmp_path, "reopen", cohort=False)
-        summary = run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=1,
-                               cohort=True)
-        assert summary == first
+        run_campaign(config, out, jobs=2)
+        _assert_same_bytes(out, reference)
 
 
 class TestCohortPlanning:
     def test_homogeneous_fleet_forms_per_job_units(self):
         config = FleetConfig(**{**_CAMPAIGN, "devices": 8,
                                 "homogeneous": True})
-        units = plan_cohort_units(config, MODELS_BY_KEY["mpu"],
-                                  list(range(8)), jobs=2)
+        units = plan_units(config, MODELS_BY_KEY["mpu"],
+                           list(range(8)), jobs=2)
         assert units == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     def test_units_group_by_firmware_signature(self):
         config = FleetConfig(**{**_CAMPAIGN, "devices": 16})
         model = MODELS_BY_KEY["mpu"]
-        units = plan_cohort_units(config, model, list(range(16)),
-                                  jobs=2)
+        units = plan_units(config, model, list(range(16)), jobs=2)
         assert sorted(d for unit in units for d in unit) == \
             list(range(16))
         assert units == sorted(units, key=lambda unit: unit[0])

@@ -16,14 +16,15 @@ import pytest
 
 from repro.errors import ReproError
 from repro.fleet.executor import FleetConfig, run_campaign
+from tests.fleet_reference import reference_campaign
 
 _CAMPAIGN = dict(devices=4, hours=0.003, models=("mpu",), seed=11,
                  checkpoint_minutes=0.05, rogue_fraction=0.5)
 
 
 def _reference(tmp_path):
-    out = tmp_path / "reference"
-    run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=1)
+    out = reference_campaign(FleetConfig(**_CAMPAIGN),
+                             tmp_path / "reference")
     return (out / "summary.json").read_bytes()
 
 

@@ -49,6 +49,7 @@ from repro.fleet.snapshot import STATE_VERSION, parse_checkpoint, \
 from repro.fleet.telemetry import MODELS_BY_KEY
 from repro.msp430 import execcache
 from repro.safeload import UnsafePayload, safe_loads
+from tests.fleet_reference import reference_campaign
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -184,10 +185,9 @@ class TestSafeLoads:
 
 # -- loopback campaigns -----------------------------------------------------
 
-def _serial_reference(tmp_path):
-    out = tmp_path / "reference"
-    run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=1)
-    return out
+def _reference(tmp_path):
+    return reference_campaign(FleetConfig(**_CAMPAIGN),
+                              tmp_path / "reference")
 
 
 class _Coordinator:
@@ -195,8 +195,7 @@ class _Coordinator:
     loopback port."""
 
     def __init__(self, out, jobs=2, lease_timeout_s=10.0,
-                 profile=False, secret=None, cohort=False,
-                 **overrides):
+                 profile=False, secret=None, **overrides):
         self.out = Path(out)
         self.transport = SocketTransport(
             lease_timeout_s=lease_timeout_s, heartbeat_s=0.5,
@@ -208,7 +207,6 @@ class _Coordinator:
         def _run():
             try:
                 run_campaign(config, self.out, jobs=jobs,
-                             cohort=cohort,
                              transport=self.transport,
                              profile_dir=profile_dir)
             except BaseException as error:   # surfaced in join()
@@ -277,7 +275,7 @@ def _subprocess_env(tmp_path):
 
 class TestLoopbackCampaign:
     def test_two_workers_match_local_bytes(self, tmp_path):
-        reference = _serial_reference(tmp_path)
+        reference = _reference(tmp_path)
         out = tmp_path / "sock"
         coordinator = _Coordinator(out, jobs=2, profile=True)
         address = coordinator.address()
@@ -309,7 +307,7 @@ class TestLoopbackCampaign:
             abs=0.01)
 
     def test_worker_kill_mid_unit_reassigns_lease(self, tmp_path):
-        reference = _serial_reference(tmp_path)
+        reference = _reference(tmp_path)
         out = tmp_path / "killed"
         coordinator = _Coordinator(out, jobs=2, lease_timeout_s=3.0,
                                    profile=True)
@@ -386,7 +384,7 @@ class TestLoopbackCampaign:
 
     def test_coordinator_kill_and_resume_is_byte_identical(
             self, tmp_path):
-        reference = _serial_reference(tmp_path)
+        reference = _reference(tmp_path)
         out = tmp_path / "ckill"
         env = _subprocess_env(tmp_path)
         coordinator = subprocess.Popen(
@@ -499,15 +497,14 @@ class TestCoordinatorHardening:
 
 # -- event-driven dispatch --------------------------------------------------
 
-def _listening(tmp_path, cohort=False) -> SocketTransport:
+def _listening(tmp_path) -> SocketTransport:
     """A coordinator that accepts workers but has queued nothing: the
     tests below queue units themselves, through ``run_units``."""
     config = FleetConfig(**_CAMPAIGN)
     transport = SocketTransport(heartbeat_s=0.5)
     transport.open_campaign({
         "config_dict": asdict(config), "config_key": config.key(),
-        "out_dir": str(tmp_path), "cohort": cohort,
-        "profile_dir": None,
+        "out_dir": str(tmp_path), "profile_dir": None,
         "say": lambda _line: None})
     return transport
 
@@ -739,16 +736,20 @@ class TestParkedLeases:
 
 # -- what a worker's frames may claim ---------------------------------------
 
-#: eight devices over one worker: four two-device units, [0, 1] first
-_EIGHT = dict(devices=8)
+#: eight clones over one worker: one firmware, so ``jobs=4`` plans
+#: four two-device units, [0, 1] first
+_EIGHT = dict(devices=8, homogeneous=True)
 
 
 @pytest.fixture(scope="module")
 def eight_reference(tmp_path_factory):
-    """The serial run of the eight-device campaign: its output dir and
-    its records by device id, for peers that report real results."""
-    out = tmp_path_factory.mktemp("eight") / "reference"
-    run_campaign(FleetConfig(**{**_CAMPAIGN, **_EIGHT}), out, jobs=1)
+    """The eight-device campaign's reference output: its dir and its
+    records by device id, for peers that report real results.  Built
+    before the per-test tier fixture, so not by a campaign, which
+    would publish memos into the default trace tier."""
+    out = reference_campaign(FleetConfig(**{**_CAMPAIGN, **_EIGHT}),
+                             tmp_path_factory.mktemp("eight")
+                             / "reference")
     records = [json.loads(line) for line
                in (out / "devices-mpu.jsonl").read_text().splitlines()]
     return out, {record["device"]: record for record in records}
@@ -766,10 +767,10 @@ def _scripted_campaign(tmp_path, reference, script):
     """An eight-device socket campaign served to one raw peer that
     leases until shutdown and reports each lease through
     ``script(channel, lease, index)``; the coordinator must finish
-    within a bounded join and match the serial bytes."""
+    within a bounded join and match the reference bytes."""
     reference_out, _records = reference
     out = tmp_path / "scripted"
-    coordinator = _Coordinator(out, jobs=1, **_EIGHT)
+    coordinator = _Coordinator(out, jobs=4, **_EIGHT)
     channel, welcome = _raw_connect(coordinator.address(),
                                     worker="raw")
     assert welcome["type"] == "welcome"
@@ -858,7 +859,7 @@ class TestWorkerFrames:
 class TestSinksCountAlike:
     def test_file_and_wire_sinks_report_the_same_counters(
             self, tmp_path, monkeypatch):
-        """One cohort campaign through the local pool (FileSink) and
+        """One clone campaign through the local pool (FileSink) and
         over loopback (WireSink): the runner is shared, so checkpoint
         and lockstep counters must agree.  The trace tier is off so
         the second run cannot replay the first one's traces."""
@@ -866,10 +867,10 @@ class TestSinksCountAlike:
         tracetier.clear_tier()
         local = tmp_path / "local"
         run_campaign(FleetConfig(**_CAMPAIGN, homogeneous=True), local,
-                     jobs=1, cohort=True, profile_dir=local / "profiles")
+                     jobs=1, profile_dir=local / "profiles")
         wire = tmp_path / "wire"
         coordinator = _Coordinator(wire, jobs=1, profile=True,
-                                   cohort=True, homogeneous=True)
+                                   homogeneous=True)
         codes = {}
         worker = _worker_thread(coordinator.address(), "w0", codes)
         coordinator.join()
@@ -890,7 +891,7 @@ class TestSinksCountAlike:
 class TestSharedSecret:
     def test_secret_gates_admission_and_authed_workers_run(
             self, tmp_path):
-        reference = _serial_reference(tmp_path)
+        reference = _reference(tmp_path)
         out = tmp_path / "auth"
         secret = b"fleet-secret-7"
         coordinator = _Coordinator(out, secret=secret)
@@ -983,8 +984,7 @@ class TestWorkersAuthenticateTheCoordinator:
                     received.append(channel.recv(timeout=10)[0])
                 channel.send({
                     "type": "welcome", "campaign": config.key(),
-                    "config": asdict(config), "cohort": True,
-                    "heartbeat_s": 5.0,
+                    "config": asdict(config), "heartbeat_s": 5.0,
                     "trace_stores": [{"name": name,
                                       "sha": blob_sha(entry),
                                       "size": len(entry)}]})
@@ -1059,8 +1059,7 @@ class TestNothingExecutableCrossesTheWire:
             channel.recv(timeout=10)                    # hello
             channel.send({
                 "type": "welcome", "campaign": config.key(),
-                "config": asdict(config), "cohort": False,
-                "heartbeat_s": 5.0,
+                "config": asdict(config), "heartbeat_s": 5.0,
                 "stores": [{"name": name, "sha": blob_sha(store),
                             "size": len(store)}],
                 "trace_stores": []})
@@ -1314,18 +1313,17 @@ class TestBatchedCampaign:
 class TestSocketTraceTier:
     def test_warm_tier_ships_to_workers_and_matches_bytes(
             self, tmp_path):
-        # a cold local cohort run publishes .tbx entries in this
-        # process's (test-isolated) trace dir
+        # a cold local run publishes .tbx entries in this process's
+        # (test-isolated) trace dir
         reference = tmp_path / "reference"
-        run_campaign(FleetConfig(**_CAMPAIGN), reference, jobs=1,
-                     cohort=True)
+        run_campaign(FleetConfig(**_CAMPAIGN), reference, jobs=1)
         names = sorted(path.name for path in
                        tracetier.LAYOUT.directory().glob("*.tbx"))
         assert names
         # a subprocess worker starts with empty caches: every entry
         # must reach it over the sha-verified blob channel
         out = tmp_path / "sock-warm"
-        coordinator = _Coordinator(out, cohort=True, profile=True)
+        coordinator = _Coordinator(out, profile=True)
         address = coordinator.address()
         env = _subprocess_env(tmp_path)
         worker = subprocess.run(
@@ -1359,7 +1357,7 @@ class TestSocketTraceTier:
             path = directory / name
             path.write_bytes(entry)
             os.utime(path, ns=(index * 10**9, index * 10**9))
-        transport = _listening(tmp_path, cohort=True)
+        transport = _listening(tmp_path)
         try:
             channel, welcome = _raw_connect(
                 "%s:%d" % transport.address, worker="probe")
@@ -1385,7 +1383,7 @@ class TestFleetStatus:
 
     def test_live_then_file_mode(self, tmp_path):
         out = tmp_path / "status"
-        coordinator = _Coordinator(out, cohort=True)
+        coordinator = _Coordinator(out)
         address = coordinator.address()
         # live: no worker yet, the port answers a status observer
         live = self._cli_status(address, tmp_path)

@@ -2,6 +2,7 @@
 shrinker, corpus I/O, campaign driver and CLI."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -30,6 +31,37 @@ class TestGenerator:
     def test_every_program_assembles(self):
         for seed in range(30):
             build_image(generate_program(seed))
+
+    def test_emits_r0_sources_and_branching_loops(self):
+        # the shapes that once hid superblock emitter faults: an R0
+        # read (a copy, a push, a store), and a loop that leaves its
+        # block before a forward branch over one step
+        programs = [[line.strip() for line in
+                     generate_program(seed).body_text().splitlines()]
+                    for seed in range(100)]
+        every = [line for lines in programs for line in lines]
+        assert any(line.startswith("MOV R0, R") for line in every)
+        assert "PUSH R0" in every
+        assert any(re.fullmatch(r"MOV(\.B)? R0, \d+\(R\d+\)", line)
+                   for line in every)
+        shapes = set()
+        for lines in programs:
+            for n in [line[1:-1] for line in lines
+                      if re.fullmatch(r"X\d+:", line)]:
+                exit_jump = next(i for i, line in enumerate(lines)
+                                 if line.endswith(f" X{n}"))
+                arm_jump = next(i for i, line in enumerate(lines)
+                                if line.endswith(f" S{n}"))
+                # the exit, then a forward branch over exactly one
+                # step, then the counted back-edge
+                assert exit_jump < arm_jump
+                assert lines[arm_jump + 2:arm_jump + 5] == [
+                    f"S{n}:", "DEC R15", f"JNE L{n}"]
+                target = lines.index(f"X{n}:")
+                assert target in (exit_jump + 1, arm_jump + 5)
+                shapes.add(target == exit_jump + 1)
+        # exits to the next instruction and exits past the loop
+        assert shapes == {True, False}
 
     def test_programs_end_with_halt_before_subroutines(self):
         program = generate_program(7)
@@ -149,11 +181,14 @@ class TestCampaign:
 
         real = engine.run_differential
         planted = {"seed": 4}
+        # the generator never names R3, so only the planted item can
+        # carry the marker
+        marker = "    DADD R3, R3"
 
         def fake(program, **kwargs):
             result = real(program, **kwargs)
             if (program.seed == planted["seed"]
-                    and any("DADD" in line for item in program.items
+                    and any(line == marker for item in program.items
                             for line in item.lines)):
                 return dataclasses.replace(result, ok=False)
             return result
@@ -165,8 +200,7 @@ class TestCampaign:
         def generate(seed):
             program = real_generate(seed)
             if seed == planted["seed"]:
-                program.items.insert(1,
-                                     Item("insn", ["    DADD R4, R5"]))
+                program.items.insert(1, Item("insn", [marker]))
             return program
 
         monkeypatch.setattr(engine, "generate_program", generate)

@@ -307,8 +307,7 @@ _CAMPAIGN = dict(devices=6, hours=0.003, models=("mpu",), seed=7,
 def _campaign(tmp_path, name, **overrides):
     out = tmp_path / name
     summary = run_campaign(FleetConfig(**{**_CAMPAIGN, **overrides}),
-                           out, jobs=1, cohort=True,
-                           profile_dir=out / "profiles")
+                           out, jobs=1, profile_dir=out / "profiles")
     return out, summary
 
 
@@ -375,11 +374,9 @@ class TestCampaignByteIdentity:
         out = tmp_path / "crashed"
         monkeypatch.setenv("REPRO_FAULT", "ckpt.after_replace:2")
         with pytest.raises(ReproError, match="re-run the same"):
-            run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=2,
-                         cohort=True)
+            run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=2)
         monkeypatch.delenv("REPRO_FAULT")
         tracetier.clear_tier()
-        run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=2,
-                     cohort=True)
+        run_campaign(FleetConfig(**_CAMPAIGN), out, jobs=2)
         assert (out / "summary.json").read_bytes() == \
             (reference / "summary.json").read_bytes()
