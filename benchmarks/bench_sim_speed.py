@@ -1,12 +1,18 @@
 """Simulated-instructions-per-second microbenchmark.
 
-Tracks the simulator's raw speed across PRs.  Two workloads:
+Tracks the simulator's raw speed across PRs.  Four workloads:
 
 * ``raw_loop`` — a register-only countdown loop on a bare
   :class:`~repro.msp430.cpu.Cpu`, driven through :meth:`Cpu.run` (the
   production entry every experiment uses, so the superblock engine is
   what's measured; decode cache hot, no MPU): the ceiling of the
   execution engine itself.
+* ``alu_chain`` — the same kind of loop with five register-only flag
+  writers back to back before its ``SUB; JNE``: generated code emits
+  only the flag updates something reads.
+* ``word_memory`` — a loop of word loads and stores on SRAM (indirect,
+  indexed, absolute and stack operands): generated code's inline
+  memory accesses.
 * ``mpu_quicksort`` — repeated dispatches of the Quicksort benchmark
   app built under the MPU model on a full :class:`AmuletMachine`:
   the paper-experiment hot path (MPU enabled, checks inserted,
@@ -30,22 +36,61 @@ from pathlib import Path
 
 from repro.msp430.cpu import Cpu, ExecutionLimitExceeded
 from repro.msp430.encoding import encode_bytes
-from repro.msp430.isa import Instruction, Opcode, imm, reg
+from repro.msp430.isa import (
+    Instruction,
+    Opcode,
+    absolute,
+    autoincrement,
+    imm,
+    indexed,
+    indirect,
+    reg,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_sim.json"
 
 CODE = 0x4400
 
+def _words(insns: list) -> int:
+    return sum(len(encode_bytes(insn, 0)) for insn in insns) // 2
 
-def _load_raw_loop(cpu: Cpu) -> None:
-    """MOV #N, R5 ; loop: DEC R5 ; JNE loop ; JMP start."""
-    program = [
-        Instruction(Opcode.MOV, src=imm(0x7FFF), dst=reg(5)),
-        Instruction(Opcode.SUB, src=imm(1), dst=reg(5)),
-        Instruction(Opcode.JNE, offset=-2),
-        Instruction(Opcode.JMP, offset=-5),
-    ]
+
+def _program(setup: list, body: list) -> list:
+    """``setup; MOV #N, R5; loop: body; DEC R5; JNE loop; JMP start``
+    (``MOV #N`` takes two words, ``DEC`` and each jump one)."""
+    return (setup + [Instruction(Opcode.MOV, src=imm(0x7FFF), dst=reg(5))]
+            + body + [
+                Instruction(Opcode.SUB, src=imm(1), dst=reg(5)),
+                Instruction(Opcode.JNE, offset=-_words(body) - 2),
+                Instruction(Opcode.JMP,
+                            offset=-_words(setup) - _words(body) - 5)])
+
+
+#: DEC R5; JNE: the register-only loop every block engine runs in place
+RAW_LOOP = _program([], [])
+#: five flag writers back to back before the loop's DEC, whose update
+#: is the only one its JNE reads
+ALU_CHAIN = _program([], [
+    Instruction(Opcode.ADD, src=reg(6), dst=reg(7)),
+    Instruction(Opcode.XOR, src=reg(7), dst=reg(8)),
+    Instruction(Opcode.SUB, src=reg(8), dst=reg(9)),
+    Instruction(Opcode.AND, src=reg(9), dst=reg(10)),
+    Instruction(Opcode.ADD, src=imm(3), dst=reg(11)),
+])
+#: word loads and stores on SRAM through every operand kind
+WORD_MEMORY = _program(
+    [Instruction(Opcode.MOV, src=imm(0x2000), dst=reg(4))], [
+        Instruction(Opcode.MOV, src=indirect(4), dst=reg(6)),
+        Instruction(Opcode.MOV, src=reg(6), dst=indexed(2, 4)),
+        Instruction(Opcode.MOV, src=indexed(4, 4), dst=reg(7)),
+        Instruction(Opcode.MOV, src=reg(7), dst=absolute(0x2010)),
+        Instruction(Opcode.PUSH, src=reg(7)),
+        Instruction(Opcode.MOV, src=autoincrement(1), dst=reg(8)),
+    ])
+
+
+def _load(cpu: Cpu, program: list) -> None:
     address = CODE
     for insn in program:
         blob = encode_bytes(insn, address)
@@ -55,12 +100,11 @@ def _load_raw_loop(cpu: Cpu) -> None:
     cpu.regs.sp = 0x2400
 
 
-def bench_raw_loop(seconds: float = 1.0,
-                   step_only: bool = False) -> float:
-    """Instructions/second of a hot register-only loop via ``run()``."""
+def _bench_loop(program: list, seconds: float, step_only: bool) -> float:
+    """Instructions/second of a never-halting loop via ``run()``."""
     cpu = Cpu()
     cpu.block_mode = not step_only
-    _load_raw_loop(cpu)
+    _load(cpu, program)
     # warm the decode cache
     for _ in range(64):
         cpu.step()
@@ -76,6 +120,24 @@ def bench_raw_loop(seconds: float = 1.0,
             pass
     elapsed = time.perf_counter() - start
     return (cpu.instructions - start_insns) / elapsed
+
+
+def bench_raw_loop(seconds: float = 1.0,
+                   step_only: bool = False) -> float:
+    """Instructions/second of a hot register-only loop via ``run()``."""
+    return _bench_loop(RAW_LOOP, seconds, step_only)
+
+
+def bench_alu_chain(seconds: float = 1.0,
+                    step_only: bool = False) -> float:
+    """Instructions/second of a loop of back-to-back flag writers."""
+    return _bench_loop(ALU_CHAIN, seconds, step_only)
+
+
+def bench_word_memory(seconds: float = 1.0,
+                      step_only: bool = False) -> float:
+    """Instructions/second of a loop of SRAM word loads and stores."""
+    return _bench_loop(WORD_MEMORY, seconds, step_only)
 
 
 def bench_mpu_quicksort(seconds: float = 1.0,
@@ -111,12 +173,12 @@ def run_benchmarks(seconds: float = 1.0, repeats: int = 3,
     # steal on shared hosts) only ever *lowers* a rate, so the max
     # over repeats is the least-noisy estimate of the true speed.
     return {
-        "raw_loop_insns_per_sec": round(max(
-            bench_raw_loop(seconds, step_only)
-            for _ in range(repeats))),
-        "mpu_quicksort_insns_per_sec": round(max(
-            bench_mpu_quicksort(seconds, step_only)
-            for _ in range(repeats))),
+        f"{name}_insns_per_sec": round(max(
+            bench(seconds, step_only) for _ in range(repeats)))
+        for name, bench in (("raw_loop", bench_raw_loop),
+                            ("alu_chain", bench_alu_chain),
+                            ("word_memory", bench_word_memory),
+                            ("mpu_quicksort", bench_mpu_quicksort))
     }
 
 
@@ -143,8 +205,8 @@ def record(label: str, seconds: float = 1.0, repeats: int = 3,
 
 # -- pytest smoke (fast; asserts the simulator actually executes) ------
 def test_sim_speed_smoke():
-    rate = bench_raw_loop(seconds=0.2)
-    assert rate > 0
+    for bench in (bench_raw_loop, bench_alu_chain, bench_word_memory):
+        assert bench(seconds=0.2) > 0
 
 
 def main() -> int:

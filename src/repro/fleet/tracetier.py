@@ -64,8 +64,8 @@ TRACE_FORMAT = 4
 _MAX_RECORD = 1 << 26
 
 _FORMAT = FrameFormat(b"TBX1", _MAX_RECORD, ".tbx")
-#: the budget bounds the file count every write's prune scans and
-#: every welcome offers: 2 MB of few-KB memos is about 650 entries
+#: the budget bounds the file count a prune scans and every welcome
+#: offers: 2 MB of few-KB memos is about 650 entries
 LAYOUT = StoreLayout(_FORMAT, "TRACE_CACHE", "trace", default_mb=2,
                      version=TRACE_FORMAT)
 

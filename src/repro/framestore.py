@@ -48,7 +48,7 @@ import struct
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.safeload import safe_loads
@@ -169,7 +169,7 @@ class StoreLayout:
     ``REPRO_<FAMILY>=0`` off switch."""
 
     __slots__ = ("fmt", "family", "subdir", "default_mb", "version",
-                 "switch", "_name_re")
+                 "switch", "_name_re", "_sizes")
 
     def __init__(self, fmt: FrameFormat, family: str, subdir: str,
                  default_mb: int, version: int, switch: bool = True):
@@ -181,6 +181,10 @@ class StoreLayout:
         self.switch = switch
         self._name_re = re.compile(
             r"^[0-9a-f]{16}" + re.escape(fmt.suffix) + r"$")
+        #: (pid, directory) -> an upper bound on the directory's store
+        #: bytes: its last scan's total plus what this process wrote
+        #: there since (see :meth:`_wrote`)
+        self._sizes: Dict[Tuple[int, Path], int] = {}
 
     def enabled(self) -> bool:
         if os.environ.get("REPRO_NO_CACHE", "") in ("1", "true"):
@@ -262,7 +266,27 @@ class StoreLayout:
                 continue               # raced with another process
             total -= size
             removed += 1
+        self._sizes[os.getpid(), directory] = total
         return removed
+
+    def _wrote(self, path: Path, size: int) -> None:
+        """Account ``size`` bytes just written to ``path`` (an entry
+        installed, a record appended) and prune its directory, keeping
+        ``path``, only when the budget could be exceeded: on this
+        process's first write there, or when the last scan's total
+        plus the bytes this process has written since passes the
+        budget.  Files other processes add are seen at the next
+        scan, so a directory shared by several writers can overshoot
+        its budget by what the others wrote in between."""
+        limit = self.max_bytes()
+        if limit <= 0:
+            return
+        key = (os.getpid(), path.parent)
+        total = self._sizes.get(key)
+        if total is not None and total + size <= limit:
+            self._sizes[key] = total + size
+            return
+        self.prune(path.parent, limit, keep=path)
 
     # -- entry export/import (the fleet blob channel) -------------------
 
@@ -356,7 +380,7 @@ class StoreLayout:
 
     def _install(self, path: Path, data: bytes) -> bool:
         """Atomically (temp file, then rename) write ``data`` at
-        ``path`` and prune the directory around it."""
+        ``path`` and keep the directory in budget (:meth:`_wrote`)."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(
@@ -365,7 +389,7 @@ class StoreLayout:
             os.replace(tmp, path)
         except OSError:
             return False               # unwritable cache dir
-        self.prune(path.parent, keep=path)
+        self._wrote(path, len(data))
         return True
 
 
@@ -448,9 +472,10 @@ class AppendStore:
                                protocol=pickle.HIGHEST_PROTOCOL)
         if len(payload) > self.layout.fmt.max_record:
             return False
+        frame = self.layout.fmt.frame(payload)
         try:
             with self.path.open("ab") as fh:
-                fh.write(self.layout.fmt.frame(payload))
+                fh.write(frame)
         except OSError:
             return False
         faults.hit("store.after_append")
@@ -458,5 +483,5 @@ class AppendStore:
         # the family's content index — offset tracking stays simple
         # and conservative)
         self.published += 1
-        self.layout.prune(self.path.parent, keep=self.path)
+        self.layout._wrote(self.path, len(frame))
         return True

@@ -12,6 +12,11 @@ the simulator's fast paths:
 * R0 as a source (``MOV R0, Rn``, ``PUSH R0``, R0 stored through any
   store operand), whose value is the address of the next instruction
   word wherever the read lands: a diamond arm, a block's last step,
+* reads of SR between two register-only flag writers (``MOV SR, Rn``,
+  ``PUSH SR``, SR stored through any store operand or used as an ALU
+  source, BIS/BIC of the C, Z, N and V bits on SR), each of which must
+  keep the first writer's flag update that generated code may
+  otherwise leave out,
 * loads/stores through absolute, indexed, indirect and autoincrement
   operands, **biased toward region and MPU-segment boundaries**
   (FRAM start, B1, B2, SRAM/InfoMem edges, the unmapped holes, the
@@ -61,6 +66,11 @@ LOOP_REG = 15
 
 _ALU_OPS = ("MOV", "ADD", "ADDC", "SUB", "SUBC", "CMP", "BIT",
             "AND", "XOR", "BIS", "BIC", "DADD")
+#: the ALU operations that write C, Z, N and V
+_FLAG_OPS = ("ADD", "ADDC", "SUB", "SUBC", "CMP", "BIT", "AND", "XOR")
+#: SR's C, Z, N and V bits: the only ones a program sets or clears
+#: (GIE, CPUOFF, OSCOFF and SCG stay untouched)
+_SR_FLAGS = (0x001, 0x002, 0x004, 0x100)
 _FMT2_OPS = ("RRA", "RRC", "SWPB", "SXT")
 _JCC = ("JNE", "JEQ", "JNC", "JC", "JN", "JGE", "JL", "JMP")
 _JCOND = _JCC[:-1]
@@ -238,6 +248,29 @@ class _Generator:
             return [f"    MOV R0, {self._reg()}"]
         return ["    PUSH R0"] if roll < 0.6 else self._store("R0")
 
+    def _sr_read(self) -> List[str]:
+        """An instruction that reads SR between two register-only flag
+        writers: a copy, a push, a store, an ALU source, or a BIS/BIC
+        of flag bits."""
+        rnd = self.rnd
+        roll = rnd.random()
+        if roll < 0.2:
+            read = [f"    MOV{self._suffix()} SR, {self._reg()}"]
+        elif roll < 0.35:
+            read = ["    PUSH SR"]
+        elif roll < 0.5:
+            read = self._store("SR")
+        elif roll < 0.75:
+            read = [f"    {rnd.choice(_ALU_OPS)}{self._suffix()} SR, "
+                    f"{self._reg()}"]
+        else:
+            bits = sum(bit for bit in _SR_FLAGS if rnd.random() < 0.5)
+            read = [f"    {rnd.choice(('BIS', 'BIC'))} "
+                    f"#0x{bits or rnd.choice(_SR_FLAGS):03X}, SR"]
+        writers = [f"    {rnd.choice(_FLAG_OPS)}{self._suffix()} "
+                   f"{self._reg()}, {self._reg()}" for _ in range(2)]
+        return [writers[0], *read, writers[1]]
+
     def _loop(self) -> List[str]:
         """Counted loop on the reserved register: the superblock
         engine compiles the body into a loop block.  Half the loops
@@ -367,7 +400,7 @@ class _Generator:
             (self._alu_reg, 30), (self._fmt2_reg, 6), (self._load, 14),
             (self._store, 14), (self._push_pop, 8), (self._loop, 8),
             (self._mpu_write, 8), (self._selfmod, 3), (self._call, 5),
-            (self._pc_read, 4),
+            (self._pc_read, 4), (self._sr_read, 4),
         )
         population = [fn for fn, weight in emitters for _ in range(weight)]
 

@@ -65,6 +65,7 @@ import enum
 import marshal
 import re
 import string
+import sys
 import types
 from typing import Callable, Dict, Optional, Tuple
 
@@ -135,9 +136,9 @@ class _Block:
     """One compiled superblock: a trace of decoded instructions fused
     into a single ``compile()``-generated function ``fn``.
 
-    ``steps`` holds ``(pc, next_pc, thunk, cycles, kind, jump, lines)``
+    ``steps`` holds ``(pc, next_pc, thunk, cycles, kind, jump, form)``
     per instruction: ``kind`` is ``_REG``/``_EXACT``/``_STORE`` and
-    ``lines`` the instruction's instantiated template.
+    ``form`` the instruction's ``(template, constants)``.
     ``jump`` is ``None`` for straight-line steps and for a final jump
     (its template sets the PC); mid-trace conditional jumps carry either
     ``("exit", cond, target)`` — compiled to an inline early return —
@@ -234,6 +235,14 @@ class _Block:
 #: into the inline permission probe (thunks keep calling the bus)
 _BUS_CALL = re.compile(r"m\.(read|write)_(word|byte)\(")
 
+#: an indexed address's 16-bit wrap, which word alignment subsumes
+_WRAPPED = re.compile(r"(\(r\[\d+\] \+ \d+\)) & 0xFFFF")
+
+#: the host stores a 16-bit word as the MSP430 does (little-endian),
+#: so generated code accesses a word through ``Memory._words``;
+#: elsewhere it pairs two bytes
+_WORD_VIEW = sys.byteorder == "little"
+
 
 def _call_args(line: str, start: int) -> Tuple[list, int]:
     """The top-level arguments of the call whose ``(`` ends at
@@ -260,23 +269,31 @@ def _probe(line: str, at: str, cost: int) -> list:
     """A template line with its bus call expanded into the inline probe.
 
     An access at or above the bus's highest I/O port that the
-    permission bitmap ``_p`` allows touches the bytearray ``_b``
-    directly; a store must also land on a page the code mask ``_k``
-    says holds no cached code.  Anything else calls the bus through
-    the CPU's slow-path helper with ``at`` (the instruction's deferred
-    PC, and the cycles and instructions the block retired before it).
-    A load stays an expression; a store (always a whole line) becomes
-    ``if <probe>: <write>`` plus the ``elif <slow call>:`` header whose
-    body the caller fills with the block's early end."""
+    permission bitmap ``_p`` allows touches memory directly: a byte
+    through the bytearray ``_b``, a word through its 16-bit view
+    ``_w`` (or as two bytes of ``_b`` on a big-endian host); a store
+    must also land on a page the code mask ``_k`` says holds no
+    cached code.  A stored value is already in range (the templates
+    mask it, and a register holds 16 bits).  Anything else calls the
+    bus through the CPU's slow-path helper with ``at`` (the
+    instruction's deferred PC, and the cycles and instructions the
+    block retired before it).  A load stays an expression; a store
+    (always a whole line) becomes ``if <probe>: <write>`` plus the
+    ``elif <slow call>:`` header whose body the caller fills with the
+    block's early end."""
     call = _BUS_CALL.search(line)
     if call is None:
         return [line]
     op, width = call.groups()
     args, end = _call_args(line, call.end())
     byte = width == "byte"
-    address = args[0] if byte else f"({args[0]}) & 0xFFFE"
+    address = args[0]
+    if not byte:
+        wrapped = _WRAPPED.fullmatch(address)
+        address = (wrapped[1] if wrapped else f"({address})") + " & 0xFFFE"
     if op == "read":
-        fast = "_b[_a]" if byte else "_b[_a] | _b[_a + 1] << 8"
+        fast = ("_b[_a]" if byte else "_w[_a >> 1]" if _WORD_VIEW
+                else "_b[_a] | _b[_a + 1] << 8")
         out = (f"{line[:call.start()]}({fast} if (_a := {address}) >= _t"
                f" and _p[_a] & 1 else c._rd(_a, {byte:d}, {at})){line[end:]}")
         if _BUS_CALL.search(out) is not None:
@@ -285,16 +302,66 @@ def _probe(line: str, at: str, cost: int) -> list:
     if call.start() or line[end:].strip():
         raise ValueError(f"a store must be a whole line: {line!r}")
     value = args[1]
-    fast = f"_b[_a] = ({value}) & 0xFF"
-    if not byte:
-        fast += f"; _b[_a + 1] = ({value}) >> 8 & 0xFF"
+    if byte:
+        fast = f"_b[_a] = {value}"
+    elif _WORD_VIEW:
+        fast = f"_w[_a >> 1] = {value}"
+    else:
+        fast = (f"_b[_a] = ({value}) & 0xFF; "
+                f"_b[_a + 1] = ({value}) >> 8 & 0xFF")
     return [f"if (_a := {address}) >= _t and _p[_a] & 2"
             f" and not _k[_a >> 6]: {fast}",
             f"elif c._wr(_a, {value}, {byte:d}, {at}, {cost}):"]
 
 
+def _live_flags(steps: tuple) -> list:
+    """Per step, whether generated code keeps its SR update.
+
+    A register-only step's update is left out when a later
+    register-only step overwrites C, Z, N and V before anything can
+    observe SR.  Scanning backwards, each of these keeps the updates
+    before it:
+
+    * a step that reads SR: a carry-in (ADDC, SUBC, RRC), a jump's
+      condition, SR as a source register (``MOV SR, Rn``, ``PUSH SR``,
+      ``ADD SR, Rn``), BIS or BIC on SR;
+    * a step that touches memory or the PC (every jump does): its
+      slow path can reach an I/O handler or fault, both with SR
+      visible;
+    * a diamond arm's edges (the arm may be skipped), an inline exit
+      (a jump) and the block's end.
+    """
+    live = [True] * len(steps)
+    arm_ends = {i + s[5][2] for i, s in enumerate(steps)
+                if s[5] is not None and s[5][0] == "skip"}
+    dead = False          # a later step overwrites the flags unread
+    for i in range(len(steps) - 1, -1, -1):
+        _, _, _, _, kind, _, (template, consts) = steps[i]
+        if i in arm_ends:
+            dead = False
+        if kind != _REG:
+            dead = False
+            continue
+        if template.flags:
+            live[i] = not dead
+        if (template.carry or consts.get("s") == 2
+                or consts.get("d") == 2):
+            dead = False
+        elif template.flags:
+            dead = True
+    return live
+
+
 def _codegen(blk: _Block):
-    """Fuse a block's steps into one compiled Python function.
+    """The block's generated function (see :func:`_block_source`)."""
+    ns: dict = {}
+    exec(compile(_block_source(blk), f"<superblock@0x{blk.start:04X}>",
+                 "exec"), ns)
+    return ns["_fn"]
+
+
+def _block_source(blk: _Block) -> str:
+    """Fuse a block's steps into the source of one Python function.
 
     The generated code pastes every step's table template with the
     instruction's constants as literals, so executing a block costs
@@ -308,18 +375,24 @@ def _codegen(blk: _Block):
     * a step that reads the PC (an R0 source) gets its deferred PC
       first, and the last step gets the block's end PC;
     * every bus call is expanded by :func:`_probe`: a permitted RAM
-      access reads or writes the bytearray inline, and everything
+      access reads or writes memory inline, and everything
       else goes through :meth:`Cpu._rd`/:meth:`Cpu._wr`, which write
       the exact PC and counters before the bus call, so I/O handlers
       and faults observe the state ``step()`` shows.  A slow store
       that halts, invalidates code, stales the permission bitmap or
       installs an observer ends the block after that instruction
-      (the block returns 1).
+      (the block returns 1);
+    * SR: a register-only step leaves out its SR update when a later
+      step overwrites C, Z, N and V before anything can observe SR
+      (:func:`_live_flags`), so SR is exact at every slow-path call,
+      fault, exit and block end.
 
-    The bitmap, bytearray and code mask are loaded once at entry and
-    stay valid for the whole block: ``run`` refreshes the bitmap
-    before every dispatch, only a slow store can stale it (and that
-    ends the block), and the inline path cannot fault, halt, reach
+    Steps paste their template's superblock lines
+    (``_Template.code``, without the word register reads' no-op
+    masks).  The bitmap, memory views and code mask are loaded once
+    at entry and stay valid for the whole block: ``run`` refreshes the
+    bitmap before every dispatch, only a slow store can stale it (and
+    that ends the block), and the inline path cannot fault, halt, reach
     an I/O handler, invalidate code or touch the MPU.
 
     Conditional jumps inside the trace are emitted as their bare flag
@@ -359,7 +432,10 @@ def _codegen(blk: _Block):
     done = 0                     # full-path cycles of the steps so far
     pc_set = False               # the end PC is written
     last = len(steps) - 1
-    for i, (_, next_pc, _, cyc_i, _, info, inline) in enumerate(steps):
+    live = _live_flags(steps)
+    for i, (_, next_pc, _, cyc_i, _, info, (template, consts)) \
+            in enumerate(steps):
+        inline = template.source(consts, live[i])
         if i == last and not arm:
             # the end PC, unless the step sets the PC before reading
             # it (JMP, BR, RET)
@@ -427,16 +503,16 @@ def _codegen(blk: _Block):
         head.append("    _skn = 0")
     if "_a :=" in text:
         head.append("    _p = m._perm")
-        head.append("    _b = m._bytes")
         head.append("    _t = m._io_top")
+    if "_b[" in text:
+        head.append("    _b = m._bytes")
+    if "_w[" in text:
+        head.append("    _w = m._words")
     if "_k[" in text:
         head.append("    _k = c._code_pages")
     if loop:
         head.append("    while True:")
-    src = "\n".join(head) + "\n" + text + "\n"
-    ns: dict = {}
-    exec(compile(src, f"<superblock@0x{blk.start:04X}>", "exec"), ns)
-    return ns["_fn"]
+    return "\n".join(head) + "\n" + text + "\n"
 
 
 def _interp_block(c, blk: _Block, r, m) -> None:
@@ -486,7 +562,7 @@ def _interp_block(c, blk: _Block, r, m) -> None:
 # lines re-instantiate deterministically from the code bytes, and the
 # codegen'd function is a closure-free code object that needs no
 # globals.  So a disk record carries only the code bytes, the per-step
-# metadata (everything in a step tuple except the thunk and the lines),
+# metadata (everything in a step tuple except the thunk and the form),
 # and the marshaled generated code — revival re-decodes each step from
 # the recorded bytes.  Revival is fail-closed: any inconsistency
 # (decode error, cycle-count mismatch, a shape the table lacks,
@@ -534,9 +610,9 @@ def _block_from_record(record: dict) -> Optional[_Block]:
             insn, size = decode(fetch, pc)
             if cyc.instruction_cycles(insn) != cyc_i:
                 return None
-            template, consts = _form(insn, pc)
-            steps.append((pc, next_pc, template.thunk(consts), cyc_i,
-                          kind, info, template.source(consts)))
+            form = _form(insn, pc)
+            steps.append((pc, next_pc, form[0].thunk(form[1]), cyc_i,
+                          kind, info, form))
         if steps[-1][1] != record["end_pc"]:
             return None
         fn = types.FunctionType(marshal.loads(record["fn"]), {}, "_fn")
@@ -1302,8 +1378,8 @@ class Cpu:
                 break
             src, dst = insn.src, insn.dst
             next_pc = (cursor + size) & 0xFFFF
-            template, consts = _form(insn, cursor)
-            lines = template.source(consts)
+            form = _form(insn, cursor)
+            template = form[0]
             if _hits_io(src, io_ports) or _hits_io(dst, io_ports):
                 # Gate/MPU/timer port operand: absorb it as the
                 # block's *final* instruction.  Marking it a store
@@ -1314,7 +1390,7 @@ class Cpu:
                 # ``step()`` would give.  (Syscall gates and timer
                 # polls dominate the step fallback otherwise.)
                 steps.append((cursor, next_pc, thunk, insn_cycles,
-                              _STORE, None, lines))
+                              _STORE, None, form))
                 end = cursor + size
                 break
             opcode = insn.opcode
@@ -1331,7 +1407,7 @@ class Cpu:
                                         and src.register == 0))
                     else _REG)
             if is_jump:
-                target = consts["t"]
+                target = form[1]["t"]
                 if opcode is not Opcode.JMP and diamond is None:
                     if pure and target == pc:
                         # back-edge to the block's own start: close as
@@ -1339,7 +1415,7 @@ class Cpu:
                         # iterates until the jump falls through or the
                         # budget share is spent)
                         steps.append((cursor, next_pc, thunk,
-                                      insn_cycles, kind, None, lines))
+                                      insn_cycles, kind, None, form))
                         end = cursor + size
                         loop = True
                         break
@@ -1353,7 +1429,7 @@ class Cpu:
                         steps.append((cursor, next_pc, thunk,
                                       insn_cycles, kind,
                                       ("open", _JUMP_CONDS[opcode]),
-                                      lines))
+                                      form))
                         end = cursor + size
                         cursor = next_pc
                         continue
@@ -1365,20 +1441,20 @@ class Cpu:
                     steps.append((cursor, next_pc, thunk, insn_cycles,
                                   kind,
                                   ("exit", _JUMP_CONDS[opcode],
-                                   target), lines))
+                                   target), form))
                     end = cursor + size
                     cursor = next_pc
                     continue
                 # unconditional JMP closes the block inclusively
                 steps.append((cursor, next_pc, thunk, insn_cycles,
-                              kind, None, lines))
+                              kind, None, form))
                 end = cursor + size
                 loop = pure and target == pc
                 break
             if kind != _REG:
                 pure = False
             steps.append((cursor, next_pc, thunk, insn_cycles, kind,
-                          None, lines))
+                          None, form))
             end = cursor + size
             cursor = next_pc
             # CALL, BR and RET redirect control flow: keep them as the
@@ -1675,7 +1751,9 @@ class Cpu:
 # memory, ...) has no thunk: ``step()`` runs its handler and
 # superblocks end before it.  Temporaries use the ``_i*`` prefix so
 # they never collide with the block executors' own locals.  A flag
-# update starts from ``r[2] & 0xFEF8``: SR with C, Z, N and V clear.
+# update starts from ``r[2] & 0xFEF8``: SR with C, Z, N and V clear,
+# collects the flags in ``_isr`` and ends with ``r[2] = _isr`` (how
+# ``_Template`` tells a flag writer).
 
 _JUMP_OPCODES = frozenset((
     Opcode.JMP, Opcode.JNE, Opcode.JEQ, Opcode.JNC,
@@ -1698,25 +1776,70 @@ _JUMP_CONDS = {
 _FIELDS = string.Formatter()
 
 
+#: a register read under the width mask: ``(r[{s}] & {mask})``, or
+#: unparenthesized as a whole right-hand side or call argument
+_REG_MASK = re.compile(r"\((r\[\{[sd]\}\]) & \{mask\}\)"
+                       r"|(?<=[=,] )(r\[\{[sd]\}\]) & \{mask\}(?=\)|$)")
+
+#: a template temporary's assignment (no bus call, no chained target)
+_TEMP = re.compile(r"(_i[a-z]+) = (?!.*\bm\.)[^=]*$")
+
+
+def _flag_free(lines: list) -> list:
+    """``lines`` without the SR update and the temporaries only it
+    read (a CMP or BIT keeps nothing)."""
+    out = [line for line in lines if "_isr" not in line]
+    while True:
+        text = "\n".join(out)
+        dead = [line for line in out
+                if (temp := _TEMP.match(line)) is not None
+                and len(re.findall(rf"\b{temp[1]}\b", text)) == 1]
+        if not dead:
+            return out
+        out = [line for line in out if line not in dead]
+
+
 class _Template:
     """One width of one table entry: source lines with ``{holes}``,
-    and the flags superblock compilation reads instead of the text —
-    ``mem`` ("" none, "r" reads memory, "w" writes memory) and ``pc``
-    (writes PC)."""
+    and the facts superblock compilation reads instead of the text,
+    derived once when the table is built:
 
-    __slots__ = ("lines", "holes", "mem", "pc", "_fn")
+    * ``mem`` ("" none, "r" reads memory, "w" writes memory) and
+      ``pc`` (writes PC);
+    * ``flags``: the template's SR update writes C, Z, N and V;
+    * ``carry``: the template reads SR's flags (the carry-in of ADDC,
+      SUBC and RRC, a jump's condition);
+    * ``code``: the lines superblock code pastes, where a word
+      template's register reads drop the width mask (a register holds
+      16 bits);
+    * ``free``: ``code`` without the SR update, for a step whose
+      flags a later step overwrites unread (see :func:`_live_flags`).
+    """
 
-    def __init__(self, text: str, mem: str, pc: bool):
+    __slots__ = ("lines", "holes", "mem", "pc", "flags", "carry",
+                 "code", "free", "_fn")
+
+    def __init__(self, text: str, mem: str, pc: bool, word: bool):
         self.lines = text.split("\n")
         self.holes = tuple(dict.fromkeys(
             field for _, field, _, _ in _FIELDS.parse(text) if field))
         self.mem = mem
         self.pc = pc
+        self.flags = "r[2] = _isr" in self.lines
+        self.carry = any(
+            "r[2]" in line for line in self.lines
+            if not line.startswith(("_isr = r[2] & 0xFEF8",
+                                    "r[2] = _isr")))
+        self.code = [_REG_MASK.sub(lambda m: m[1] or m[2], line)
+                     for line in self.lines] if word else self.lines
+        self.free = _flag_free(self.code) if self.flags else self.code
         self._fn = None
 
-    def source(self, consts: dict) -> list:
-        """The lines with the instruction's constants as literals."""
-        return [line.format_map(consts) for line in self.lines]
+    def source(self, consts: dict, flags: bool) -> list:
+        """The superblock lines with the instruction's constants as
+        literals; without the SR update unless ``flags``."""
+        return [line.format_map(consts)
+                for line in (self.code if flags else self.free)]
 
     def thunk(self, consts: dict):
         """``thunk(r, m)`` with the constants bound as defaults; the
@@ -1753,8 +1876,8 @@ def _def(opcode, src, dst, text, byte=False, mem="", pc=False):
     if byte is True:
         byte = text.replace("{w}", "byte")
     _TABLE[(opcode, src, dst)] = (
-        _Template(text.replace("{w}", "word"), mem, pc),
-        _Template(byte, mem, pc) if byte else None)
+        _Template(text.replace("{w}", "word"), mem, pc, True),
+        _Template(byte, mem, pc, False) if byte else None)
 
 
 _O = Opcode

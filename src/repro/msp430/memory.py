@@ -206,6 +206,12 @@ class Memory:
     def __init__(self, memory_map: Optional[MemoryMap] = None):
         self.map = memory_map if memory_map is not None else MemoryMap()
         self._bytes = bytearray(0x10000)
+        #: the same storage as native 16-bit words, for generated
+        #: code's word accesses (the CPU uses it on little-endian
+        #: hosts, where word ``a >> 1`` is bytes ``a`` and ``a + 1``).
+        #: ``_bytes`` is never rebound or resized, so the view stays
+        #: valid: every bulk write below keeps the slice's length
+        self._words = memoryview(self._bytes).cast("H")
         self.mpu = None  # set by Cpu / kernel; avoids circular import
         self._io_read: Dict[int, ReadHandler] = {}
         self._io_write: Dict[int, WriteHandler] = {}
@@ -490,6 +496,9 @@ class Memory:
         self._bulk_invalidate()
 
     def fill(self, address: int, length: int, value: int = 0) -> None:
+        if address + length > 0x10000:
+            raise MemoryAccessError(address + length, WRITE,
+                                    "fill past end of memory")
         self._bytes[address:address + length] = \
             bytes([value & 0xFF]) * length
         self._bulk_invalidate()

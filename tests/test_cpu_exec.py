@@ -712,7 +712,11 @@ class TestBlockStepDifferential:
 
 # -- generated code: the inline probe and its slow path ---------------------
 
+import sys  # noqa: E402
+
 from repro.fuzz.harness import mark_blocks_hot  # noqa: E402
+from repro.msp430.cpu import _block_source  # noqa: E402
+from repro.msp430.memory import Memory  # noqa: E402
 from repro.msp430.mpu import Mpu, MpuConfig, SegmentPermissions  # noqa: E402
 from repro.msp430.timer import CycleTimer  # noqa: E402
 
@@ -915,3 +919,148 @@ class TestGeneratedCode:
         assert cpu.slow_bus_calls == 0
         assert cpu.memory.read_word(0x2002) == cpu.regs.read(6)
 
+    # -- flag liveness -------------------------------------------------
+
+    #: R9 + R10 = 0x8000 + 0x8000 sets C, Z and V: SR 0x103
+    OVERFLOW = [Instruction(Opcode.MOV, src=imm(0x8000), dst=reg(9)),
+                Instruction(Opcode.MOV, src=imm(0x8000), dst=reg(10))]
+    FIRST = Instruction(Opcode.ADD, src=reg(9), dst=reg(10))
+    #: 0 + 0 after it: SR 0x002
+    SECOND = Instruction(Opcode.ADD, src=reg(11), dst=reg(12))
+
+    @staticmethod
+    def _sr_updates(cpu, start=CODE):
+        """SR updates in the generated source of the block at
+        ``start``."""
+        return _block_source(cpu._blocks[start]).count("r[2] = _isr")
+
+    def test_back_to_back_flag_writers_emit_one_sr_update(self):
+        insns = self.OVERFLOW + [self.FIRST, self.SECOND, HALT]
+        cpu, (fault, state, _, _) = self._outcomes(insns)
+        assert fault is None and state[3]
+        assert state[0][2] == 0x002
+        assert self._sr_updates(cpu) == 1
+
+    def test_compare_before_a_jump_keeps_its_update(self):
+        # the ADD's update is dead (CMP overwrites it), CMP's is read
+        # by JNE, which skips one MOV
+        insns = self.OVERFLOW + [
+            self.FIRST, Instruction(Opcode.CMP, src=imm(1), dst=reg(9)),
+            Instruction(Opcode.JNE, offset=1),
+            Instruction(Opcode.MOV, src=imm(1), dst=reg(13)), HALT]
+        cpu, (fault, state, _, _) = self._outcomes(insns)
+        assert fault is None and state[3] and state[0][13] == 0
+        assert self._sr_updates(cpu) == 1
+
+    @pytest.mark.parametrize("barrier, observed", [
+        # ADDC and RRC read the carry, and their own update is dead
+        (Instruction(Opcode.ADDC, src=reg(13), dst=reg(14)),
+         lambda state, memory: state[0][14] == 1),
+        (Instruction(Opcode.RRC, src=reg(13)),
+         lambda state, memory: state[0][13] == 0x8000),
+        (Instruction(Opcode.MOV, src=reg(2), dst=reg(13)),
+         lambda state, memory: state[0][13] == 0x103),
+        (Instruction(Opcode.PUSH, src=reg(2)),
+         lambda state, memory: memory[0x23FE] == 0x03),
+        (Instruction(Opcode.BIS, src=imm(1), dst=reg(2)),
+         lambda state, memory: state[0][2] == 0x002),
+    ], ids=["addc", "rrc", "mov-sr", "push-sr", "bis-sr"])
+    def test_a_step_that_reads_sr_keeps_the_update_before_it(
+            self, barrier, observed):
+        insns = self.OVERFLOW + [self.FIRST, barrier, self.SECOND, HALT]
+        cpu, (fault, state, _, memory) = self._outcomes(insns)
+        assert fault is None and state[3]
+        assert observed(state, memory)
+        assert self._sr_updates(cpu) == 2
+
+    def test_diamond_arm_keeps_its_update(self):
+        # the arm runs (R7 is zero); its ADD is the arm's last step
+        insns = self.OVERFLOW + [
+            Instruction(Opcode.CMP, src=imm(0), dst=reg(7)),
+            Instruction(Opcode.JNE, offset=1), self.FIRST, self.SECOND,
+            HALT]
+        cpu, (fault, state, _, _) = self._outcomes(insns)
+        assert fault is None and state[3]
+        assert cpu._blocks[CODE].steps[3][5][0] == "skip"
+        assert self._sr_updates(cpu) == 3
+
+    def test_inline_loop_exit_sees_the_update_before_it(self):
+        # L: ADD; CMP #3,R11; JEQ BACK; ADD; SUB #1,R11; JNE L runs in
+        # place and leaves through JEQ: each ADD's update is dead
+        loop = [self.FIRST,
+                Instruction(Opcode.CMP, src=imm(3), dst=reg(11)),
+                Instruction(Opcode.JEQ, offset=0),
+                self.SECOND,
+                Instruction(Opcode.SUB, src=imm(1), dst=reg(11)),
+                Instruction(Opcode.JNE, offset=0)]
+        insns = self.OVERFLOW + [
+            Instruction(Opcode.MOV, src=imm(5), dst=reg(11)),
+            Instruction(Opcode.JMP, offset=2), HALT] + loop + [HALT]
+        back, start = _at(insns, 4), _at(insns, 5)
+        insns[7] = Instruction(Opcode.JEQ,
+                               offset=(back - _at(insns, 8)) // 2)
+        insns[10] = Instruction(Opcode.JNE,
+                                offset=(start - _at(insns, 11)) // 2)
+        cpu, (fault, state, _, _) = self._outcomes(insns)
+        assert fault is None and state[3]
+        assert state[0][11] == 3 and state[0][2] == 0x003
+        assert cpu._blocks[start].loop
+        assert self._sr_updates(cpu, start) == 2
+
+    def test_mpu_denied_load_faults_with_the_update_before_it(self):
+        def setup(cpu):
+            mpu = Mpu()
+            mpu.attach(cpu.memory)
+            rwx = SegmentPermissions(True, True, True)
+            mpu.configure(MpuConfig(0x8000, 0x9000, rwx,
+                                    SegmentPermissions(), rwx))
+            return mpu
+
+        insns = self.OVERFLOW + [
+            Instruction(Opcode.MOV, src=imm(0x8000), dst=reg(4)),
+            self.FIRST, Instruction(Opcode.MOV, src=indirect(4),
+                                    dst=reg(7)),
+            self.SECOND, HALT]
+        cpu, (fault, state, _, _) = self._outcomes(insns, setup)
+        assert fault == (FaultKind.MPU_VIOLATION, _at(insns, 4), 0x8000)
+        assert state[0][2] == 0x103
+        assert self._sr_updates(cpu) == 2
+
+    def test_io_read_sees_the_update_before_it(self):
+        seen = []
+
+        def setup(cpu):
+            regs = cpu.regs
+            cpu.memory.add_io(0x0100,
+                              read=lambda: seen.append(regs.sr) or 0)
+
+        insns = self.OVERFLOW + [
+            Instruction(Opcode.MOV, src=imm(0x0100), dst=reg(4)),
+            self.FIRST, Instruction(Opcode.MOV, src=indirect(4),
+                                    dst=reg(7)),
+            self.SECOND, HALT]
+        cpu, (fault, state, _, _) = self._outcomes(insns, setup)
+        assert fault is None and state[3]
+        assert seen == [0x103] * 3
+        assert self._sr_updates(cpu) == 2
+
+    # -- the word view ---------------------------------------------------
+
+    def test_word_view_aliases_memory(self):
+        memory = Memory()
+
+        def aliased():
+            assert memory._words.obj is memory._bytes
+            assert memory._words.tobytes() == memory._bytes
+            return memory._words[0x1001] == int.from_bytes(
+                memory._bytes[0x2002:0x2004], sys.byteorder)
+
+        memory.load(0x2000, b"\x34\x12\x78\x56")
+        assert aliased()
+        memory.fill(0x2002, 2, 0xAB)
+        assert aliased()
+        memory.load_state({"bytes": bytes(range(256)) * 256})
+        assert aliased()
+        memory.write_word(0x2002, 0xBEEF)
+        assert aliased()
+        assert memory.read_word(0x2002) == 0xBEEF

@@ -10,7 +10,9 @@ as
 * the **thunk**: ``step()`` in block mode (a trace hook keeps ``run``
   off superblocks),
 * **generated code**: a superblock compiled at the instruction, with
-  codegen forced before its first dispatch, and
+  codegen forced before its first dispatch, once as this host emits
+  it and once with the byte-pair word spelling a big-endian host
+  uses, and
 * the **oracle**: step-only mode, which runs the ``Cpu._op_*``
   handlers.
 
@@ -29,12 +31,14 @@ PC (or with the instruction budget, for a self-loop).
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.errors import EncodingError
+from repro.msp430 import cpu as cpu_module
 from repro.msp430.cpu import Cpu, CpuFault, ExecutionLimitExceeded, \
-    _TABLE, _codegen, _form
+    _TABLE, _block_source, _codegen, _form
 from repro.msp430.decoder import decode_bytes
 from repro.msp430.encoding import encode_bytes
 from repro.msp430.isa import Instruction, Opcode, absolute, \
@@ -158,12 +162,17 @@ def _run(mode, code, presets, seed):
     cpu, mpu = _machine(code, presets, seed, mode != "oracle")
     if mode == "thunk":
         cpu.trace_hook = lambda pc, insn: None
-    elif mode == "codegen":
+    elif mode.startswith("codegen"):
         cpu.memory._refresh_permissions()
         block = cpu._compile_block(CODE)
         assert block is not None and block.steps[0][0] == CODE
         assert len(block.steps) > 1, "the instance left the block"
-        block.fn = _codegen(block)
+        if mode == "codegen-byte-pairs":
+            with mock.patch.object(cpu_module, "_WORD_VIEW", False):
+                block.fn = _codegen(block)
+                assert "_w[" not in _block_source(block)
+        else:
+            block.fn = _codegen(block)
     try:
         cpu.run(max_instructions=8)
         outcome = ("halted",)
@@ -183,7 +192,7 @@ def _check(insn, presets, seed):
     prefix = encode_bytes(PREFIX, CODE)
     code = prefix + encode_bytes(insn, CODE + len(prefix))
     oracle = _run("oracle", code, presets, seed)
-    for mode in ("thunk", "codegen"):
+    for mode in ("thunk", "codegen", "codegen-byte-pairs"):
         got = _run(mode, code, presets, seed)
         if got != oracle:
             fields = ("outcome", "registers", "cycles", "instructions",

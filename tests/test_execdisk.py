@@ -23,6 +23,7 @@ import os
 from repro.fleet.device import simulate_device
 from repro.fleet.population import device_spec
 from repro.fleet.telemetry import MODELS_BY_KEY
+from repro.framestore import StoreLayout
 from repro.msp430 import execcache
 from repro.msp430.cpu import _block_from_record
 from repro.msp430.execcache import (
@@ -147,6 +148,50 @@ class TestPrune:
         assert not stale.exists()
         assert tier.path.exists()
         assert tier.published == 8
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        by_age = StoreLayout._by_age
+
+        def counting(layout, directory):
+            scans.append(directory)
+            return by_age(layout, directory)
+        monkeypatch.setattr(StoreLayout, "_by_age", counting)
+        return scans
+
+    def test_small_publishes_under_a_large_budget_scan_once(
+            self, tmp_path, monkeypatch):
+        """A process scans a store directory on its first write there,
+        then only once what it wrote since could pass the budget."""
+        monkeypatch.delenv("REPRO_EXEC_CACHE_MAX_MB", raising=False)
+        scans = self._count_scans(monkeypatch)
+        tier = DiskTier(tmp_path / "live.sbx")
+        for n in range(200):
+            tier.publish(_record(0x4400 + 2 * n, bytes([n % 256]) * 8))
+        assert tier.published == 200
+        assert scans == [tmp_path]
+
+    def test_write_that_could_pass_the_budget_prunes(self, tmp_path,
+                                                     monkeypatch):
+        # a 16 KiB budget: the first publish scans (the stale store
+        # fits), later ones are counted, and the one whose bytes could
+        # pass the budget scans again and evicts the stale store
+        monkeypatch.setenv("REPRO_EXEC_CACHE_MAX_MB", str(16 / 1024))
+        stale = tmp_path / "stale.sbx"
+        stale.write_bytes(b"y" * 8192)
+        os.utime(stale, (1_000_000, 1_000_000))
+        scans = self._count_scans(monkeypatch)
+        tier = DiskTier(tmp_path / "live.sbx")
+        published = 0
+        while stale.exists():
+            tier.publish(_record(0x4400 + 2 * published, b"\x01\x02",
+                                 payload=b"z" * 512))
+            published += 1
+            assert published < 32, "the budget was never enforced"
+        assert published > len(scans) == 2
+        assert tier.path.stat().st_size > 16384 - 8192
+        assert tier.path.exists()
 
 
 class TestFailClosedIngestion(AppendTierMatrix):

@@ -63,6 +63,33 @@ class TestGenerator:
         # exits to the next instruction and exits past the loop
         assert shapes == {True, False}
 
+    def test_emits_sr_reads_between_flag_writers(self):
+        # generated code leaves out a flag update that a later step
+        # overwrites unread: every shape that reads SR, between two
+        # register-only flag writers
+        writer = re.compile(r"(ADD|ADDC|SUB|SUBC|CMP|BIT|AND|XOR)(\.B)?"
+                            r" R\d+, R\d+")
+        reads = []
+        for seed in range(100):
+            for item in generate_program(seed).items:
+                lines = [line.strip() for line in item.lines]
+                if any("SR" in line for line in lines):
+                    assert writer.fullmatch(lines[0]), lines
+                    assert writer.fullmatch(lines[-1]), lines
+                    reads.extend(lines[1:-1])
+        assert any(re.fullmatch(r"MOV(\.B)? SR, R\d+", line)
+                   for line in reads)
+        assert "PUSH SR" in reads
+        assert any(re.fullmatch(r"MOV(\.B)? SR, (&0x\w+|\d+\(R\d+\))",
+                                line) for line in reads)
+        assert any(re.fullmatch(r"(ADD|ADDC|SUB|SUBC|CMP|BIT|AND|XOR)"
+                                r"(\.B)? SR, R\d+", line)
+                   for line in reads)
+        bits = [int(m[1], 16) for line in reads
+                if (m := re.fullmatch(r"BI[SC] #0x(\w+), SR", line))]
+        # only C, Z, N and V: never GIE, CPUOFF, OSCOFF or SCG
+        assert bits and all(b and not b & ~0x107 for b in bits)
+
     def test_programs_end_with_halt_before_subroutines(self):
         program = generate_program(7)
         kinds = [item.kind for item in program.items]

@@ -126,3 +126,10 @@ class TestObservers:
     def test_fill(self, memory):
         memory.fill(0x4400, 4, 0xAB)
         assert memory.dump(0x4400, 4) == b"\xab\xab\xab\xab"
+
+    def test_fill_past_end_keeps_64_kb(self, memory):
+        # the backing store never resizes: generated code holds a
+        # 16-bit view of it
+        with pytest.raises(MemoryAccessError):
+            memory.fill(0xFFFE, 4, 0xAB)
+        assert len(memory._bytes) == 0x10000
