@@ -1,6 +1,6 @@
 """Simulated-instructions-per-second microbenchmark.
 
-Tracks the simulator's raw speed across PRs.  Four workloads:
+Tracks the simulator's raw speed across PRs.  Five workloads:
 
 * ``raw_loop`` — a register-only countdown loop on a bare
   :class:`~repro.msp430.cpu.Cpu`, driven through :meth:`Cpu.run` (the
@@ -17,10 +17,15 @@ Tracks the simulator's raw speed across PRs.  Four workloads:
   app built under the MPU model on a full :class:`AmuletMachine`:
   the paper-experiment hot path (MPU enabled, checks inserted,
   memory-heavy).
+* ``cold_code`` — code that runs once: a chain of distinct
+  straight-line blocks, each a few ALU steps and a ``JMP`` to the
+  next, re-``load``ed before every pass, which clears every cache, so
+  each instruction is decoded, formed into a block and run by tier 0
+  (the ``_op_*`` handlers) without ever being compiled.
 
 ``--step-only`` forces :attr:`Cpu.block_mode` off, measuring the
-per-opcode ``Cpu._op_*`` handlers (the oracle step-only mode runs for
-every instruction), not the table's thunks.
+per-opcode ``Cpu._op_*`` handlers for every instruction, without
+superblocks.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_sim_speed.py``)
 to append a record to ``BENCH_sim.json`` at the repo root, or via
@@ -46,6 +51,7 @@ from repro.msp430.isa import (
     indirect,
     reg,
 )
+from repro.ports import DONE_PORT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_sim.json"
@@ -88,6 +94,18 @@ WORD_MEMORY = _program(
         Instruction(Opcode.PUSH, src=reg(7)),
         Instruction(Opcode.MOV, src=autoincrement(1), dst=reg(8)),
     ])
+
+#: blocks of the cold-code chain: three register-only ALU steps and a
+#: ``JMP`` to the next block (offset 0: the next instruction), 8 bytes
+#: each, then a store to the DONE port that halts the pass
+COLD_BLOCKS = 512
+COLD_CODE = [
+    Instruction(Opcode.ADD, src=reg(6), dst=reg(7)),
+    Instruction(Opcode.XOR, src=reg(7), dst=reg(8)),
+    Instruction(Opcode.SUB, src=imm(1), dst=reg(9)),
+    Instruction(Opcode.JMP, offset=0),
+] * COLD_BLOCKS + [
+    Instruction(Opcode.MOV, src=imm(1), dst=absolute(DONE_PORT))]
 
 
 def _load(cpu: Cpu, program: list) -> None:
@@ -140,6 +158,27 @@ def bench_word_memory(seconds: float = 1.0,
     return _bench_loop(WORD_MEMORY, seconds, step_only)
 
 
+def bench_cold_code(seconds: float = 1.0,
+                    step_only: bool = False) -> float:
+    """Instructions/second of code that runs once per load."""
+    cpu = Cpu()
+    cpu.block_mode = not step_only
+    cpu.memory.add_io(DONE_PORT, write=lambda _a, _v: cpu.halt())
+    blob = b"".join(encode_bytes(insn, 0) for insn in COLD_CODE)
+    insns = 0
+    deadline = time.perf_counter() + seconds
+    start = time.perf_counter()
+    while time.perf_counter() < deadline:
+        cpu.memory.load(CODE, blob)      # clears every cache
+        cpu.halted = False
+        cpu.regs.pc = CODE
+        before = cpu.instructions
+        cpu.run()
+        insns += cpu.instructions - before
+    elapsed = time.perf_counter() - start
+    return insns / elapsed
+
+
 def bench_mpu_quicksort(seconds: float = 1.0,
                         step_only: bool = False) -> float:
     """Instructions/second of the paper's MPU-model Quicksort path."""
@@ -178,7 +217,8 @@ def run_benchmarks(seconds: float = 1.0, repeats: int = 3,
         for name, bench in (("raw_loop", bench_raw_loop),
                             ("alu_chain", bench_alu_chain),
                             ("word_memory", bench_word_memory),
-                            ("mpu_quicksort", bench_mpu_quicksort))
+                            ("mpu_quicksort", bench_mpu_quicksort),
+                            ("cold_code", bench_cold_code))
     }
 
 
@@ -205,7 +245,8 @@ def record(label: str, seconds: float = 1.0, repeats: int = 3,
 
 # -- pytest smoke (fast; asserts the simulator actually executes) ------
 def test_sim_speed_smoke():
-    for bench in (bench_raw_loop, bench_alu_chain, bench_word_memory):
+    for bench in (bench_raw_loop, bench_alu_chain, bench_word_memory,
+                  bench_cold_code):
         assert bench(seconds=0.2) > 0
 
 

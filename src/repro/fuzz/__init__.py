@@ -2,15 +2,17 @@
 
 Two engines pin the simulator's exactness-critical fast paths (the
 permission bitmap, and the instruction-semantics table behind the
-thunks and the superblock compiler) and the paper's containment claim:
+superblock compiler's generated code) and the paper's containment
+claim:
 
 * the **differential engine** (:mod:`repro.fuzz.generator`,
   :mod:`repro.fuzz.harness`) generates seeded random MSP430 programs
-  and executes each one twice — superblock mode vs. step-only mode,
-  which runs the ``Cpu._op_*`` handlers — asserting bit-identical
-  architectural state at every
-  checkpoint; divergences are shrunk (:mod:`repro.fuzz.shrink`) to a
-  minimal replayable ``.s`` case under ``tests/fuzz_corpus/``;
+  and executes each one in block mode (tiering as production does,
+  and with every block compiled on its first dispatch) and in
+  step-only mode, which runs the ``Cpu._op_*`` handlers, asserting
+  bit-identical architectural state at every checkpoint;
+  divergences are shrunk (:mod:`repro.fuzz.shrink`) to a minimal
+  replayable ``.s`` case under ``tests/fuzz_corpus/``;
 * the **attack engine** (:mod:`repro.fuzz.attacks`) compiles a library
   of adversarial app templates under every memory model and asserts
   each isolation-enabled model contains the attack with the expected

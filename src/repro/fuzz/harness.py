@@ -3,8 +3,9 @@
 A :class:`FuzzProgram` is assembled, linked at its code base and loaded
 into three identical machines:
 
-* **block** — the production configuration: superblocks tier from
-  interpreted thunks to generated code after their first dispatches;
+* **block** — the production configuration: a superblock's first
+  dispatches run its instructions through the ``_op_*`` handlers
+  (tier 0), later ones its generated code;
 * **codegen** — the same engine with every block marked hot as it is
   compiled, so code that runs once (most of a fuzz program outside its
   loops) still runs as generated code;
@@ -43,7 +44,8 @@ from repro.fuzz.generator import (
     SCRATCH_HI,
     SCRATCH_LO,
 )
-from repro.msp430.cpu import Cpu, CpuFault, ExecutionLimitExceeded
+from repro.msp430.cpu import Cpu, CpuFault, ExecutionLimitExceeded, \
+    TIER_UP
 from repro.msp430.memory import Memory, MemoryMap
 from repro.msp430.mpu import MPU_PASSWORD, Mpu
 from repro.ports import DONE_PORT
@@ -78,7 +80,7 @@ def mark_blocks_hot(cpu: Cpu) -> Cpu:
     def compile_hot(pc):
         blk = compile_block(pc)
         if blk is not None:
-            blk.execs = 2
+            blk.execs = TIER_UP
         return blk
 
     cpu._compile_block = compile_hot

@@ -22,20 +22,27 @@ firmware reloads stay correct.
 Superblocks
 -----------
 
-Each instruction's fast-path semantics is one source template in
-the table at the end of this module: ``step()`` calls the template
-compiled as a thunk, and :meth:`Cpu.run` pastes the templates of
-straight-line runs into *superblocks*: one Python-level dispatch per
-block instead of one ``step()`` round trip per instruction.  A block
-starts at a hot PC and extends until the first
+An instruction has two implementations: its per-opcode ``_op_*``
+handler, which ``step()`` runs, and a source template in the table at
+the end of this module, which :meth:`Cpu.run` pastes, for the
+instructions of a straight-line run, into the generated code of a
+*superblock*: one Python-level dispatch per block instead of one
+``step()`` round trip per instruction.  A block starts at a PC
+``run`` reaches and extends until
 
-* jump (included as the block's final instruction), call, return, or
-  any other instruction without a template,
-* instruction whose absolute operand hits a memory-mapped I/O port —
-  kernel gates (service/done/fault ports), MPU registers, the cycle
-  timer — so gate crossings and MPU reprogramming always run through
-  ``step()``, or
+* a jump, ``CALL``, ``RET`` or ``BR``, kept as the block's final step,
+* an instruction whose absolute operand hits a memory-mapped I/O port
+  — kernel gates (service/done/fault ports), MPU registers, the cycle
+  timer — kept as the final step and checked like a store, so ``run``
+  re-checks its guards right after every gate crossing and MPU
+  reprogramming,
+* an instruction without a template, one that does not decode, or an
+  execute-permission edge, left out of the block (``step()`` runs
+  it), or
 * the 64-instruction block-size cap.
+
+A block's first dispatches walk its instructions through the same
+``_op_*`` handlers (*tier 0*); it is compiled once it proves hot.
 
 Every block batches its bookkeeping: the PC, cycle and instruction
 counters are written once per block.  A block accesses memory inline
@@ -51,7 +58,7 @@ observability: a ``trace_hook`` (debugger), a memory observer
 block of expiring all fall back to ``step()``, as
 does setting :attr:`Cpu.block_mode` to ``False``: that step-only
 mode runs the per-opcode ``_op_*`` handlers for every instruction,
-the independent oracle the differential tests compare the table
+the independent oracle the differential tests compare generated code
 against.  Invalidation rides the icache write hook — a store into a block's PC range (including
 block-straddling writes) kills the block — and MPU reconfiguration is
 handled by revalidating each block's execute permission against the
@@ -64,7 +71,6 @@ from __future__ import annotations
 import enum
 import marshal
 import re
-import string
 import sys
 import types
 from typing import Callable, Dict, Optional, Tuple
@@ -123,6 +129,11 @@ class ExecutionLimitExceeded(ReproError):
 #: remaining budget, so blocks never blur ExecutionLimitExceeded.
 _MAX_BLOCK_INSNS = 64
 
+#: dispatches a block runs in tier 0 (:func:`_interp_block`) before
+#: ``run`` generates its code, so code that runs once or twice never
+#: pays ``compile()``; a revived block starts here, already hot
+TIER_UP = 2
+
 #: zero page-mask template (bulk invalidation resets the code mask)
 _ZERO_MASK = bytes(1024)
 
@@ -136,9 +147,10 @@ class _Block:
     """One compiled superblock: a trace of decoded instructions fused
     into a single ``compile()``-generated function ``fn``.
 
-    ``steps`` holds ``(pc, next_pc, thunk, cycles, kind, jump, form)``
-    per instruction: ``kind`` is ``_REG``/``_EXACT``/``_STORE`` and
-    ``form`` the instruction's ``(template, constants)``.
+    ``steps`` holds ``(pc, next_pc, insn, cycles, kind, jump, form)``
+    per instruction: ``insn`` is the decoded :class:`Instruction`,
+    ``kind`` is ``_REG``/``_EXACT``/``_STORE`` and ``form`` the
+    instruction's ``(template, constants)``.
     ``jump`` is ``None`` for straight-line steps and for a final jump
     (its template sets the PC); mid-trace conditional jumps carry either
     ``("exit", cond, target)`` — compiled to an inline early return —
@@ -232,7 +244,7 @@ class _Block:
 
 
 #: a bus call in a template line; superblock codegen expands each one
-#: into the inline permission probe (thunks keep calling the bus)
+#: into the inline permission probe
 _BUS_CALL = re.compile(r"m\.(read|write)_(word|byte)\(")
 
 #: an indexed address's 16-bit wrap, which word alignment subsumes
@@ -365,7 +377,7 @@ def _block_source(blk: _Block) -> str:
 
     The generated code pastes every step's table template with the
     instruction's constants as literals, so executing a block costs
-    one Python call — the per-instruction interpreter loop (thunk
+    one Python call — the per-instruction interpreter loop (handler
     calls, tuple unpacking, index bookkeeping, budget and halt
     polling) is gone.  Bookkeeping is batched: nothing inside the
     block writes the PC or the counters, and the block adds its
@@ -516,20 +528,21 @@ def _block_source(blk: _Block) -> str:
 
 
 def _interp_block(c, blk: _Block, r, m) -> None:
-    """Tier-0 executor: walk a block's steps one thunk at a time.
+    """Tier-0 executor: walk a block's steps through the ``_op_*``
+    handlers ``step()`` runs.
 
-    Architecturally identical to the codegen'd function — the thunks
-    are its templates, calling the bus for every access, with exact
+    Architecturally identical to the codegen'd function — the
+    handlers call the bus for every access, with exact
     per-instruction bookkeeping and the same store-boundary checks —
     so a block's first dispatches can run without paying
     ``compile()``; ``run`` tiers the block up to generated code once
     it proves hot.
-    Jumps execute via their thunks: a taken jump moves ``r[0]`` off
-    the recorded fallthrough, which steers the walk (skip the diamond
-    arm / return early) exactly like the inline conditions in
-    generated code.
+    A taken jump moves ``r[0]`` off the recorded fallthrough, which
+    steers the walk (skip the diamond arm / return early) exactly
+    like the inline conditions in generated code.
     """
     steps = blk.steps
+    dispatch = c._dispatch
     _v = c._code_version
     i = 0
     n = len(steps)
@@ -537,7 +550,8 @@ def _interp_block(c, blk: _Block, r, m) -> None:
         s = steps[i]
         np = s[1]
         r[0] = np
-        s[2](r, m)
+        insn = s[2]
+        dispatch[insn.opcode](insn)
         c.cycles += s[3]
         c.instructions += 1
         info = s[5]
@@ -558,15 +572,15 @@ def _interp_block(c, blk: _Block, r, m) -> None:
 
 # -- persistent block records (the execcache disk tier's payload) ----------
 #
-# A compiled block is mostly *derived* state: thunks and template
-# lines re-instantiate deterministically from the code bytes, and the
-# codegen'd function is a closure-free code object that needs no
-# globals.  So a disk record carries only the code bytes, the per-step
-# metadata (everything in a step tuple except the thunk and the form),
-# and the marshaled generated code — revival re-decodes each step from
-# the recorded bytes.  Revival is fail-closed: any inconsistency
-# (decode error, cycle-count mismatch, a shape the table lacks,
-# marshal rot) rejects the record and the block is simply
+# A compiled block is mostly *derived* state: decoded instructions and
+# their template forms re-instantiate deterministically from the code
+# bytes, and the codegen'd function is a closure-free code object that
+# needs no globals.  So a disk record carries only the code bytes, the
+# per-step metadata (everything in a step tuple except the instruction
+# and the form), and the marshaled generated code — revival re-decodes
+# each step from the recorded bytes.  Revival is fail-closed: any
+# inconsistency (decode error, cycle-count mismatch, a shape the table
+# lacks, marshal rot) rejects the record and the block is simply
 # re-translated, exactly as a cache miss would be.
 
 def _block_record(blk: _Block) -> Optional[dict]:
@@ -611,8 +625,9 @@ def _block_from_record(record: dict) -> Optional[_Block]:
             if cyc.instruction_cycles(insn) != cyc_i:
                 return None
             form = _form(insn, pc)
-            steps.append((pc, next_pc, form[0].thunk(form[1]), cyc_i,
-                          kind, info, form))
+            if form is None:
+                return None
+            steps.append((pc, next_pc, insn, cyc_i, kind, info, form))
         if steps[-1][1] != record["end_pc"]:
             return None
         fn = types.FunctionType(marshal.loads(record["fn"]), {}, "_fn")
@@ -620,7 +635,7 @@ def _block_from_record(record: dict) -> Optional[_Block]:
                      record["loop"])
         blk.code = bytes(code)
         blk.fn = fn
-        blk.execs = 2          # already hot: skip the interp tier
+        blk.execs = TIER_UP
         return blk
     except Exception:
         return None
@@ -647,23 +662,22 @@ class Cpu:
         # Any memory write invalidates the entries it touches (so
         # self-modifying code and re-loads stay correct); firmware
         # never self-modifies, so in practice every instruction decodes
-        # once.  Entries: pc -> (insn, size, cycles, thunk) where
-        # thunk is the table template's function, or None (no
-        # template: the _op_* handler runs).
+        # once.  Entries: pc -> (insn, size, cycles).
         # Entries are device-agnostic, so they can be published to and
         # pulled from the shared execution cache.
         self._icache: dict = {}
         # -- superblock layer ----------------------------------------
-        #: False forces ``step()`` through the ``_op_*`` handlers for
-        #: every instruction — the oracle differential tests pin the
-        #: table's thunks and superblocks against.
+        #: False keeps ``run`` off superblocks, so ``step()`` runs the
+        #: ``_op_*`` handlers for every instruction — the oracle
+        #: differential tests pin generated code against.
         self.block_mode = True
         #: compiled superblocks, keyed by entry PC (this CPU's *view*;
         #: blocks may be private or pulled from the shared cache)
         self._blocks: Dict[int, _Block] = {}
-        #: entry PCs where compilation declined (first instruction has
-        #: no template, hits an I/O port, or the run is too short) — a
-        #: negative cache so ``run`` doesn't retry every iteration.
+        #: entry PCs where compilation declined (the first instruction
+        #: has no template or does not decode, or an execute-permission
+        #: edge cuts it) — a negative cache so ``run`` doesn't retry
+        #: every iteration.
         #: Never shared: some verdicts depend on this device's MPU
         #: permission edges, not on code bytes.
         self._no_block: set = set()
@@ -925,11 +939,9 @@ class Cpu:
             if entry is None:
                 insn, size = decode(memory.fetch_word, pc)
                 insn_cycles = cyc.instruction_cycles(insn)
-                thunk = _thunk(insn, pc)
-                self._install_entry(
-                    pc, (insn, size, insn_cycles, thunk))
+                self._install_entry(pc, (insn, size, insn_cycles))
             else:
-                insn, size, insn_cycles, thunk = entry
+                insn, size, insn_cycles = entry
                 # the decode is cached (or pulled from the shared
                 # store), but execute *permission* must be
                 # re-validated — the MPU config changes between
@@ -959,11 +971,7 @@ class Cpu:
         if self.trace_hook is not None:
             self.trace_hook(pc, insn)
         try:
-            if thunk is not None and self.block_mode:
-                thunk(r, memory)
-            else:
-                # step-only mode runs the _op_* oracle for everything
-                self._dispatch[insn.opcode](insn)
+            self._dispatch[insn.opcode](insn)
         except MpuViolationError as exc:
             raise CpuFault(FaultKind.MPU_VIOLATION, pc, exc.address,
                            exc.kind) from exc
@@ -1032,10 +1040,8 @@ class Cpu:
                         else:
                             break        # step() raises the fault
                     if blk.fn is None:
-                        if blk.execs < 2:
-                            # tier 0: interpret the steps; blocks
-                            # executed once or twice never pay
-                            # compile()
+                        if blk.execs < TIER_UP:
+                            # tier 0: interpret the steps
                             blk.execs += 1
                             if (self.cycles + blk.cycles
                                     > cycle_limit
@@ -1259,10 +1265,10 @@ class Cpu:
 
     def _revive_disk_variants(self, shared, pc: int):
         """Bring any persisted block variants for ``pc`` into the
-        in-memory store (reviving thunks and generated code from the
-        records), so the normal byte-verified adoption scan can use
-        them.  Returns the variant list, or None when the disk tier
-        has nothing for this pc either."""
+        in-memory store (reviving decoded steps and generated code
+        from the records), so the normal byte-verified adoption scan
+        can use them.  Returns the variant list, or None when the disk
+        tier has nothing for this pc either."""
         disk = shared.disk
         records = disk.take(pc)
         if records is None:
@@ -1285,11 +1291,12 @@ class Cpu:
 
     # -- superblock compilation and execution -------------------------------
     def _compile_block(self, pc: int) -> Optional[_Block]:
-        """Chain decoded thunks from ``pc`` into a superblock, or mark
-        ``pc`` uncompilable.  Straight-line only: a jump ends the block
-        (inclusive); a call/return/unthunked instruction, an absolute
-        operand on a registered I/O port (kernel gates, MPU registers,
-        the cycle timer), or a non-executable byte ends it exclusive.
+        """Chain decoded instructions from ``pc`` into a superblock, or
+        mark ``pc`` uncompilable.  Straight-line only: a jump, CALL,
+        RET, BR, or an absolute operand on a registered I/O port
+        (kernel gates, MPU registers, the cycle timer) ends the block
+        inclusive; an instruction without a template or that does not
+        decode, or a non-executable byte, ends it exclusive.
         All fetches run under ``supervisor`` after probing the
         permission bitmap, so speculative compilation has no
         architecturally visible side effects (no MPU violation flags).
@@ -1366,19 +1373,17 @@ class Cpu:
                 except (DecodeError, MemoryAccessError):
                     break
                 insn_cycles = cyc.instruction_cycles(insn)
-                thunk = _thunk(insn, cursor)
-                entry = (insn, size, insn_cycles, thunk)
-                self._install_entry(cursor, entry)
+                self._install_entry(cursor, (insn, size, insn_cycles))
             else:
-                insn, size, insn_cycles, thunk = entry
-            if thunk is None:         # no template: step() runs it
+                insn, size, insn_cycles = entry
+            form = _form(insn, cursor)
+            if form is None:          # no template: step() runs it
                 break
             last = cursor + size - 1
             if last > 0xFFFF or not perm[last] & PERM_X:
                 break
             src, dst = insn.src, insn.dst
             next_pc = (cursor + size) & 0xFFFF
-            form = _form(insn, cursor)
             template = form[0]
             if _hits_io(src, io_ports) or _hits_io(dst, io_ports):
                 # Gate/MPU/timer port operand: absorb it as the
@@ -1389,7 +1394,7 @@ class Cpu:
                 # to ``run``'s guard re-checks — exactly the boundary
                 # ``step()`` would give.  (Syscall gates and timer
                 # polls dominate the step fallback otherwise.)
-                steps.append((cursor, next_pc, thunk, insn_cycles,
+                steps.append((cursor, next_pc, insn, insn_cycles,
                               _STORE, None, form))
                 end = cursor + size
                 break
@@ -1414,7 +1419,7 @@ class Cpu:
                         # an in-place loop (the generated function
                         # iterates until the jump falls through or the
                         # budget share is spent)
-                        steps.append((cursor, next_pc, thunk,
+                        steps.append((cursor, next_pc, insn,
                                       insn_cycles, kind, None, form))
                         end = cursor + size
                         loop = True
@@ -1426,7 +1431,7 @@ class Cpu:
                         # structured diamond when the target is
                         # reached, truncated otherwise
                         diamond = (len(steps), target)
-                        steps.append((cursor, next_pc, thunk,
+                        steps.append((cursor, next_pc, insn,
                                       insn_cycles, kind,
                                       ("open", _JUMP_CONDS[opcode]),
                                       form))
@@ -1438,7 +1443,7 @@ class Cpu:
                     # inside an open arm): inline early exit — taken
                     # returns with exact bookkeeping, fallthrough
                     # continues the trace
-                    steps.append((cursor, next_pc, thunk, insn_cycles,
+                    steps.append((cursor, next_pc, insn, insn_cycles,
                                   kind,
                                   ("exit", _JUMP_CONDS[opcode],
                                    target), form))
@@ -1446,14 +1451,14 @@ class Cpu:
                     cursor = next_pc
                     continue
                 # unconditional JMP closes the block inclusively
-                steps.append((cursor, next_pc, thunk, insn_cycles,
+                steps.append((cursor, next_pc, insn, insn_cycles,
                               kind, None, form))
                 end = cursor + size
                 loop = pure and target == pc
                 break
             if kind != _REG:
                 pure = False
-            steps.append((cursor, next_pc, thunk, insn_cycles, kind,
+            steps.append((cursor, next_pc, insn, insn_cycles, kind,
                           None, form))
             end = cursor + size
             cursor = next_pc
@@ -1473,8 +1478,8 @@ class Cpu:
             loop = False
         mask = self._code_pages
         if not steps:
-            # nothing compilable at this pc (unthunked shape, I/O
-            # port, or permission edge); remember the verdict and
+            # nothing compilable at this pc (no template, a decode
+            # error, or a permission edge); remember the verdict and
             # index it so code writes re-enable compilation.  Even a
             # single-instruction block beats the step() fallback: the
             # tight dispatch loop skips the per-step guard checks.
@@ -1740,20 +1745,18 @@ class Cpu:
 # template over the raw register list ``r`` and the bus ``m`` whose
 # ``{holes}`` are the instruction's constants (registers, immediates,
 # addresses, width masks, a jump's target).  Superblock codegen pastes
-# a template with its holes filled in as literals; the thunk
-# ``step()`` calls is the same template compiled once per process into
-# a function that takes the holes as default arguments, bound per
-# instruction.  Memory goes through ``m.read_*``/``m.write_*``, so
-# permissions, I/O dispatch and invalidation behave as in the
-# ``Cpu._op_*`` handlers, which stay the independent oracle: step-only
-# mode runs them, and tests/test_cpu_shapes.py checks every table key
-# against them.  A shape outside the table (DADD, RETI, memory to
-# memory, ...) has no thunk: ``step()`` runs its handler and
-# superblocks end before it.  Temporaries use the ``_i*`` prefix so
-# they never collide with the block executors' own locals.  A flag
-# update starts from ``r[2] & 0xFEF8``: SR with C, Z, N and V clear,
-# collects the flags in ``_isr`` and ends with ``r[2] = _isr`` (how
-# ``_Template`` tells a flag writer).
+# a template with its holes filled in as literals and expands its
+# ``m.read_*``/``m.write_*`` calls into the inline probe, whose slow
+# path calls the bus, so permissions, I/O dispatch and invalidation
+# behave as in the ``Cpu._op_*`` handlers.  Those stay the independent
+# oracle: ``step()`` and tier 0 run them, and tests/test_cpu_shapes.py
+# checks every table key against them.  A shape outside the table
+# (DADD, RETI, memory to memory, ...) has no template: superblocks end
+# before it and ``step()`` runs its handler.  Temporaries use the
+# ``_i*`` prefix so they never collide with generated code's own
+# locals.  A flag update starts from ``r[2] & 0xFEF8``: SR with C, Z,
+# N and V clear, collects the flags in ``_isr`` and ends with
+# ``r[2] = _isr`` (how ``_Template`` tells a flag writer).
 
 _JUMP_OPCODES = frozenset((
     Opcode.JMP, Opcode.JNE, Opcode.JEQ, Opcode.JNC,
@@ -1772,9 +1775,6 @@ _JUMP_CONDS = {
     Opcode.JGE: "not ((r[2] >> 2) ^ (r[2] >> 8)) & 1",
     Opcode.JL: "((r[2] >> 2) ^ (r[2] >> 8)) & 1",
 }
-
-_FIELDS = string.Formatter()
-
 
 #: a register read under the width mask: ``(r[{s}] & {mask})``, or
 #: unparenthesized as a whole right-hand side or call argument
@@ -1816,13 +1816,10 @@ class _Template:
       flags a later step overwrites unread (see :func:`_live_flags`).
     """
 
-    __slots__ = ("lines", "holes", "mem", "pc", "flags", "carry",
-                 "code", "free", "_fn")
+    __slots__ = ("lines", "mem", "pc", "flags", "carry", "code", "free")
 
     def __init__(self, text: str, mem: str, pc: bool, word: bool):
         self.lines = text.split("\n")
-        self.holes = tuple(dict.fromkeys(
-            field for _, field, _, _ in _FIELDS.parse(text) if field))
         self.mem = mem
         self.pc = pc
         self.flags = "r[2] = _isr" in self.lines
@@ -1833,29 +1830,12 @@ class _Template:
         self.code = [_REG_MASK.sub(lambda m: m[1] or m[2], line)
                      for line in self.lines] if word else self.lines
         self.free = _flag_free(self.code) if self.flags else self.code
-        self._fn = None
 
     def source(self, consts: dict, flags: bool) -> list:
         """The superblock lines with the instruction's constants as
         literals; without the SR update unless ``flags``."""
         return [line.format_map(consts)
                 for line in (self.code if flags else self.free)]
-
-    def thunk(self, consts: dict):
-        """``thunk(r, m)`` with the constants bound as defaults; the
-        body compiles on first use, once per process."""
-        fn = self._fn
-        if fn is None:
-            names = {hole: hole for hole in self.holes}
-            src = "def thunk(r, m%s):\n%s" % (
-                "".join(f", {hole}=0" for hole in self.holes),
-                "".join(f"    {line.format_map(names)}\n"
-                        for line in self.lines))
-            ns: dict = {}
-            exec(compile(src, "<template>", "exec"), ns)
-            fn = self._fn = ns["thunk"]
-        return types.FunctionType(fn.__code__, fn.__globals__, "thunk",
-                                  tuple(consts[h] for h in self.holes))
 
 
 #: (opcode, source shape, destination shape) -> (word template, byte
@@ -2050,17 +2030,12 @@ def _form(insn: Instruction, pc: int):
     return None if template is None else (template, consts)
 
 
-def _thunk(insn: Instruction, pc: int):
-    """The table's ``thunk(r, m)`` for ``insn`` at ``pc``, or None."""
-    form = _form(insn, pc)
-    return None if form is None else form[0].thunk(form[1])
-
-
 def _hits_io(op: Optional[Operand], io_ports: frozenset) -> bool:
     """Does this operand statically address a registered I/O port?
-    Used by the superblock compiler to terminate blocks at kernel
-    gates, MPU registers, and timer reads — those instructions always
-    execute through ``step()``.  (I/O is word-registered, so compare
+    Used by the superblock compiler to end blocks at kernel gates,
+    MPU registers, and timer reads: such an instruction is its
+    block's final step, checked like a store, so ``run`` re-checks
+    its guards right after it.  (I/O is word-registered, so compare
     the word-aligned address, matching the bus's dispatch.)"""
     return (op is not None
             and (op.mode is _M.ABSOLUTE or op.mode is _M.SYMBOLIC)

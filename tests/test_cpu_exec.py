@@ -419,6 +419,7 @@ class TestICacheInvalidation:
 
 # -- superblocks -----------------------------------------------------------
 
+from repro.fuzz.harness import mark_blocks_hot  # noqa: E402
 from repro.ports import DONE_PORT  # noqa: E402
 
 
@@ -543,25 +544,25 @@ class TestStackPointerSemantics:
     """SLAU367's stack-pointer section settles two shapes the oracle
     once disagreed on: PUSH SP stores the decremented SP (its "PUSH
     SP, POP SP sequence"), and SP bit 0 is not implemented, so a byte
-    pop leaves SP even.  Each runs as the oracle handler, as a thunk
-    through ``step()``, and in block mode."""
+    pop leaves SP even.  Each runs as the oracle handler, in block
+    mode's tier 0, and as generated code."""
 
     HALT = Instruction(Opcode.MOV, src=imm(1), dst=absolute(DONE_PORT))
 
     def _ways(self, insn):
         states = []
-        for way in ("oracle", "thunk", "block"):
+        for way in ("oracle", "tier0", "codegen"):
             cpu = _block_cpu()
             cpu.regs.sp = 0x2000
             cpu.memory.load(0x1FFE, b"\x00\x00\x5a\xa5")
             if way == "oracle":
                 cpu._execute(insn)
             else:
+                if way == "codegen":
+                    mark_blocks_hot(cpu)
                 _load_insns(cpu, [insn, self.HALT])
-                if way == "thunk":
-                    cpu.step()
-                else:
-                    cpu.run()
+                cpu.run()
+                assert (cpu._blocks[CODE].fn is None) == (way == "tier0")
             states.append((cpu.regs.sp, cpu.regs.read(5),
                            cpu.memory.read_word(0x1FFE)))
         return states
@@ -714,7 +715,6 @@ class TestBlockStepDifferential:
 
 import sys  # noqa: E402
 
-from repro.fuzz.harness import mark_blocks_hot  # noqa: E402
 from repro.msp430.cpu import _block_source  # noqa: E402
 from repro.msp430.memory import Memory  # noqa: E402
 from repro.msp430.mpu import Mpu, MpuConfig, SegmentPermissions  # noqa: E402

@@ -1,15 +1,16 @@
 """Every instruction-semantics template, run three ways.
 
-The template table in :mod:`repro.msp430.cpu` is the only fast-path
-definition of an instruction: ``step()`` calls a template compiled as
-a thunk, and superblock codegen pastes the same template.  This module
-walks the table, instantiates every key in byte and word form where
-the table has one, and runs each instance from a seeded random state
-as
+The template table in :mod:`repro.msp430.cpu` is what superblock
+codegen pastes for an instruction; the ``Cpu._op_*`` handlers, which
+``step()`` and tier 0 run, are its only other definition.  This
+module walks the table, instantiates every key in byte and word form
+where the table has one, and runs each instance from a seeded random
+state as
 
-* the **thunk**: ``step()`` in block mode (a trace hook keeps ``run``
-  off superblocks),
-* **generated code**: a superblock compiled at the instruction, with
+* **tier 0**: a superblock compiled at the instruction and left
+  without generated code, so ``run`` walks its steps through the
+  handlers (``_interp_block``),
+* **generated code**: the same superblock, with
   codegen forced before its first dispatch, once as this host emits
   it and once with the byte-pair word spelling a big-endian host
   uses, and
@@ -160,9 +161,7 @@ def _machine(code, presets, seed, block_mode):
 
 def _run(mode, code, presets, seed):
     cpu, mpu = _machine(code, presets, seed, mode != "oracle")
-    if mode == "thunk":
-        cpu.trace_hook = lambda pc, insn: None
-    elif mode.startswith("codegen"):
+    if mode != "oracle":
         cpu.memory._refresh_permissions()
         block = cpu._compile_block(CODE)
         assert block is not None and block.steps[0][0] == CODE
@@ -171,7 +170,7 @@ def _run(mode, code, presets, seed):
             with mock.patch.object(cpu_module, "_WORD_VIEW", False):
                 block.fn = _codegen(block)
                 assert "_w[" not in _block_source(block)
-        else:
+        elif mode == "codegen":
             block.fn = _codegen(block)
     try:
         cpu.run(max_instructions=8)
@@ -180,9 +179,8 @@ def _run(mode, code, presets, seed):
         outcome = ("limit",)
     except CpuFault as fault:
         outcome = (fault.kind, fault.pc, fault.address)
-    if mode == "thunk":
-        at = CODE + len(encode_bytes(PREFIX, CODE))
-        assert cpu._icache[at >> 6][at][3] is not None, "no thunk"
+    if mode == "tier0":
+        assert block.fn is None, "the block left tier 0"
     return (outcome, tuple(cpu.regs), cpu.cycles, cpu.instructions,
             mpu.ctl1, mpu.violation_address, mpu.violation_kind,
             cpu.memory._bytes)
@@ -192,7 +190,7 @@ def _check(insn, presets, seed):
     prefix = encode_bytes(PREFIX, CODE)
     code = prefix + encode_bytes(insn, CODE + len(prefix))
     oracle = _run("oracle", code, presets, seed)
-    for mode in ("thunk", "codegen", "codegen-byte-pairs"):
+    for mode in ("tier0", "codegen", "codegen-byte-pairs"):
         got = _run(mode, code, presets, seed)
         if got != oracle:
             fields = ("outcome", "registers", "cycles", "instructions",

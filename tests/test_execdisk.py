@@ -18,6 +18,7 @@ Promises pinned here:
 
 import hashlib
 import json
+import marshal
 import os
 
 from repro.fleet.device import simulate_device
@@ -26,6 +27,8 @@ from repro.fleet.telemetry import MODELS_BY_KEY
 from repro.framestore import StoreLayout
 from repro.msp430 import execcache
 from repro.msp430.cpu import _block_from_record
+from repro.msp430.cycles import instruction_cycles
+from repro.msp430.encoding import encode_bytes
 from repro.msp430.execcache import (
     LAYOUT,
     MAX_VARIANTS,
@@ -33,6 +36,7 @@ from repro.msp430.execcache import (
     clear_registry,
     shared_execution_cache,
 )
+from repro.msp430.isa import Instruction, Opcode, reg
 from repro.pool import worker_pool
 from tests.tier_matrix import AppendTierMatrix
 
@@ -252,6 +256,23 @@ class TestFailClosedIngestion(AppendTierMatrix):
              "steps": [(0x4400, 0x4404, 4, False, None, None)],
              "fn": None}) is None
         assert _block_from_record({"pc": 0x4400}) is None
+
+    def test_step_without_a_template_fails_revival(self):
+        """A well-formed record whose step decodes to a shape the
+        template table lacks (DADD) revives to None, as the same
+        record over a table shape (ADD) does not."""
+        def record(opcode):
+            insn = Instruction(opcode, src=reg(4), dst=reg(5))
+            code = encode_bytes(insn, 0x4400)
+            end = 0x4400 + len(code)
+            return {"pc": 0x4400, "end": end, "end_pc": end,
+                    "loop": False, "code": code,
+                    "steps": [(0x4400, end, instruction_cycles(insn), 0,
+                               None)],
+                    "fn": marshal.dumps((lambda c, r, m: None).__code__)}
+
+        assert _block_from_record(record(Opcode.ADD)) is not None
+        assert _block_from_record(record(Opcode.DADD)) is None
 
 
 def _poison_then_sim(cache_dir, device_id, seed):
